@@ -9,14 +9,12 @@
 # again at the run it lost; delete a run's directory to redo it.
 #
 # Two lanes share the two cores: the preparation searches (two seed
-# workers, one BLAS thread each) and the measurement-stage runs, which
-# read only the stored runs/prep_kerr_n20.  The measurement lane keeps
-# the default BLAS threading: a stored CFI optimum moves by up to a few
-# 1e-9 relative with the BLAS thread count, and the acceptance gate
-# re-evaluates it to 1e-9 at the default.
+# workers) and the measurement-stage runs, which read only the stored
+# runs/prep_kerr_n20.  Every process runs one BLAS thread.
 set -e
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 exec >>runs/bench.log 2>&1
 
 # run FINAL_CSV ARGS...: run the CLI unless FINAL_CSV already exists.
@@ -34,7 +32,6 @@ run() {
 }
 
 prepare_lane() {
-    export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
     run runs/prep_kerr_n20/prepare.csv optimize --kind kerr --n 20 --dmax 6 --seeds 10 \
         --stage prepare --outdir runs/prep_kerr_n20
     for n in 20 4 8 12 16; do

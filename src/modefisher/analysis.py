@@ -9,7 +9,6 @@ angle sweeps for homodyne readout.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import scipy.signal
 
 from .dynamics import coherent_input_state, evolve_continuous
 from .encoding import DEFAULT_PHI, encoded_family
-from .hilbert import coherent_truncation_tail
+from .hilbert import default_cutoff
 from .metrology import (
     DEFAULT_DELTA,
     MeasurementModel,
@@ -51,20 +50,6 @@ class FitResult:
     model: str
     coefficients: tuple[float, ...]
     r_squared: float
-
-
-def default_cutoff(n_mean: float) -> int:
-    """Smallest cutoff that is both >= 2N and truncation-clean.
-
-    The working truncation is twice the mean photon number.  For small N
-    that cutoff leaves a coherent-state tail above the 1e-6 guard, so it
-    is raised to the first value the guard accepts.
-    """
-    cutoff = max(int(math.ceil(2 * n_mean)), 4)
-    alpha = math.sqrt(n_mean / 2.0)
-    while coherent_truncation_tail(alpha, cutoff) > 1e-6:
-        cutoff += 1
-    return cutoff
 
 
 def _grid_for(kind: str, time_grid=None) -> np.ndarray:

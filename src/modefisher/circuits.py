@@ -21,7 +21,7 @@ from .dynamics import (
     kerr_gate,
     tunnel_gate,
 )
-from .hilbert import CompositeState, LayoutError, SubsystemLayout
+from .hilbert import CompositeState, LayoutError, SubsystemLayout, default_cutoff
 
 _LAYER_WIDTH = {"jc": 3, "kerr": 2}
 
@@ -139,7 +139,11 @@ def run_circuit(params: AnsatzParams, state: CompositeState) -> CompositeState:
 
 def prepare_probe(params: AnsatzParams, n_mean: float,
                   cutoff: int | None = None) -> CompositeState:
-    """Run the preparation ansatz on the standard coherent input."""
+    """Run the preparation ansatz on the standard coherent input.
+
+    ``cutoff=None`` uses :func:`~modefisher.hilbert.default_cutoff`, the
+    rule the optimizer and the CLI use.
+    """
     if cutoff is None:
-        cutoff = int(np.ceil(2 * n_mean))
+        cutoff = default_cutoff(n_mean)
     return run_circuit(params, coherent_input_state(params.kind, n_mean, cutoff))

@@ -3,7 +3,15 @@
 Every propagator exp(-i t H) is built from a Hermitian eigendecomposition
 of its local generator (or written down directly when diagonal), so gates
 are exact at the truncation and never materialize full-space operators.
-Application touches only the target axes via tensor contraction.
+Application touches only the target axes.
+
+The two-mode tunnel generator a2†a1 + a1†a2 conserves n1 + n2, so the
+tunnel gate (and the beam splitter built from it) is stored and applied
+sector by sector: the two mode axes are gathered into the 2c-1 sectors of
+fixed total photon number, each sector is rotated by its own small
+eigenbasis, and the result is scattered back.  This is exact at the
+per-mode truncation, because the truncated generator is still
+block-diagonal in n1 + n2.
 """
 
 from __future__ import annotations
@@ -37,9 +45,12 @@ class LocalGate:
     - ``matrix``: dense unitary on the joint target space;
     - ``diag``: diagonal phases on the joint target space (targets must be
       in increasing factor order);
-    - ``basis`` + ``phases``: real orthogonal eigenbasis V with
-      U = V diag(phases) V^T, kept factored because applying two real
-      matmuls beats one complex one.
+    - ``basis`` + ``phases``: a two-mode gate that conserves n1 + n2, held
+      per photon-number sector.  ``basis[s]`` is the real orthogonal
+      eigenbasis V_s of sector s = n1 + n2 and ``phases[s]`` its
+      eigenphases, so U = V_s diag(phases[s]) V_s^T on that sector.  The
+      2c-1 sectors are padded to shapes ``(2c-1, c, c)`` and
+      ``(2c-1, c)``; padding slots carry the identity.
 
     ``targets`` lists factor indices; ``None`` means "the two mode factors
     of whatever layout the gate is applied to", which lets mode-pair gates
@@ -61,7 +72,14 @@ class LocalGate:
         if self.diag is not None:
             return np.diag(self.diag)
         assert self.basis is not None and self.phases is not None
-        return (self.basis * self.phases) @ self.basis.T
+        cutoff = self.basis.shape[1]
+        gather, _ = _sector_index(cutoff)
+        u = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
+        for rows, v, ph in zip(gather, self.basis, self.phases):
+            rows = rows[rows < cutoff * cutoff]
+            d = len(rows)
+            u[np.ix_(rows, rows)] = (v[:d, :d] * ph[:d]) @ v[:d, :d].T
+        return u
 
     @property
     def joint_dim(self) -> int:
@@ -70,20 +88,51 @@ class LocalGate:
         if self.diag is not None:
             return self.diag.shape[0]
         assert self.basis is not None
-        return self.basis.shape[0]
+        return self.basis.shape[1] ** 2
 
 
 @lru_cache(maxsize=None)
-def _tunnel_eigensystem(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a2†a1 + a1†a2 on the joint two-mode space.
+def _sector_index(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather and scatter indices between (n1, n2) and sector order.
 
-    The generator is real symmetric, so the eigenbasis is real orthogonal
-    and independent of the tunneling strength; per-call gates only rescale
-    the eigenphases.
+    ``gather[s, k]`` is the flat index n1*c + n2 of the k-th state (n1
+    ascending) of sector s = n1 + n2; padding slots point at c², one past
+    the end, where the caller keeps a zero row.  ``scatter[n1*c + n2]`` is
+    the inverse: the flat position s*c + k in the sector-major array.
     """
-    a = destroy(cutoff)
-    gen = np.kron(a, a.T) + np.kron(a.T, a)
-    w, v = np.linalg.eigh(gen)
+    c = cutoff
+    gather = np.full((2 * c - 1, c), c * c)
+    for s in range(2 * c - 1):
+        n1 = np.arange(max(0, s - c + 1), min(s, c - 1) + 1)
+        gather[s, :len(n1)] = n1 * c + (s - n1)
+    valid = gather < c * c
+    scatter = np.empty(c * c, dtype=np.intp)
+    scatter[gather[valid]] = np.flatnonzero(valid)
+    gather.setflags(write=False)
+    scatter.setflags(write=False)
+    return gather, scatter
+
+
+@lru_cache(maxsize=None)
+def _tunnel_sectors(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sector eigensystems of a2†a1 + a1†a2, padded to a common size.
+
+    Within sector s = n1 + n2 the generator is tridiagonal in n1, with
+    <n1+1, n2-1| a1†a2 |n1, n2> = sqrt((n1+1) n2).  It is real symmetric,
+    so each eigenbasis is real orthogonal and independent of the tunneling
+    strength; per-call gates only rescale the eigenphases.  Returns the
+    eigenvalues ``(2c-1, c)`` and eigenbases ``(2c-1, c, c)`` in the
+    sector order of :func:`_sector_index`.
+    """
+    c = cutoff
+    w = np.zeros((2 * c - 1, c))
+    v = np.zeros((2 * c - 1, c, c))
+    for s, rows in enumerate(_sector_index(c)[0]):
+        n1 = rows[rows < c * c] // c
+        d = len(n1)
+        off = np.sqrt((n1[:-1] + 1.0) * (s - n1[:-1]))
+        w[s, :d], v[s, :d, :d] = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        v[s, d:, d:] = np.eye(c - d)
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
@@ -135,7 +184,7 @@ def kerr_gate(k: float, cutoff: int, mode: int = 0) -> LocalGate:
 
 def tunnel_gate(j: float, cutoff: int, modes: tuple[int, int] | None = None) -> LocalGate:
     """Photon tunneling exp(-i j (a2†a1 + a1†a2)) between the two modes."""
-    w, v = _tunnel_eigensystem(cutoff)
+    w, v = _tunnel_sectors(cutoff)
     return LocalGate("tunnel", modes, basis=v, phases=np.exp(-1j * j * w),
                      identity=(j == 0.0))
 
@@ -163,12 +212,6 @@ def _resolve_targets(gate: LocalGate, layout: SubsystemLayout) -> tuple[int, ...
     return targets
 
 
-def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for real m and complex x via one real GEMM on stacked re/im."""
-    xr = np.ascontiguousarray(x).view(np.float64).reshape(x.shape[0], -1)
-    return (m @ xr).view(np.complex128).reshape(m.shape[0], *x.shape[1:])
-
-
 def apply(gate: LocalGate, state: CompositeState) -> CompositeState:
     """Apply a local gate, contracting only the target axes."""
     if gate.identity:
@@ -189,15 +232,23 @@ def apply(gate: LocalGate, state: CompositeState) -> CompositeState:
         return CompositeState(layout, out.reshape(-1), check_norm=False)
 
     if gate.basis is not None:
-        assert gate.phases is not None
-        moved = np.moveaxis(psi, targets, range(len(targets)))
-        tail = moved.shape[len(targets):]
-        mat = moved.reshape(gate.joint_dim, -1)
-        mat = _real_matmul(gate.basis.T, mat)
-        mat *= gate.phases[:, None]
-        mat = _real_matmul(gate.basis, mat)
-        out = np.moveaxis(mat.reshape(*[layout.dims[t] for t in targets], *tail),
-                          range(len(targets)), targets)
+        # Gather the mode pair into sector-major order (a zero row backs
+        # the padding slots), rotate every sector by its eigenbasis with
+        # batched real matmuls on stacked re/im, and scatter back.
+        # Emitter factors ride along as extra columns.
+        cutoff = gate.basis.shape[1]
+        if any(layout.dims[t] != cutoff for t in targets):
+            raise LayoutError(f"sector gate needs two mode factors of cutoff {cutoff}")
+        gather, scatter = _sector_index(cutoff)
+        moved = np.moveaxis(psi, targets, (0, 1))
+        cols = moved.reshape(cutoff * cutoff, -1)
+        padded = np.concatenate((cols, np.zeros((1, cols.shape[1]), dtype=cols.dtype)))
+        x = padded[gather].view(np.float64)
+        y = np.matmul(gate.basis.transpose(0, 2, 1), x).view(np.complex128)
+        y *= gate.phases[:, :, None]
+        z = np.matmul(gate.basis, y.view(np.float64)).view(np.complex128)
+        out = z.reshape(-1, cols.shape[1])[scatter].reshape(moved.shape)
+        out = np.moveaxis(out, (0, 1), targets)
         return CompositeState(layout, np.ascontiguousarray(out).reshape(-1), check_norm=False)
 
     assert gate.matrix is not None

@@ -3,7 +3,10 @@
 The interferometer is U(phi) = BS . PD(phi) . BS with a symmetric beam
 splitter BS = exp(-i (pi/4)(a2†a1 + a1†a2)) and a differential phase
 PD(phi) = exp(-i (phi/2)(n2 - n1)).  Emitter factors, when present, ride
-along untouched.
+along untouched.  Both beam splitters conserve n1 + n2 and are applied
+sector by sector (see :mod:`modefisher.dynamics`).  Only PD depends on
+phi, so the first beam splitter can be shared: the encoded family
+computes it once for the state and the derivative together.
 """
 
 from __future__ import annotations
@@ -41,16 +44,14 @@ def phase_diff_gate(phi: float, cutoff: int,
     return LocalGate("phase_diff", modes, diag=diag, identity=(phi == 0.0))
 
 
-def _diff_number_scaled(state: CompositeState) -> CompositeState:
-    """(-i/2)(n2 - n1) |state>, the generator insertion for d/dphi."""
+def _diff_number(state: CompositeState) -> np.ndarray:
+    """n2 - n1 shaped to broadcast against ``state.tensor()``."""
     layout = state.layout
     m1, m2 = layout.mode_indices
     n = np.arange(layout.cutoff)
     shape = [1] * len(layout.dims)
     shape[m1], shape[m2] = layout.cutoff, layout.cutoff
-    factor = (-0.5j) * (n[None, :] - n[:, None])
-    amps = (state.tensor() * factor.reshape(shape)).reshape(-1)
-    return CompositeState(layout, amps, check_norm=False)
+    return (n[None, :] - n[:, None]).reshape(shape)
 
 
 def _require_two_modes(state: CompositeState) -> int:
@@ -59,17 +60,22 @@ def _require_two_modes(state: CompositeState) -> int:
     return state.layout.cutoff
 
 
-def _encode_from_mixed(chi: CompositeState, phi: float) -> CompositeState:
-    """Finish the interferometer given chi = BS |psi_P>."""
-    cutoff = chi.layout.cutoff
-    state = apply(phase_diff_gate(phi, cutoff), chi)
-    return apply(beam_splitter_gate(cutoff), state)
+def _phased(state: CompositeState, phi: float) -> CompositeState:
+    """PD(phi) . BS |psi_P>, the part the state and its derivative share."""
+    cutoff = _require_two_modes(state)
+    return apply(phase_diff_gate(phi, cutoff), apply(beam_splitter_gate(cutoff), state))
+
+
+def _tangent(phased: CompositeState) -> CompositeState:
+    """(-i/2)(n2 - n1) |phased>, the generator insertion for d/dphi."""
+    amps = (phased.tensor() * (-0.5j * _diff_number(phased))).reshape(-1)
+    return CompositeState(phased.layout, amps, check_norm=False)
 
 
 def encode(state: CompositeState, phi: float) -> CompositeState:
     """|psi_E(phi)> = BS . PD(phi) . BS |psi_P>."""
-    cutoff = _require_two_modes(state)
-    return _encode_from_mixed(apply(beam_splitter_gate(cutoff), state), phi)
+    phased = _phased(state, phi)
+    return apply(beam_splitter_gate(phased.layout.cutoff), phased)
 
 
 def encode_derivative(state: CompositeState, phi: float) -> CompositeState:
@@ -78,13 +84,16 @@ def encode_derivative(state: CompositeState, phi: float) -> CompositeState:
     Equals BS . (-i/2)(n2 - n1) . PD(phi) . BS |psi_P> because only the
     differential phase depends on phi.
     """
-    cutoff = _require_two_modes(state)
-    chi = apply(beam_splitter_gate(cutoff), state)
-    chi = apply(phase_diff_gate(phi, cutoff), chi)
-    chi = _diff_number_scaled(chi)
-    return apply(beam_splitter_gate(cutoff), chi)
+    phased = _phased(state, phi)
+    return apply(beam_splitter_gate(phased.layout.cutoff), _tangent(phased))
 
 
 def encoded_family(state: CompositeState, phi: float = DEFAULT_PHI) -> PhaseFamily:
-    """Encoded state together with its phase derivative at ``phi``."""
-    return PhaseFamily(encode(state, phi), encode_derivative(state, phi), phi)
+    """Encoded state together with its phase derivative at ``phi``.
+
+    The first beam splitter and the phase stage are shared between the
+    two branches, so the family costs three beam splitters, not four.
+    """
+    phased = _phased(state, phi)
+    bs = beam_splitter_gate(phased.layout.cutoff)
+    return PhaseFamily(apply(bs, phased), apply(bs, _tangent(phased)), phi)

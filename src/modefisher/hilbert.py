@@ -140,6 +140,20 @@ def coherent_truncation_tail(alpha: complex, cutoff: int) -> float:
     return max(0.0, 1.0 - kept)
 
 
+def default_cutoff(n_mean: float) -> int:
+    """Smallest cutoff that is both >= 2N and truncation-clean.
+
+    The working truncation is twice the mean photon number.  For small N
+    that cutoff leaves a coherent-state tail above the 1e-6 guard, so it
+    is raised to the first value the guard accepts.
+    """
+    cutoff = max(int(math.ceil(2 * n_mean)), 4)
+    alpha = math.sqrt(n_mean / 2.0)
+    while coherent_truncation_tail(alpha, cutoff) > 1e-6:
+        cutoff += 1
+    return cutoff
+
+
 def coherent_state(alpha: complex, cutoff: int, tail_tol: float = 1e-6) -> np.ndarray:
     """Truncated, renormalized coherent state amplitudes on one mode.
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import apply
-from .encoding import DEFAULT_PHI, PhaseFamily, _encode_from_mixed, beam_splitter_gate
+from .encoding import DEFAULT_PHI, PhaseFamily, _diff_number, beam_splitter_gate
 from .hilbert import CompositeState
 
 DEFAULT_DELTA = 1e-2
@@ -256,17 +256,19 @@ def qfi_fidelity(probe: CompositeState, phi: float = DEFAULT_PHI,
     """QFI from the fidelity drop between nearby encoded states.
 
     F_Q = 8 (1 - |<psi_E(phi)|psi_E(phi+delta)>|) / delta^2 for the pure
-    encoded family; the two branches share the first beam splitter, which
-    is phase-independent.
+    encoded family.  With chi = BS |psi_P>, the overlap is
+    <chi| PD(delta) |chi> = sum |chi|^2 exp(-i delta (n2 - n1)/2): the
+    outer beam splitter and the phase stage at phi cancel, so it takes one
+    beam splitter and a diagonal sum, and it does not depend on phi
+    (``phi`` only labels the result).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if abs(np.linalg.norm(probe.amplitudes) - 1.0) > 1e-6:
         raise ValueError("probe must be unit norm")
     chi = apply(beam_splitter_gate(probe.layout.cutoff), probe)
-    left = _encode_from_mixed(chi, phi)
-    right = _encode_from_mixed(chi, phi + delta)
-    overlap = abs(np.vdot(left.amplitudes, right.amplitudes))
+    p = np.abs(chi.tensor()) ** 2
+    overlap = abs(np.sum(p * np.exp(-0.5j * delta * _diff_number(chi))))
     value = 8.0 * (1.0 - overlap) / delta**2
     return FisherResult(max(value, 0.0), "qfi", phi, delta_used=delta)
 
@@ -279,12 +281,7 @@ def qfi_variance_oracle(probe: CompositeState, phi: float = DEFAULT_PHI) -> Fish
     4 (<G^2> - <G>^2); no finite difference is involved.
     """
     chi = apply(beam_splitter_gate(probe.layout.cutoff), probe)
-    layout = chi.layout
-    m1, m2 = layout.mode_indices
-    n = np.arange(layout.cutoff)
-    shape = [1] * len(layout.dims)
-    shape[m1], shape[m2] = layout.cutoff, layout.cutoff
-    g = 0.5 * (n[None, :] - n[:, None]).reshape(shape)
+    g = 0.5 * _diff_number(chi)
     p = np.abs(chi.tensor()) ** 2
     mean = float((g * p).sum())
     second = float((g * g * p).sum())

@@ -12,6 +12,7 @@ from modefisher.dynamics import (
     kerr_gate,
     tunnel_gate,
 )
+from modefisher.encoding import beam_splitter_gate
 from modefisher.hilbert import (
     CompositeState,
     LayoutError,
@@ -94,11 +95,39 @@ def test_jc_gate_excitation_exchange():
 
 
 def test_tunnel_gate_against_dense_expm():
-    cutoff = 5
-    a = destroy(cutoff)
-    h = np.kron(a, a.T) + np.kron(a.T, a)
-    u_ref = scipy.linalg.expm(-1j * 0.8 * h)
-    np.testing.assert_allclose(tunnel_gate(0.8, cutoff).as_matrix(), u_ref, atol=1e-12)
+    rng = np.random.default_rng(4)
+    for cutoff, j in ((5, 0.8), (2, -1.3), (3, 2.6), (7, 0.45)):
+        a = destroy(cutoff)
+        h = np.kron(a, a.T) + np.kron(a.T, a)
+        u_ref = scipy.linalg.expm(-1j * j * h)
+        gate = tunnel_gate(j, cutoff)
+        np.testing.assert_allclose(gate.as_matrix(), u_ref, atol=1e-12)
+        # applied on both layouts, emitter factors riding along
+        for layout in (kerr_layout(cutoff), jc_layout(cutoff)):
+            state = _random_state(layout, rng)
+            psi = state.tensor()
+            lead = psi.shape[:-2]
+            expected = (psi.reshape(-1, cutoff * cutoff) @ u_ref.T).reshape(*lead, cutoff,
+                                                                            cutoff)
+            np.testing.assert_allclose(apply(gate, state).tensor(), expected, atol=1e-12)
+
+
+def test_mode_pair_gates_conserve_total_photon_number():
+    """|12,7> keeps exactly zero weight outside the n1 + n2 = 19 sector."""
+    cutoff = 14
+    n = np.arange(cutoff)
+    outside = (n[:, None] + n[None, :]) != 19
+    fock12, fock7 = np.eye(cutoff)[12], np.eye(cutoff)[7]
+    ground = np.array([1.0, 0.0])
+    for layout, factors in ((kerr_layout(cutoff), [fock12, fock7]),
+                            (jc_layout(cutoff), [ground, ground, fock12, fock7])):
+        state = product_state(layout, factors)
+        for gate in (tunnel_gate(0.37, cutoff), tunnel_gate(-2.9, cutoff),
+                     beam_splitter_gate(cutoff)):
+            out = apply(gate, state).tensor()
+            p = (np.abs(out) ** 2).reshape(-1, cutoff, cutoff).sum(axis=0)
+            assert p[outside].sum() == 0.0
+            assert abs(p.sum() - 1.0) < 1e-12
 
 
 def test_tunnel_gate_single_photon_beamsplitter():

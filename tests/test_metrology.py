@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from modefisher.circuits import AnsatzParams, prepare_probe
 from modefisher.dynamics import coherent_input_state, evolve_continuous
-from modefisher.encoding import encoded_family
+from modefisher.encoding import encode, encoded_family
 from modefisher.hilbert import CompositeState, jc_layout, kerr_layout
 from modefisher.metrology import (
     GridError,
@@ -50,6 +51,20 @@ def test_qfi_estimator_agrees_with_variance_route():
     oracle = qfi_variance_oracle(probe, np.pi / 3)
     assert est.delta_used == 1e-2
     assert abs(est.value - oracle.value) / oracle.value < 1e-3
+
+
+def test_qfi_matches_fidelity_of_two_encodings():
+    """The one-beam-splitter overlap equals the overlap of two encodings."""
+    phi, delta = np.pi / 3, 1e-2
+    rng = np.random.default_rng(12)
+    for kind, width in (("kerr", 2), ("jc", 3)):
+        for _ in range(3):
+            params = AnsatzParams.from_vector(kind, rng.normal(size=2 * width))
+            probe = prepare_probe(params, 6.0)
+            left, right = encode(probe, phi), encode(probe, phi + delta)
+            ref = 8.0 * (1.0 - abs(np.vdot(left.amplitudes, right.amplitudes))) / delta**2
+            value = qfi_fidelity(probe, phi, delta).value
+            assert abs(value - ref) <= 1e-10 * ref, (kind, value, ref)
 
 
 def test_qfi_input_guards():

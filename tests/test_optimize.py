@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modefisher.circuits import AnsatzParams
-from modefisher.metrology import MeasurementModel, qfi_variance_oracle
+from modefisher.metrology import MeasurementModel, qfi_fidelity, qfi_variance_oracle
 from modefisher.circuits import prepare_probe
 from modefisher.optimize import (
     OptimizationError,
@@ -127,6 +127,17 @@ def test_reported_optimum_reevaluates():
     # stored objective used the fidelity estimator; the exact oracle agrees
     # to its finite-difference error, well inside 1e-3 relative
     assert abs(fresh - r.best_fisher) / fresh < 1e-3
+
+
+def test_prepare_probe_default_cutoff_matches_optimizer():
+    # ceil(2N) = 8 would cut the N=4 coherent input; the optimizer's rule
+    # raises it to 13, and the re-evaluated optimum agrees exactly
+    probe = prepare_probe(AnsatzParams.zeros("kerr", 1), 4.0)
+    assert probe.layout.cutoff == 13
+    records = optimize_preparation("kerr", 4.0, [1], OptimizerConfig(**_FAST))
+    r = best_record(records)
+    probe = prepare_probe(AnsatzParams.from_vector("kerr", r.best_params), 4.0)
+    assert -qfi_fidelity(probe).value == r.best_objective
 
 
 def test_measurement_stage_improves_counting_cfi():
