@@ -23,7 +23,7 @@ from .dynamics import (
 )
 from .hilbert import CompositeState, LayoutError, SubsystemLayout, default_cutoff
 
-_LAYER_WIDTH = {"jc": 3, "kerr": 2}
+LAYER_WIDTH = {"jc": 3, "kerr": 2}
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,11 @@ class AnsatzParams:
     layers: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in _LAYER_WIDTH:
+        if self.kind not in LAYER_WIDTH:
             raise ValueError(f"unknown ansatz kind {self.kind!r}")
         if len(self.layers) < 1:
             raise ValueError("ansatz needs at least one layer")
-        width = _LAYER_WIDTH[self.kind]
+        width = LAYER_WIDTH[self.kind]
         for layer in self.layers:
             if len(layer) != width:
                 raise ValueError(
@@ -57,14 +57,14 @@ class AnsatzParams:
 
     @property
     def n_params(self) -> int:
-        return self.n_layers * _LAYER_WIDTH[self.kind]
+        return self.n_layers * LAYER_WIDTH[self.kind]
 
     def to_vector(self) -> np.ndarray:
         return np.array([p for layer in self.layers for p in layer], dtype=float)
 
     @classmethod
     def from_vector(cls, kind: str, vector: np.ndarray) -> "AnsatzParams":
-        width = _LAYER_WIDTH[kind]
+        width = LAYER_WIDTH[kind]
         vec = np.asarray(vector, dtype=float).ravel()
         if vec.size == 0 or vec.size % width:
             raise ValueError(f"vector of {vec.size} values is not a whole number of layers")
@@ -73,26 +73,20 @@ class AnsatzParams:
 
     @classmethod
     def zeros(cls, kind: str, d: int) -> "AnsatzParams":
-        return cls(kind, tuple((0.0,) * _LAYER_WIDTH[kind] for _ in range(d)))
+        return cls(kind, tuple((0.0,) * LAYER_WIDTH[kind] for _ in range(d)))
 
     def with_zero_layer(self) -> "AnsatzParams":
         """Append one identity layer (the optimizer's warm-start move)."""
-        return AnsatzParams(self.kind, self.layers + ((0.0,) * _LAYER_WIDTH[self.kind],))
+        return AnsatzParams(self.kind, self.layers + ((0.0,) * LAYER_WIDTH[self.kind],))
 
     def interactions(self) -> np.ndarray:
         """Per-layer nonlinear interaction parameter (g or k)."""
         return np.array([layer[-1] for layer in self.layers])
 
 
-@dataclass(frozen=True)
-class InteractionBudget:
+def interaction_budget(params: AnsatzParams) -> float:
     """Total accumulated nonlinear interaction time, sum of |g_j| or |k_j|."""
-
-    total: float
-
-
-def interaction_budget(params: AnsatzParams) -> InteractionBudget:
-    return InteractionBudget(float(np.abs(params.interactions()).sum()))
+    return float(np.abs(params.interactions()).sum())
 
 
 def _check_layout(params: AnsatzParams, layout: SubsystemLayout) -> None:
@@ -106,11 +100,8 @@ def _check_layout(params: AnsatzParams, layout: SubsystemLayout) -> None:
         raise LayoutError("kerr ansatz runs on the bare two-mode layout")
 
 
-def build_circuit(params: AnsatzParams, layout: SubsystemLayout,
-                  role: str = "prepare") -> list[LocalGate]:
+def build_circuit(params: AnsatzParams, layout: SubsystemLayout) -> list[LocalGate]:
     """Gate list in application order: tunnel, detune (emitter ansatz), nonlinearity."""
-    if role not in ("prepare", "premeasure"):
-        raise ValueError(f"unknown circuit role {role!r}")
     _check_layout(params, layout)
     cutoff = layout.cutoff
     m0, m1 = layout.mode_indices

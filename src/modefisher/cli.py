@@ -32,10 +32,11 @@ from .circuits import AnsatzParams, run_circuit
 from .dynamics import coherent_input_state, evolve_continuous
 from .encoding import DEFAULT_PHI
 from .hilbert import reduce_to_mode
-from .metrology import DEFAULT_DELTA, MeasurementModel, bounds, qfi_fidelity
+from .metrology import DEFAULT_DELTA, MeasurementModel, bounds
 from .optimize import (
     OptimizerConfig,
     ablation_theta,
+    best_by_qfi,
     best_record,
     load_params,
     optimize_measurement,
@@ -358,14 +359,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             if not candidates:
                 raise FileNotFoundError(
                     f"no stored parameters for d={d} under {args.paired_dir}")
-            best, best_params = None, None
-            for path in candidates:
-                params = load_params(path)
-                probe = run_circuit(params, coherent_input_state(kind, n_mean, int(config["cutoff"])))
-                value = qfi_fidelity(probe, float(config["phi"]), float(config["delta"])).value
-                if best is None or value > best:
-                    best, best_params = value, params
-            prep_by_d[d] = best_params
+            prep_by_d[d] = best_by_qfi(candidates, n_mean, int(config["cutoff"]),
+                                       float(config["phi"]), float(config["delta"]))
         manifest, digest = _manifest("ablate", config, {"paired_dir": str(args.paired_dir)})
         _write_manifest(outdir, manifest)
         plain, records = paired_depth_scan(

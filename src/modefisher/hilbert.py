@@ -16,9 +16,6 @@ import numpy as np
 QUBIT_DIM = 2
 NORM_ATOL = 1e-9
 
-# \sqrt{n} lookup shared by the ladder-operator builders.
-_SQRT = np.sqrt(np.arange(4096))
-
 
 class LayoutError(ValueError):
     """Operation applied to a state whose factor layout does not fit."""
@@ -234,7 +231,7 @@ def destroy(cutoff: int) -> np.ndarray:
     """Single-mode annihilation operator at the given cutoff."""
     a = np.zeros((cutoff, cutoff))
     idx = np.arange(1, cutoff)
-    a[idx - 1, idx] = _SQRT[idx]
+    a[idx - 1, idx] = np.sqrt(idx)
     return a
 
 

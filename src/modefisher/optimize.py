@@ -1,22 +1,34 @@
 """Derivative-free optimization of preparation and measurement circuits.
 
 Preparation maximizes the QFI of the encoded probe; pre-measurement
-maximizes the CFI of a fixed encoded probe under a readout model.  Both
-use the same protocol: draw each seed's start within ``init_scale`` of a
-base point, run a simplex-family local optimizer, then grow the circuit
-one layer at a time, warm-starting from the previous optimum.  Each new
-layer enters at zero, so growing cannot change the objective and the
-per-seed best is non-increasing in depth by construction.
+maximizes the CFI of a fixed encoded probe under a readout model.  Every
+search runs one seed/depth loop, ``_search``: draw each seed's start
+within ``init_scale`` of a base point, run a simplex-family local
+optimizer, then grow the circuit one layer at a time, warm-starting from
+the previous optimum.  Each new layer enters at zero, so growing cannot
+change the objective and the per-seed best is non-increasing in depth by
+construction.  The loop has four callers:
+
+- preparation (``optimize_preparation``), Kerr and JC;
+- pre-measurement (``optimize_measurement``), which also serves the
+  fixed-angle arm of ``ablation_theta``;
+- the joint arm of ``ablation_theta``, whose homodyne angle rides as a
+  trailing parameter that stays last as the circuit grows;
+- ``paired_depth_scan``, which reports the identity circuit at a depth
+  where it beats the local optimum.
 
 The base point is the identity circuit, except for emitter (JC)
 preparation: there the identity is a local maximum of the QFI, so layer
 1 starts at the first dip of the continuous inverse-QFI curve instead.
-JC preparation and every measurement stage open their simplex at
+Every stage except Kerr preparation opens its simplex at
 ``initial_step`` along each coordinate, so the search can leave the
 start's basin and move the layer that entered at zero.  Kerr preparation
 keeps the default simplex: a wide one only moves the Kerr strengths to
 their aliases pi - k, which have the same QFI and a larger interaction
 budget.
+
+A seed whose objective turns non-finite is logged and dropped; when no
+seed finishes, the search raises ``OptimizationError``.
 """
 
 from __future__ import annotations
@@ -33,10 +45,9 @@ import numpy as np
 import scipy.optimize
 
 from .analysis import default_cutoff, find_minima, sweep_continuous
-from .circuits import AnsatzParams, InteractionBudget, interaction_budget, run_circuit
+from .circuits import LAYER_WIDTH, AnsatzParams, interaction_budget, run_circuit
 from .dynamics import coherent_input_state
 from .encoding import DEFAULT_PHI, PhaseFamily, encoded_family
-from .hilbert import CompositeState
 from .metrology import DEFAULT_DELTA, MeasurementModel, cfi, qfi_fidelity
 
 log = logging.getLogger(__name__)
@@ -50,15 +61,18 @@ class OptimizationError(RuntimeError):
 class OptimizerConfig:
     """Protocol knobs for the layer-growing optimization.
 
-    ``max_iters`` caps objective evaluations per (seed, depth) stage;
-    ``initial_step`` is the opening trust-region radius of the cobyla
-    method and, for the stages that open wide (JC preparation and every
-    measurement stage), the edge of the opening Nelder-Mead simplex
-    (radians, the natural scale of the periodic gates); Kerr preparation
-    keeps scipy's default simplex.  ``seed_indices`` restricts a run to
-    an explicit subset of the seed pool; the random stream of seed k is
-    the same whether it runs alone or in the full batch, which lets a
-    scheduler farm seeds out and merge records.
+    Every search shares one seed/depth loop, so these knobs mean the same
+    in preparation, pre-measurement, the joint-angle arm and the paired
+    scan.  ``max_iters`` caps objective evaluations per (seed, depth)
+    stage; ``initial_step`` is the opening trust-region radius of the
+    cobyla method and, for every stage except Kerr preparation, the edge
+    of the opening Nelder-Mead simplex (radians, the natural scale of the
+    periodic gates); Kerr preparation keeps scipy's default simplex.
+    ``seed_indices`` restricts a run to an explicit subset of the seed
+    pool; the random stream of seed k is the same whether it runs alone
+    or in the full batch, which lets a scheduler farm seeds out and merge
+    records.  A seed that aborts is dropped; a search in which every seed
+    aborts raises ``OptimizationError``.
     """
 
     max_iters: int = 1000
@@ -97,7 +111,7 @@ class OptRecord:
     best_params: np.ndarray
     best_objective: float
     iters_used: int
-    budget: InteractionBudget
+    budget: float
     wall_time: float
 
     @property
@@ -181,48 +195,44 @@ def _cutoff_for(n_mean: float, cutoff: int | None) -> int:
     return cutoff if cutoff is not None else default_cutoff(n_mean)
 
 
-def _layer_width(kind: str) -> int:
-    return 3 if kind == "jc" else 2
-
-
-def _grown(x: np.ndarray, kind: str, d: int) -> np.ndarray:
-    """Pad a parameter vector with zero layers up to depth d."""
-    width = _layer_width(kind)
-    out = np.zeros(width * d)
-    out[: x.size] = x
-    return out
-
-
-def _run_schedule(kind: str, n_mean: float, objective_at, d_schedule, config,
-                  first_layer=None, open_wide: bool = False,
-                  ) -> list[OptRecord]:
-    """Shared seed/depth loop. ``objective_at(d)`` returns the stage objective.
+def _search(kind: str, n_mean: float, objective_at, d_schedule, config: OptimizerConfig,
+            first_layer=None, open_wide: bool = True, tail: int = 0,
+            floor_at=None) -> list[OptRecord]:
+    """The seed/depth loop. ``objective_at(d)`` returns the stage objective.
 
     Each seed starts at the identity, with ``first_layer`` (if given) as
-    layer 1, plus its own uniform draw of half-width ``init_scale``.
+    layer 1, plus its own uniform draw of half-width ``init_scale`` over
+    the layers and ``tail`` trailing non-layer parameters.  Growing pads
+    zero layers in front of the tail.  ``floor_at(d)``, if given, is the
+    objective of the all-zero vector at depth d; a stage that ends above
+    it reports that vector instead.
     """
     d_schedule = list(d_schedule)
     if not d_schedule or any(b <= a for a, b in zip(d_schedule, d_schedule[1:])):
         raise ValueError("d_schedule must be non-empty and strictly increasing")
-    width = _layer_width(kind)
+    width = LAYER_WIDTH[kind]
     records: list[OptRecord] = []
     for seed in config.seed_pool:
         rng = seed_stream(config.master_seed, seed)
-        x = rng.uniform(-config.init_scale, config.init_scale, size=width * d_schedule[0])
+        x = rng.uniform(-config.init_scale, config.init_scale,
+                        size=width * d_schedule[0] + tail)
         if first_layer is not None:
             x[:width] += first_layer
         try:
             for d in d_schedule:
-                x = _grown(x, kind, d)
-                objective = objective_at(d)
+                n = x.size - tail
+                x = np.concatenate([x[:n], np.zeros(width * d - n), x[n:]])
                 start = time.perf_counter()
-                x, f_best, nfev = minimize(objective, x, config, open_wide)
+                x, f_best, nfev = minimize(objective_at(d), x, config, open_wide)
+                if floor_at is not None and floor_at(d) < f_best:
+                    # the all-zero circuit beats the local optimum; keep the honest best
+                    x, f_best = np.zeros(x.size), floor_at(d)
                 elapsed = time.perf_counter() - start
-                params = AnsatzParams.from_vector(kind, x)
+                layers = AnsatzParams.from_vector(kind, x[: x.size - tail])
                 records.append(OptRecord(
                     kind=kind, n_mean=n_mean, seed=seed, d=d, best_params=x,
                     best_objective=f_best, iters_used=nfev,
-                    budget=interaction_budget(params), wall_time=elapsed,
+                    budget=interaction_budget(layers), wall_time=elapsed,
                 ))
         except OptimizationError as err:
             log.warning("seed %d aborted: %s", seed, err)
@@ -258,23 +268,30 @@ def optimize_preparation(kind: str, n_mean: float, d_schedule, config: Optimizer
     cut = _cutoff_for(n_mean, cutoff)
     psi0 = coherent_input_state(kind, n_mean, cut)
 
-    def objective_at(_d: int):
-        def objective(x: np.ndarray) -> float:
-            probe = run_circuit(AnsatzParams.from_vector(kind, x), psi0)
-            return -qfi_fidelity(probe, phi, delta).value
-        return objective
+    def objective(x: np.ndarray) -> float:
+        probe = run_circuit(AnsatzParams.from_vector(kind, x), psi0)
+        return -qfi_fidelity(probe, phi, delta).value
 
     if kind != "jc":
-        return _run_schedule(kind, n_mean, objective_at, d_schedule, config)
+        return _search(kind, n_mean, lambda _d: objective, d_schedule, config,
+                       open_wide=False)
     first_layer = (0.0, 0.0, jc_first_dip(float(n_mean), cut, phi, delta))
-    return _run_schedule(kind, n_mean, objective_at, d_schedule, config,
-                         first_layer=first_layer, open_wide=True)
+    return _search(kind, n_mean, lambda _d: objective, d_schedule, config,
+                   first_layer=first_layer)
 
 
 def _measured_family(params: AnsatzParams, family: PhaseFamily) -> PhaseFamily:
     """Push the encoded state and its derivative through the measurement circuit."""
     return PhaseFamily(run_circuit(params, family.state),
                        run_circuit(params, family.derivative), family.phi)
+
+
+def _cfi_objective(kind: str, family: PhaseFamily, model: MeasurementModel):
+    """Negative CFI of ``family`` read out through a measurement circuit."""
+    def objective(x: np.ndarray) -> float:
+        measured = _measured_family(AnsatzParams.from_vector(kind, x), family)
+        return -cfi(measured, model).value
+    return objective
 
 
 def optimize_measurement(kind: str, prepared_params: AnsatzParams, model: MeasurementModel,
@@ -290,15 +307,8 @@ def optimize_measurement(kind: str, prepared_params: AnsatzParams, model: Measur
     cut = _cutoff_for(n_mean, cutoff)
     psi0 = coherent_input_state(kind, n_mean, cut)
     family = encoded_family(run_circuit(prepared_params, psi0), phi)
-
-    def objective_at(_d: int):
-        def objective(x: np.ndarray) -> float:
-            measured = _measured_family(AnsatzParams.from_vector(kind, x), family)
-            return -cfi(measured, model).value
-        return objective
-
-    return _run_schedule(kind, n_mean, objective_at, d_schedule, config,
-                         open_wide=True)
+    objective = _cfi_objective(kind, family, model)
+    return _search(kind, n_mean, lambda _d: objective, d_schedule, config)
 
 
 @dataclass(frozen=True)
@@ -342,39 +352,13 @@ def ablation_theta(kind: str, prepared_params: AnsatzParams, n_mean: float,
     fixed = optimize_measurement(kind, prepared_params, model0, n_mean,
                                  schedule, config, phi=phi, cutoff=cut)
 
-    width = _layer_width(kind)
+    def joint_objective(x: np.ndarray) -> float:
+        model = MeasurementModel("homodyne", include_emitters=(kind == "jc"),
+                                 theta=float(x[-1]), grid=grid)
+        measured = _measured_family(AnsatzParams.from_vector(kind, x[:-1]), family)
+        return -cfi(measured, model).value
 
-    def joint_objective_at(_d: int):
-        def objective(x: np.ndarray) -> float:
-            model = MeasurementModel("homodyne", include_emitters=(kind == "jc"),
-                                     theta=float(x[-1]), grid=grid)
-            measured = _measured_family(AnsatzParams.from_vector(kind, x[:-1]), family)
-            return -cfi(measured, model).value
-        return objective
-
-    # The joint arm appends theta as a trailing parameter; the shared
-    # schedule loop assumes whole layers, so run its loop inline here.
-    joint: list[OptRecord] = []
-    for seed in config.seed_pool:
-        rng = seed_stream(config.master_seed, seed)
-        x = rng.uniform(-config.init_scale, config.init_scale, size=width + 1)
-        try:
-            for d in schedule:
-                grown = np.zeros(width * d + 1)
-                grown[: x.size - 1] = x[:-1]
-                grown[-1] = x[-1]
-                start = time.perf_counter()
-                x, f_best, nfev = minimize(joint_objective_at(d), grown, config,
-                                           open_wide=True)
-                elapsed = time.perf_counter() - start
-                params = AnsatzParams.from_vector(kind, x[:-1])
-                joint.append(OptRecord(
-                    kind=kind, n_mean=n_mean, seed=seed, d=d, best_params=x,
-                    best_objective=f_best, iters_used=nfev,
-                    budget=interaction_budget(params), wall_time=elapsed,
-                ))
-        except OptimizationError as err:
-            log.warning("joint-theta seed %d aborted: %s", seed, err)
+    joint = _search(kind, n_mean, lambda _d: joint_objective, schedule, config, tail=1)
     return ThetaAblation(theta_arm, fixed, joint)
 
 
@@ -398,36 +382,8 @@ def paired_depth_scan(kind: str, prep_best_by_d: dict[int, AnsatzParams],
     families = {d: encoded_family(run_circuit(prep_best_by_d[d], psi0), phi)
                 for d in depths}
     plain = {d: cfi(families[d], model).value for d in depths}
-
-    width = _layer_width(kind)
-    records: list[OptRecord] = []
-    for seed in config.seed_pool:
-        rng = seed_stream(config.master_seed, seed)
-        x = rng.uniform(-config.init_scale, config.init_scale, size=width * depths[0])
-        try:
-            for d in depths:
-                x = _grown(x, kind, d)
-                family = families[d]
-
-                def objective(v: np.ndarray, family=family) -> float:
-                    measured = _measured_family(AnsatzParams.from_vector(kind, v), family)
-                    return -cfi(measured, model).value
-
-                start = time.perf_counter()
-                x, f_best, nfev = minimize(objective, x, config, open_wide=True)
-                if -plain[d] < f_best:
-                    # identity circuit beats the local optimum; keep the honest best
-                    x = np.zeros(width * d)
-                    f_best = -plain[d]
-                elapsed = time.perf_counter() - start
-                params = AnsatzParams.from_vector(kind, x)
-                records.append(OptRecord(
-                    kind=kind, n_mean=n_mean, seed=seed, d=d, best_params=x,
-                    best_objective=f_best, iters_used=nfev,
-                    budget=interaction_budget(params), wall_time=elapsed,
-                ))
-        except OptimizationError as err:
-            log.warning("paired-scan seed %d aborted: %s", seed, err)
+    records = _search(kind, n_mean, lambda d: _cfi_objective(kind, families[d], model),
+                      depths, config, floor_at=lambda d: -plain[d])
     return plain, records
 
 
@@ -437,6 +393,17 @@ def best_record(records: list[OptRecord], d: int | None = None) -> OptRecord:
     if not pool:
         raise ValueError(f"no records at depth {d}")
     return min(pool, key=lambda r: r.best_objective)
+
+
+def best_by_qfi(paths, n_mean: float, cutoff: int, phi: float = DEFAULT_PHI,
+                delta: float = DEFAULT_DELTA) -> AnsatzParams:
+    """Stored circuit whose probe has the largest QFI (the first on ties)."""
+    candidates = [load_params(path) for path in paths]
+    if not candidates:
+        raise ValueError("no stored parameters to choose from")
+    psi0 = coherent_input_state(candidates[0].kind, n_mean, cutoff)
+    return max(candidates,
+               key=lambda params: qfi_fidelity(run_circuit(params, psi0), phi, delta).value)
 
 
 def write_records(records: list[OptRecord], csv_path: str | Path,
@@ -453,7 +420,7 @@ def write_records(records: list[OptRecord], csv_path: str | Path,
         for r in records:
             writer.writerow([r.kind, repr(float(r.n_mean)), r.d, r.seed,
                              repr(float(r.best_objective)), repr(float(r.inv_fisher)),
-                             repr(float(r.budget.total)), r.iters_used,
+                             repr(float(r.budget)), r.iters_used,
                              repr(float(r.wall_time))])
     if params_dir is not None:
         params_dir = Path(params_dir)
@@ -466,10 +433,6 @@ def write_records(records: list[OptRecord], csv_path: str | Path,
 
 
 def load_params(path: str | Path) -> AnsatzParams:
-    """Rebuild ansatz parameters from a sidecar file."""
+    """Rebuild ansatz parameters from a sidecar file of whole layers."""
     payload = json.loads(Path(path).read_text())
-    vec = np.asarray(payload["params"], dtype=float)
-    kind = payload["kind"]
-    if kind == "jc" and vec.size % 3 == 1 or kind == "kerr" and vec.size % 2 == 1:
-        vec = vec[:-1]  # joint-theta records carry the angle as a trailing entry
-    return AnsatzParams.from_vector(kind, vec)
+    return AnsatzParams.from_vector(payload["kind"], payload["params"])

@@ -111,7 +111,7 @@ def _load_rows(run_dir, csv_name="prepare.csv", params_sub="params"):
 def _bench_prep(kind, n_mean, d_max):
     config = OptimizerConfig(seeds=10)
     records = optimize_preparation(kind, n_mean, list(range(1, d_max + 1)), config)
-    return [Row(r.seed, r.d, r.best_objective, r.budget.total, r.best_params)
+    return [Row(r.seed, r.d, r.best_objective, r.budget, r.best_params)
             for r in records]
 
 

@@ -61,10 +61,10 @@ def test_zero_layer_extension_preserves_action():
 
 def test_interaction_budget_sums_magnitudes():
     params = AnsatzParams("kerr", ((0.5, -0.3), (1.0, 0.2)))
-    assert interaction_budget(params).total == pytest.approx(0.5)
+    assert interaction_budget(params) == pytest.approx(0.5)
     params_jc = AnsatzParams("jc", ((0.1, 9.0, -2.0), (0.0, 0.0, 0.5)))
-    assert interaction_budget(params_jc).total == pytest.approx(2.5)
-    assert interaction_budget(AnsatzParams.zeros("jc", 4)).total == 0.0
+    assert interaction_budget(params_jc) == pytest.approx(2.5)
+    assert interaction_budget(AnsatzParams.zeros("jc", 4)) == 0.0
 
 
 def test_layout_mismatch_rejected():
@@ -74,8 +74,6 @@ def test_layout_mismatch_rejected():
         build_circuit(kerr_params, jc_layout(4))
     with pytest.raises(LayoutError):
         build_circuit(jc_params, kerr_layout(4))
-    with pytest.raises(ValueError):
-        build_circuit(kerr_params, kerr_layout(4), role="teleport")
 
 
 def test_single_layer_matches_manual_gate_sequence():

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+import modefisher.optimize
 from modefisher.cli import SchemaError, main, read_csv_rows
 
 
@@ -143,6 +145,48 @@ def test_optimize_worker_pool_matches_serial(tmp_path):
     assert main(base + ["--outdir", str(serial)]) == 0
     assert main(base + ["--workers", "2", "--outdir", str(pooled)]) == 0
     assert _numeric_lines(serial / "prepare.csv") == _numeric_lines(pooled / "prepare.csv")
+
+
+def test_ablate_writes_paired_and_three_arm_outputs(tmp_path, monkeypatch):
+    common = ["--kind", "kerr", "--n", "4", "--dmax", "2", "--seeds", "2"]
+    prep = tmp_path / "prep"
+    assert main(["optimize", *common, "--max-iters", "20", "--stage", "prepare",
+                 "--outdir", str(prep)]) == 0
+
+    paired = tmp_path / "paired"
+    assert main(["ablate", *common, "--max-iters", "5",
+                 "--paired-dir", str(prep / "params"), "--outdir", str(paired)]) == 0
+    assert (paired / "manifest.json").exists()
+    assert len(list((paired / "params_measure").glob("*.json"))) == 4
+    _, plain_rows = read_csv_rows(paired / "paired_plain.csv")
+    inv_plain = {int(r["d"]): float(r["inv_cfi_plain"]) for r in plain_rows}
+    assert sorted(inv_plain) == [1, 2]
+    _, rows = read_csv_rows(paired / "paired.csv")
+    assert len(rows) == 4
+    for row in rows:
+        # the identity circuit is the floor; 1e-12 covers the reciprocal round trip
+        floor = -1.0 / inv_plain[int(row["d"])]
+        assert float(row["objective"]) <= floor * (1 - 1e-12)
+
+    # every seed aborting is an error, not an empty paired.csv
+    monkeypatch.setattr(modefisher.optimize, "cfi",
+                        lambda family, model: SimpleNamespace(value=float("nan")))
+    aborted = tmp_path / "aborted"
+    assert main(["ablate", *common, "--max-iters", "5",
+                 "--paired-dir", str(prep / "params"), "--outdir", str(aborted)]) == 1
+    assert not (aborted / "paired.csv").exists()
+    monkeypatch.undo()
+
+    arms = tmp_path / "arms"
+    assert main(["ablate", *common, "--max-iters", "5",
+                 "--params", str(prep / "params" / "kerr_N4_d2_seed0.json"),
+                 "--outdir", str(arms)]) == 0
+    assert (arms / "manifest.json").exists()
+    assert len(read_csv_rows(arms / "theta_only.csv")[1]) == 1
+    for name in ("fixed_theta.csv", "joint.csv"):
+        _, rows = read_csv_rows(arms / name)
+        assert sorted((int(r["seed"]), int(r["d"])) for r in rows) == [
+            (0, 1), (0, 2), (1, 1), (1, 2)]
 
 
 def test_wigner_command_time_source(tmp_path):

@@ -1,17 +1,31 @@
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from modefisher.circuits import AnsatzParams
-from modefisher.metrology import MeasurementModel, qfi_fidelity, qfi_variance_oracle
+import modefisher.optimize
+from modefisher.circuits import AnsatzParams, interaction_budget, run_circuit
+from modefisher.dynamics import coherent_input_state
+from modefisher.encoding import PhaseFamily, encoded_family
+from modefisher.metrology import (
+    MeasurementModel,
+    QuadratureGrid,
+    cfi,
+    qfi_fidelity,
+    qfi_variance_oracle,
+)
 from modefisher.circuits import prepare_probe
 from modefisher.optimize import (
     OptimizationError,
     OptimizerConfig,
+    ablation_theta,
     best_record,
     load_params,
     minimize,
     optimize_measurement,
     optimize_preparation,
+    paired_depth_scan,
     seed_stream,
     write_records,
 )
@@ -90,7 +104,7 @@ def test_preparation_records_and_warm_start():
         assert r.kind == "kerr" and r.n_mean == 4.0
         assert np.isfinite(r.best_objective)
         assert len(r.best_params) == 2 * r.d
-        assert r.budget.total >= 0.0
+        assert r.budget >= 0.0
         by_seed.setdefault(r.seed, []).append(r)
     for seed, rs in by_seed.items():
         rs.sort(key=lambda r: r.d)
@@ -172,6 +186,14 @@ def test_record_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.to_vector(), r.best_params, atol=1e-15)
 
 
+def test_load_params_rejects_partial_layers(tmp_path):
+    for kind, size in (("kerr", 3), ("jc", 4)):
+        sidecar = tmp_path / f"{kind}.json"
+        sidecar.write_text(json.dumps({"kind": kind, "params": [0.1] * size}))
+        with pytest.raises(ValueError, match="whole number of layers"):
+            load_params(sidecar)
+
+
 def test_jc_preparation_leaves_the_identity():
     # The identity is a local QFI maximum for JC, so a search started
     # there stays at 1/F_Q = 1/N with a zero budget.  The default protocol
@@ -181,7 +203,60 @@ def test_jc_preparation_leaves_the_identity():
                                    OptimizerConfig(seeds=1, max_iters=300))
     by_d = {r.d: r for r in records}
     assert abs(by_d[1].inv_fisher - 0.118) < 2e-3  # 1/N = 0.25 at the identity
-    assert all(r.budget.total > 0.1 for r in records)
+    assert all(r.budget > 0.1 for r in records)
     # the zero-entry layers must move: the default simplex leaves d=3
     # within 1e-12 of d=1 here, the opened one gains about 6%
     assert by_d[3].inv_fisher < 0.97 * by_d[1].inv_fisher
+
+
+# Two consecutive Kerr probes at N=4 for the depth-paired scan.
+_PAIRED_PREP = {1: AnsatzParams("kerr", ((0.4, 0.3),)),
+                2: AnsatzParams("kerr", ((0.4, 0.3), (0.2, 0.25)))}
+
+
+def test_paired_scan_never_reports_worse_than_identity():
+    # One evaluation from a wide start: the random circuit is usually worse
+    # than no circuit, and the stage must then report the identity.
+    cfg = OptimizerConfig(seeds=3, max_iters=1, init_scale=2.0)
+    plain, records = paired_depth_scan("kerr", _PAIRED_PREP,
+                                       MeasurementModel("counting"), 4.0, cfg)
+    assert sorted(plain) == [1, 2]
+    assert len(records) == 6
+    floored = 0
+    for r in records:
+        assert r.best_objective <= -plain[r.d]
+        if not np.any(r.best_params):
+            floored += 1
+            assert r.best_params.size == 2 * r.d
+            assert r.best_objective == -plain[r.d]
+    assert floored > 0
+
+
+def test_joint_theta_arm_carries_the_angle_last():
+    grid = QuadratureGrid(points=201)
+    cfg = OptimizerConfig(seeds=2, max_iters=6, d_max=2)
+    prepared = AnsatzParams("kerr", ((0.4, 0.3),))
+    result = ablation_theta("kerr", prepared, 4.0, cfg, grid=grid)
+    assert len(result.joint) == 4
+    family = encoded_family(run_circuit(prepared, coherent_input_state("kerr", 4.0, 13)))
+    by_seed = {}
+    for r in result.joint:
+        assert r.best_params.size == 2 * r.d + 1
+        circuit = AnsatzParams.from_vector("kerr", r.best_params[:-1])
+        assert r.budget == interaction_budget(circuit)  # the angle is no interaction
+        measured = PhaseFamily(run_circuit(circuit, family.state),
+                               run_circuit(circuit, family.derivative), family.phi)
+        model = MeasurementModel("homodyne", theta=float(r.best_params[-1]), grid=grid)
+        assert -cfi(measured, model).value == r.best_objective
+        by_seed.setdefault(r.seed, []).append(r)
+    for rs in by_seed.values():
+        rs.sort(key=lambda r: r.d)
+        assert rs[1].best_objective <= rs[0].best_objective
+
+
+def test_paired_scan_raises_when_every_seed_aborts(monkeypatch):
+    monkeypatch.setattr(modefisher.optimize, "cfi",
+                        lambda family, model: SimpleNamespace(value=float("nan")))
+    with pytest.raises(OptimizationError, match="every seed aborted"):
+        paired_depth_scan("kerr", _PAIRED_PREP, MeasurementModel("counting"), 4.0,
+                          OptimizerConfig(seeds=2, max_iters=5))
