@@ -8,9 +8,7 @@ angle sweeps for homodyne readout.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.optimize
@@ -24,6 +22,7 @@ from .metrology import (
     MeasurementModel,
     QuadratureGrid,
     cfi,
+    inverse_fisher,
     qfi_fidelity,
 )
 
@@ -83,15 +82,12 @@ def sweep_continuous(kind: str, n_mean: float, time_grid=None,
             family = encoded_family(probe, phi)
             if include_cfi_counting:
                 model = MeasurementModel("counting", include_emitters=with_emitters)
-                fc = cfi(family, model).value
-                inv_counting = 1.0 / fc if fc > 0 else float("inf")
+                inv_counting = inverse_fisher(cfi(family, model).value)
             if include_cfi_homodyne:
                 model = MeasurementModel("homodyne", include_emitters=with_emitters,
                                          theta=theta, grid=grid)
-                fc = cfi(family, model).value
-                inv_homodyne = 1.0 / fc if fc > 0 else float("inf")
-        records.append(SweepRecord(kind, n_mean, float(t),
-                                   1.0 / fq if fq > 0 else float("inf"),
+                inv_homodyne = inverse_fisher(cfi(family, model).value)
+        records.append(SweepRecord(kind, n_mean, float(t), inverse_fisher(fq),
                                    inv_counting, inv_homodyne))
     return records
 
@@ -259,40 +255,10 @@ def sweep_theta(kind: str, n_mean: float, probe_time: float, theta_grid=None,
     for theta in thetas:
         model = MeasurementModel("homodyne", include_emitters=with_emitters,
                                  theta=float(theta) + frame, grid=grid)
-        fc = cfi(family, model).value
-        samples.append((float(theta), 1.0 / fc if fc > 0 else float("inf")))
+        samples.append((float(theta), inverse_fisher(cfi(family, model).value)))
     values = np.array([v for _, v in samples])
     # symmetric profiles tie to rounding; take the first angle that
     # reaches the global minimum within a relative whisker
     floor = values.min() * (1.0 + 1e-9)
     theta_min = samples[int(np.argmax(values <= floor))][0]
     return samples, theta_min
-
-
-def write_sweep_csv(records: list[SweepRecord], path: str | Path,
-                    comment: str | None = None) -> None:
-    with Path(path).open("w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "N", "time", "inv_qfi",
-                         "inv_cfi_counting", "inv_cfi_homodyne"])
-        for r in records:
-            writer.writerow([
-                r.kind, repr(float(r.n_mean)), repr(float(r.time)),
-                repr(float(r.inv_qfi)),
-                "" if r.inv_cfi_counting is None else repr(float(r.inv_cfi_counting)),
-                "" if r.inv_cfi_homodyne is None else repr(float(r.inv_cfi_homodyne)),
-            ])
-
-
-def write_fit_csv(fits: list[FitResult], path: str | Path,
-                  comment: str | None = None) -> None:
-    with Path(path).open("w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["model", "coefficients", "r_squared"])
-        for f in fits:
-            writer.writerow([f.model, " ".join(repr(float(c)) for c in f.coefficients),
-                             repr(float(f.r_squared))])

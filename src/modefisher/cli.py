@@ -2,53 +2,53 @@
 
 Every command resolves its configuration from defaults, an optional JSON
 config file, and command-line flags (flags win), then writes a manifest
-next to its outputs.  CSV files carry the manifest hash on a leading
-comment line so any artifact can be traced back to the exact settings
-that produced it, and re-running from a manifest reproduces the numeric
-columns byte for byte (wall-time columns excepted).
+next to its outputs.  Each output table names the manifest's digest, and
+re-running from a manifest reproduces the numeric columns byte for byte
+(wall-time columns excepted).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
 import multiprocessing
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    default_cutoff,
-    find_minima,
-    sweep_continuous,
-    sweep_theta,
-    write_sweep_csv,
+from .analysis import default_cutoff, find_minima, sweep_continuous, sweep_theta
+from .artifacts import (
+    CSV_SCHEMA,
+    load_params,
+    read_csv_rows,
+    sidecar_name,
+    write_csv,
+    write_records,
 )
 from .circuits import AnsatzParams, run_circuit
 from .dynamics import coherent_input_state, evolve_continuous
 from .encoding import DEFAULT_PHI
 from .hilbert import reduce_to_mode
-from .metrology import DEFAULT_DELTA, MeasurementModel, bounds
+from .metrology import DEFAULT_DELTA, MeasurementModel, bounds, inverse_fisher
 from .optimize import (
+    OptimizationError,
     OptimizerConfig,
     ablation_theta,
     best_by_qfi,
     best_record,
-    load_params,
     optimize_measurement,
     optimize_preparation,
     paired_depth_scan,
-    write_records,
 )
-from .wigner import default_axes, wigner, write_wigner_csv
+from .wigner import default_axes, wigner
 
-log = logging.getLogger(__name__)
-
-CSV_SCHEMA = "modefisher-csv/1"
+# config keys that are OptimizerConfig fields; their defaults come from there
+_OPTIMIZER_KEYS = ("max_iters", "tol", "method", "init_scale", "seeds", "d_max",
+                   "master_seed")
 
 _DEFAULTS = {
     "kind": "kerr",
@@ -58,20 +58,10 @@ _DEFAULTS = {
     "delta": DEFAULT_DELTA,
     "measurement": "counting",
     "theta": 0.0,
-    "max_iters": 1000,
-    "tol": 1e-10,
-    "method": "nelder-mead",
-    "init_scale": 1e-2,
-    "seeds": 10,
-    "d_max": 10,
-    "master_seed": 11,
+    **{key: getattr(OptimizerConfig(), key) for key in _OPTIMIZER_KEYS},
     "workers": 1,
     "outdir": "runs/out",
 }
-
-
-class SchemaError(ValueError):
-    """A CSV artifact declares a schema this build does not understand."""
 
 
 def _load_config_file(path: str) -> dict:
@@ -108,46 +98,16 @@ def _manifest(command: str, config: dict, extra: dict | None = None) -> tuple[di
     return {**body, "sha256": digest}, digest
 
 
-def _write_manifest(outdir: Path, manifest: dict, name: str = "manifest.json") -> None:
+def _write_manifest(outdir: Path, manifest: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / name).write_text(json.dumps(manifest, indent=1, default=str) + "\n")
+    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1, default=str) + "\n")
 
 
-def _comment(digest: str) -> str:
-    return f"schema={CSV_SCHEMA} manifest={digest}"
-
-
-def read_csv_rows(path: str | Path) -> tuple[dict, list[dict]]:
-    """Read a versioned CSV; reject files from an unknown schema.
-
-    Returns the parsed comment metadata and the rows as dicts keyed by
-    the header line.
-    """
-    meta: dict = {}
-    with Path(path).open(newline="") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            for token in first[1:].split():
-                if "=" in token:
-                    key, _, value = token.partition("=")
-                    meta[key] = value
-        else:
-            fh.seek(0)
-        schema = meta.get("schema", CSV_SCHEMA)
-        if schema != CSV_SCHEMA:
-            raise SchemaError(f"{path}: schema {schema!r} is not {CSV_SCHEMA!r}")
-        rows = list(csv.DictReader(fh))
-    return meta, rows
-
-
-def _optimizer_config(config: dict, seed_indices: tuple[int, ...] | None = None,
-                      ) -> OptimizerConfig:
-    return OptimizerConfig(
-        max_iters=int(config["max_iters"]), tol=float(config["tol"]),
-        method=str(config["method"]), init_scale=float(config["init_scale"]),
-        seeds=int(config["seeds"]), d_max=int(config["d_max"]),
-        master_seed=int(config["master_seed"]), seed_indices=seed_indices,
-    )
+def _optimizer_config(config: dict) -> OptimizerConfig:
+    """OptimizerConfig from a resolved config; each value takes its default's type."""
+    defaults = OptimizerConfig()
+    return OptimizerConfig(**{key: type(getattr(defaults, key))(config[key])
+                              for key in _OPTIMIZER_KEYS})
 
 
 def _measurement_model(config: dict) -> MeasurementModel:
@@ -191,14 +151,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     minima = find_minima(records)
     _write_manifest(outdir, manifest)
-    write_sweep_csv(records, outdir / "sweep.csv", comment=_comment(digest))
-    with (outdir / "minima.csv").open("w", newline="") as fh:
-        fh.write(f"# {_comment(digest)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "N", "time", "inv_qfi"])
-        for t, v in minima:
-            writer.writerow([config["kind"], repr(float(config["n_mean"])),
-                             repr(float(t)), repr(float(v))])
+    write_csv(outdir / "sweep.csv", digest,
+              ["kind", "N", "time", "inv_qfi", "inv_cfi_counting", "inv_cfi_homodyne"],
+              [(r.kind, float(r.n_mean), r.time, r.inv_qfi, r.inv_cfi_counting,
+                r.inv_cfi_homodyne) for r in records])
+    write_csv(outdir / "minima.csv", digest, ["kind", "N", "time", "inv_qfi"],
+              [(config["kind"], float(config["n_mean"]), t, v) for t, v in minima])
     print(f"{len(records)} sweep rows, {len(minima)} minima -> {outdir}")
     return 0
 
@@ -209,8 +167,7 @@ _STAGE_KEYS = ("prepare", "measure", "both")
 def _prep_worker(payload: dict) -> list:
     config = payload["config"]
     return optimize_preparation(
-        payload["kind"], payload["n_mean"], payload["schedule"],
-        _optimizer_config(config, seed_indices=(payload["seed"],)),
+        payload["kind"], payload["n_mean"], payload["schedule"], payload["opt_config"],
         phi=float(config["phi"]), delta=float(config["delta"]),
         cutoff=int(config["cutoff"]),
     )
@@ -221,31 +178,35 @@ def _measure_worker(payload: dict) -> list:
     params = AnsatzParams.from_vector(payload["kind"], np.asarray(payload["prep_vector"]))
     return optimize_measurement(
         payload["kind"], params, _measurement_model(config),
-        payload["n_mean"], payload["schedule"],
-        _optimizer_config(config, seed_indices=(payload["seed"],)),
+        payload["n_mean"], payload["schedule"], payload["opt_config"],
         phi=float(config["phi"]), cutoff=int(config["cutoff"]),
     )
 
 
-def _farm_seeds(worker, payload: dict, config: dict) -> list:
-    """Run one payload per seed, optionally across a process pool."""
-    payloads = [dict(payload, seed=s) for s in range(int(config["seeds"]))]
-    workers = int(config["workers"])
+def _seed_records(worker, payload: dict) -> list:
+    """Records of a one-seed search; none when the seed aborts (the search logs why)."""
+    try:
+        return worker(payload)
+    except OptimizationError:
+        return []
+
+
+def _farm_seeds(worker, payload: dict, opt_config: OptimizerConfig, workers: int) -> list:
+    """One search per seed, optionally in a process pool; fails only if every seed aborts."""
+    jobs = [(worker, dict(payload, opt_config=replace(opt_config, seed_indices=(seed,))))
+            for seed in opt_config.seed_pool]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            batches = pool.map(worker, payloads)
+            batches = pool.starmap(_seed_records, jobs)
     else:
-        batches = [worker(p) for p in payloads]
-    records = [r for batch in batches for r in batch]
-    records.sort(key=lambda r: (r.seed, r.d))
-    return records
-
-
-def _report_failed_seeds(records: list, config: dict) -> None:
-    finished = {r.seed for r in records}
-    failed = sorted(set(range(int(config["seeds"]))) - finished)
+        batches = [_seed_records(*job) for job in jobs]
+    records = [r for batch in batches for r in batch]  # already in (seed, d) order
+    if not records:
+        raise OptimizationError("every seed aborted")
+    failed = sorted(set(opt_config.seed_pool) - {r.seed for r in records})
     if failed:
         print(f"warning: seeds failed and were skipped: {failed}", file=sys.stderr)
+    return records
 
 
 def _best_prep_vector(prep_csv: Path) -> np.ndarray:
@@ -254,27 +215,26 @@ def _best_prep_vector(prep_csv: Path) -> np.ndarray:
     if not rows:
         raise ValueError(f"{prep_csv} holds no records")
     best = min(rows, key=lambda r: float(r["objective"]))
-    sidecar = prep_csv.parent / "params" / (
-        f"{best['kind']}_N{float(best['N']):g}_d{best['d']}_seed{best['seed']}.json"
-    )
+    sidecar = prep_csv.parent / "params" / sidecar_name(
+        best["kind"], best["N"], best["d"], best["seed"])
     return load_params(sidecar).to_vector()
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    opt_config = _optimizer_config(config)  # rejects bad values before any file is written
     outdir = Path(config["outdir"])
-    schedule = list(range(1, int(config["d_max"]) + 1))
+    schedule = list(range(1, opt_config.d_max + 1))
     manifest, digest = _manifest("optimize", config, {"stage": args.stage})
     _write_manifest(outdir, manifest)
     payload = {"kind": config["kind"], "n_mean": float(config["n_mean"]),
                "schedule": schedule, "config": config}
+    workers = int(config["workers"])
 
     prep_vector = None
     if args.stage in ("prepare", "both"):
-        records = _farm_seeds(_prep_worker, payload, config)
-        _report_failed_seeds(records, config)
-        write_records(records, outdir / "prepare.csv", params_dir=outdir / "params",
-                      comment=_comment(digest))
+        records = _farm_seeds(_prep_worker, payload, opt_config, workers)
+        write_records(records, outdir / "prepare.csv", digest, params_dir=outdir / "params")
         best = best_record(records)
         prep_vector = best.best_params
         print(f"prepare: best 1/F_Q = {best.inv_fisher:.6g} "
@@ -288,10 +248,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             prep_vector = _best_prep_vector(Path(args.prep_csv))
         records = _farm_seeds(
             _measure_worker, dict(payload, prep_vector=[float(v) for v in prep_vector]),
-            config)
-        _report_failed_seeds(records, config)
-        write_records(records, outdir / "measure.csv", params_dir=outdir / "params_measure",
-                      comment=_comment(digest))
+            opt_config, workers)
+        write_records(records, outdir / "measure.csv", digest,
+                      params_dir=outdir / "params_measure")
         best = best_record(records)
         print(f"measure ({config['measurement']}): best 1/F_C = "
               f"{best.inv_fisher:.6g} (seed {best.seed}, d {best.d}) -> {outdir}")
@@ -315,7 +274,9 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     x_axis, p_axis = default_axes(half_width=args.half_width, points=args.grid_points)
     grid = wigner(rho, x_axis, p_axis)
     _write_manifest(outdir, manifest)
-    write_wigner_csv(grid, outdir / "wigner.csv", comment=_comment(digest))
+    # first row is the x axis, first column the p axis
+    write_csv(outdir / "wigner.csv", digest, ["", *grid.x_axis.tolist()],
+              [[p, *row] for p, row in zip(grid.p_axis.tolist(), grid.values.tolist())])
     print(f"wigner grid {len(p_axis)}x{len(x_axis)}, integral = "
           f"{grid.integral():.6f}, min = {grid.values.min():.6f} -> {outdir}")
     return 0
@@ -334,14 +295,9 @@ def cmd_theta_sweep(args: argparse.Namespace) -> int:
         delta=float(config["delta"]), cutoff=int(config["cutoff"]),
     )
     _write_manifest(outdir, manifest)
-    with (outdir / "theta_sweep.csv").open("w", newline="") as fh:
-        fh.write(f"# {_comment(digest)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "N", "probe_time", "theta", "inv_cfi"])
-        for theta, value in samples:
-            writer.writerow([config["kind"], repr(float(config["n_mean"])),
-                             repr(float(args.probe_time)), repr(float(theta)),
-                             repr(float(value))])
+    write_csv(outdir / "theta_sweep.csv", digest, ["kind", "N", "probe_time", "theta", "inv_cfi"],
+              [(config["kind"], float(config["n_mean"]), float(args.probe_time), theta, value)
+               for theta, value in samples])
     print(f"theta_min = {theta_min!r} ({theta_min / np.pi:.5f} pi) -> {outdir}")
     return 0
 
@@ -355,7 +311,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     if args.paired_dir is not None:
         prep_by_d = {}
         for d in range(1, int(config["d_max"]) + 1):
-            candidates = sorted(Path(args.paired_dir).glob(f"{kind}_N{n_mean:g}_d{d}_seed*.json"))
+            candidates = sorted(Path(args.paired_dir).glob(sidecar_name(kind, n_mean, d, "*")))
             if not candidates:
                 raise FileNotFoundError(
                     f"no stored parameters for d={d} under {args.paired_dir}")
@@ -366,16 +322,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         plain, records = paired_depth_scan(
             kind, prep_by_d, _measurement_model(config), n_mean, opt_config,
             phi=float(config["phi"]), cutoff=int(config["cutoff"]))
-        write_records(records, outdir / "paired.csv", params_dir=outdir / "params_measure",
-                      comment=_comment(digest))
-        with (outdir / "paired_plain.csv").open("w", newline="") as fh:
-            fh.write(f"# {_comment(digest)}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "N", "d", "inv_cfi_plain"])
-            for d in sorted(plain):
-                fc = plain[d]
-                writer.writerow([kind, repr(n_mean), d,
-                                 repr(float(1.0 / fc) if fc > 0 else float("inf"))])
+        write_records(records, outdir / "paired.csv", digest,
+                      params_dir=outdir / "params_measure")
+        write_csv(outdir / "paired_plain.csv", digest, ["kind", "N", "d", "inv_cfi_plain"],
+                  [(kind, n_mean, d, inverse_fisher(plain[d])) for d in sorted(plain)])
         print(f"paired scan over d=1..{max(plain)} -> {outdir}")
         return 0
 
@@ -384,17 +334,14 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     _write_manifest(outdir, manifest)
     result = ablation_theta(kind, params, n_mean, opt_config,
                             phi=float(config["phi"]), cutoff=int(config["cutoff"]))
-    write_records(result.fixed_theta, outdir / "fixed_theta.csv",
-                  params_dir=outdir / "params_measure", comment=_comment(digest))
-    write_records(result.joint, outdir / "joint.csv", comment=_comment(digest))
+    write_records(result.fixed_theta, outdir / "fixed_theta.csv", digest,
+                  params_dir=outdir / "params_measure")
+    write_records(result.joint, outdir / "joint.csv", digest)
     theta_opt, fisher = result.theta_only
-    with (outdir / "theta_only.csv").open("w", newline="") as fh:
-        fh.write(f"# {_comment(digest)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "N", "theta_opt", "inv_cfi"])
-        writer.writerow([kind, repr(n_mean), repr(float(theta_opt)),
-                         repr(float(1.0 / fisher) if fisher > 0 else float("inf"))])
-    print(f"theta-only 1/F_C = {1.0 / fisher:.6g} at theta = {theta_opt:.4f} -> {outdir}")
+    inv_cfi = inverse_fisher(fisher)
+    write_csv(outdir / "theta_only.csv", digest, ["kind", "N", "theta_opt", "inv_cfi"],
+              [(kind, n_mean, float(theta_opt), inv_cfi)])
+    print(f"theta-only 1/F_C = {inv_cfi:.6g} at theta = {theta_opt:.4f} -> {outdir}")
     return 0
 
 

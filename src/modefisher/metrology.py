@@ -95,6 +95,11 @@ def bounds(n_mean: float) -> FisherBounds:
     return FisherBounds(n, 1.0 / n, 2.0 / (n * (n + 2.0)), 1.0 / n**2)
 
 
+def inverse_fisher(f: float) -> float:
+    """1/F, the phase variance bound; ``inf`` when F is not positive."""
+    return 1.0 / f if f > 0 else float("inf")
+
+
 @lru_cache(maxsize=32)
 def _hermite_functions(cutoff: int, x_max: float, points: int) -> np.ndarray:
     """Matrix H[n, i] = psi_n(x_i) of oscillator eigenfunctions on the grid.

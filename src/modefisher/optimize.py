@@ -33,22 +33,20 @@ seed finishes, the search raises ``OptimizationError``.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import logging
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.optimize
 
 from .analysis import default_cutoff, find_minima, sweep_continuous
+from .artifacts import load_params
 from .circuits import LAYER_WIDTH, AnsatzParams, interaction_budget, run_circuit
 from .dynamics import coherent_input_state
 from .encoding import DEFAULT_PHI, PhaseFamily, encoded_family
-from .metrology import DEFAULT_DELTA, MeasurementModel, cfi, qfi_fidelity
+from .metrology import DEFAULT_DELTA, MeasurementModel, cfi, inverse_fisher, qfi_fidelity
 
 log = logging.getLogger(__name__)
 
@@ -92,6 +90,10 @@ class OptimizerConfig:
             raise ValueError("tol must be positive")
         if self.seed_indices is not None and any(s < 0 for s in self.seed_indices):
             raise ValueError("seed indices must be non-negative")
+        if not self.seed_pool:
+            raise ValueError("the seed pool is empty")
+        if self.d_max < 1:
+            raise ValueError("d_max must be >= 1")
 
     @property
     def seed_pool(self) -> tuple[int, ...]:
@@ -120,8 +122,7 @@ class OptRecord:
 
     @property
     def inv_fisher(self) -> float:
-        f = self.best_fisher
-        return 1.0 / f if f > 0 else float("inf")
+        return inverse_fisher(self.best_fisher)
 
 
 def seed_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -404,35 +405,3 @@ def best_by_qfi(paths, n_mean: float, cutoff: int, phi: float = DEFAULT_PHI,
     psi0 = coherent_input_state(candidates[0].kind, n_mean, cutoff)
     return max(candidates,
                key=lambda params: qfi_fidelity(run_circuit(params, psi0), phi, delta).value)
-
-
-def write_records(records: list[OptRecord], csv_path: str | Path,
-                  params_dir: str | Path | None = None,
-                  comment: str | None = None) -> None:
-    """Write records as CSV plus one flat-vector JSON sidecar per record."""
-    csv_path = Path(csv_path)
-    with csv_path.open("w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "N", "d", "seed", "objective", "inv_fisher",
-                         "budget", "iters", "wall_time"])
-        for r in records:
-            writer.writerow([r.kind, repr(float(r.n_mean)), r.d, r.seed,
-                             repr(float(r.best_objective)), repr(float(r.inv_fisher)),
-                             repr(float(r.budget)), r.iters_used,
-                             repr(float(r.wall_time))])
-    if params_dir is not None:
-        params_dir = Path(params_dir)
-        params_dir.mkdir(parents=True, exist_ok=True)
-        for r in records:
-            name = f"{r.kind}_N{r.n_mean:g}_d{r.d}_seed{r.seed}.json"
-            payload = {"kind": r.kind, "n_mean": r.n_mean, "d": r.d, "seed": r.seed,
-                       "params": [float(v) for v in r.best_params]}
-            (params_dir / name).write_text(json.dumps(payload, indent=1))
-
-
-def load_params(path: str | Path) -> AnsatzParams:
-    """Rebuild ansatz parameters from a sidecar file of whole layers."""
-    payload = json.loads(Path(path).read_text())
-    return AnsatzParams.from_vector(payload["kind"], payload["params"])

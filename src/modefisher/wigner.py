@@ -88,17 +88,3 @@ def _accumulate(rho: np.ndarray, beta: np.ndarray, lag_arg: np.ndarray,
     if np.max(np.abs(acc.imag)) > _IMAG_RESIDUE_ATOL:
         raise ValueError("Wigner sum left an imaginary residue; input not Hermitian?")
     return acc.real
-
-
-def write_wigner_csv(grid: WignerGrid, path, comment: str | None = None) -> None:
-    """Matrix CSV: first row is the x axis, first column the p axis."""
-    import csv
-    from pathlib import Path
-
-    with Path(path).open("w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow([""] + [repr(float(v)) for v in grid.x_axis])
-        for i, pv in enumerate(grid.p_axis):
-            writer.writerow([repr(float(pv))] + [repr(float(v)) for v in grid.values[i]])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from modefisher.analysis import (
-    FitResult,
     NoCrossingError,
     SweepRecord,
     default_cutoff,
@@ -13,8 +12,6 @@ from modefisher.analysis import (
     sweep_continuous,
     sweep_theta,
     time_to_tfs,
-    write_fit_csv,
-    write_sweep_csv,
 )
 from modefisher.metrology import bounds
 
@@ -123,27 +120,3 @@ def test_theta_sweep_relabels_kerr_frame():
     family = encoded_family(probe)
     fc = cfi(family, MeasurementModel("homodyne", theta=0.5 - 0.3)).value
     assert abs(samples[1][1] - 1.0 / fc) < 1e-12
-
-
-def test_sweep_csv_round_trip(tmp_path):
-    records = [
-        SweepRecord("kerr", 4.0, 0.1, 0.25, 0.3, None),
-        SweepRecord("kerr", 4.0, 0.2, 0.2, 0.28, None),
-    ]
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(records, path, comment="schema=test manifest=0")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# schema=test manifest=0"
-    header = lines[1].split(",")
-    assert header[:4] == ["kind", "N", "time", "inv_qfi"]
-    row = lines[2].split(",")
-    assert row[0] == "kerr"
-    assert float(row[2]) == 0.1
-    assert row[-1] == ""  # absent homodyne column stays empty
-
-    fits = [FitResult("sqrt", (1.0, 2.0, 3.0), 0.999)]
-    fit_path = tmp_path / "fit.csv"
-    write_fit_csv(fits, fit_path)
-    body = fit_path.read_text().splitlines()
-    assert body[0].startswith("model,")
-    assert body[1].split(",")[0] == "sqrt"

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,9 @@ from types import SimpleNamespace
 import pytest
 
 import modefisher.optimize
-from modefisher.cli import SchemaError, main, read_csv_rows
+from modefisher.artifacts import read_csv_rows
+from modefisher.cli import _optimizer_config, _resolve_config, main
+from modefisher.optimize import OptimizerConfig
 
 
 def _numeric_lines(path):
@@ -59,7 +62,7 @@ def test_sweep_writes_versioned_artifacts(tmp_path):
     assert len(rows) == 17
     assert float(rows[0]["time"]) == 0.0
     assert float(rows[0]["inv_cfi_counting"]) >= float(rows[0]["inv_qfi"]) * 0.999
-    (out / "minima.csv").exists()
+    assert (out / "minima.csv").exists()
 
 
 def test_sweep_reruns_bit_for_bit(tmp_path):
@@ -82,13 +85,6 @@ def test_rerun_from_manifest_reproduces_columns(tmp_path):
     assert _numeric_lines(out1 / "sweep.csv") == _numeric_lines(out2 / "sweep.csv")
 
 
-def test_reader_rejects_unknown_schema(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("# schema=modefisher-csv/999 manifest=deadbeef\nkind\nkerr\n")
-    with pytest.raises(SchemaError):
-        read_csv_rows(bad)
-
-
 def test_config_precedence_defaults_file_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_mean": 4.0, "kind": "kerr"}))
@@ -99,6 +95,10 @@ def test_config_precedence_defaults_file_flags(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["n_mean"] == 2.0   # flag beats file
     assert manifest["config"]["kind"] == "kerr"  # file beats default
+
+
+def test_optimizer_defaults_come_from_optimizer_config():
+    assert _optimizer_config(_resolve_config(argparse.Namespace())) == OptimizerConfig()
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):
@@ -136,6 +136,54 @@ def test_optimize_then_measure_round_trip(tmp_path):
     assert rc == 0
     _, rows = read_csv_rows(meas_dir / "measure.csv")
     assert len(rows) == 1
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--seeds", "0"], None), (["--dmax", "0"], None),
+    ([], {"seeds": 0}), ([], {"d_max": 0}),
+])
+def test_optimize_rejects_empty_search_before_writing(tmp_path, capsys, flags, config):
+    args = ["optimize", "--kind", "kerr", "--n", "2", "--max-iters", "5", *flags]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", str(cfg)]
+    out = tmp_path / "run"
+    assert main(args + ["--outdir", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()  # no manifest, no CSV
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_optimize_keeps_finished_seeds_when_one_aborts(tmp_path, monkeypatch, capsys, workers):
+    # seed 1's objective turns NaN; pool workers fork and inherit the patches
+    current = {}
+    seed_stream, qfi_fidelity = modefisher.optimize.seed_stream, modefisher.optimize.qfi_fidelity
+
+    def tracking_stream(master_seed, index):
+        current["seed"] = index
+        return seed_stream(master_seed, index)
+
+    def nan_for_seed_1(*args):
+        value = float("nan") if current["seed"] == 1 else qfi_fidelity(*args).value
+        return SimpleNamespace(value=value)
+
+    monkeypatch.setattr(modefisher.optimize, "seed_stream", tracking_stream)
+    monkeypatch.setattr(modefisher.optimize, "qfi_fidelity", nan_for_seed_1)
+    args = ["optimize", "--kind", "kerr", "--n", "2", "--dmax", "1", "--seeds", "2",
+            "--max-iters", "20", "--stage", "prepare", "--workers", workers]
+    out = tmp_path / "run"
+    assert main(args + ["--outdir", str(out)]) == 0
+    _, rows = read_csv_rows(out / "prepare.csv")
+    assert [(r["seed"], r["d"]) for r in rows] == [("0", "1")]
+    assert "seeds failed and were skipped: [1]" in capsys.readouterr().err
+
+    # every seed aborting is an error, and no table is written
+    monkeypatch.setattr(modefisher.optimize, "qfi_fidelity",
+                        lambda *args: SimpleNamespace(value=float("nan")))
+    aborted = tmp_path / "aborted"
+    assert main(args + ["--outdir", str(aborted)]) == 1
+    assert not (aborted / "prepare.csv").exists()
 
 
 def test_optimize_worker_pool_matches_serial(tmp_path):
@@ -198,6 +246,9 @@ def test_wigner_command_time_source(tmp_path):
     lines = (out / "wigner.csv").read_text().splitlines()
     assert lines[0].startswith("# schema=")
     assert len(lines) == 2 + 201  # comment + x header + one row per p value
+    top, row = lines[1].split(","), lines[2].split(",")
+    assert top[0] == "" and float(top[1]) == -6.0  # x axis along the top row
+    assert float(row[0]) == -6.0 and len(row) == 201 + 1  # p axis down the first column
     with pytest.raises(SystemExit):  # --time and --params are exclusive
         main(["wigner", "--time", "0.5", "--params", "x.json"])
 

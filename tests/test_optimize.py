@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import modefisher.optimize
+from modefisher.artifacts import load_params, write_records
 from modefisher.circuits import AnsatzParams, interaction_budget, run_circuit
 from modefisher.dynamics import coherent_input_state
 from modefisher.encoding import PhaseFamily, encoded_family
@@ -21,13 +22,11 @@ from modefisher.optimize import (
     OptimizerConfig,
     ablation_theta,
     best_record,
-    load_params,
     minimize,
     optimize_measurement,
     optimize_preparation,
     paired_depth_scan,
     seed_stream,
-    write_records,
 )
 
 
@@ -177,9 +176,9 @@ def test_bad_schedule_rejected():
 def test_record_round_trip(tmp_path):
     records = optimize_preparation("kerr", 4.0, [1], OptimizerConfig(**_FAST))
     csv_path = tmp_path / "prep.csv"
-    write_records(records, csv_path, tmp_path / "params")
+    write_records(records, csv_path, "0", tmp_path / "params")
     text = csv_path.read_text().splitlines()
-    assert text[0].split(",")[0] == "kind"
+    assert text[1].split(",")[0] == "kind"
     r = best_record(records)
     sidecar = tmp_path / "params" / f"kerr_N4_d{r.d}_seed{r.seed}.json"
     loaded = load_params(sidecar)

@@ -4,7 +4,7 @@ import pytest
 from modefisher.dynamics import coherent_input_state, evolve_continuous
 from modefisher.hilbert import coherent_state, reduce_to_mode
 from modefisher.metrology import GridError
-from modefisher.wigner import default_axes, wigner, write_wigner_csv
+from modefisher.wigner import default_axes, wigner
 
 
 def _fock_rho(dim, n):
@@ -85,17 +85,3 @@ def test_small_grid_rejected():
         wigner(rho, x, p)
     with pytest.raises(ValueError):
         wigner(np.zeros((3, 4)), *default_axes())
-
-
-def test_wigner_csv_layout(tmp_path):
-    x, p = default_axes(half_width=3.0, points=201)
-    grid = wigner(_fock_rho(4, 0), x, p)
-    path = tmp_path / "w.csv"
-    write_wigner_csv(grid, path, comment="schema=test")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# schema=test"
-    top = lines[1].split(",")
-    assert top[0] == "" and float(top[1]) == -3.0
-    row = lines[2].split(",")
-    assert float(row[0]) == -3.0
-    assert len(row) == len(x) + 1
