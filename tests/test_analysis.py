@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from modefisher.analysis import (
     sweep_theta,
     time_to_tfs,
 )
+from modefisher.artifacts import read_csv_rows, write_csv
 from modefisher.metrology import bounds
 
 
@@ -120,3 +122,26 @@ def test_theta_sweep_relabels_kerr_frame():
     family = encoded_family(probe)
     fc = cfi(family, MeasurementModel("homodyne", theta=0.5 - 0.3)).value
     assert abs(samples[1][1] - 1.0 / fc) < 1e-12
+
+
+def test_sweep_csv_round_trip(tmp_path):
+    records = [
+        SweepRecord("kerr", 4.0, 0.1, 0.25, 0.3, None),
+        SweepRecord("kerr", 4.0, 0.2, 0.2, 0.28, None),
+    ]
+    path = tmp_path / "sweep.csv"
+    header = ["kind", "N", "time", "inv_qfi", "inv_cfi_counting", "inv_cfi_homodyne"]
+    write_csv(path, "0", header, [astuple(r) for r in records])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# schema=modefisher-csv/1 manifest=0"
+    assert lines[1].split(",")[:4] == ["kind", "N", "time", "inv_qfi"]
+    row = lines[2].split(",")
+    assert row[0] == "kerr"
+    assert float(row[2]) == 0.1
+    assert row[-1] == ""  # absent homodyne column stays empty
+
+    _, rows = read_csv_rows(path)
+    back = [SweepRecord(r["kind"], float(r["N"]), float(r["time"]), float(r["inv_qfi"]),
+                        float(r["inv_cfi_counting"]), r["inv_cfi_homodyne"] or None)
+            for r in rows]
+    assert back == records

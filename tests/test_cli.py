@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 import modefisher.optimize
-from modefisher.artifacts import read_csv_rows
-from modefisher.cli import _optimizer_config, _resolve_config, main
+from modefisher.artifacts import SchemaError
+from modefisher.cli import _optimizer_config, _resolve_config, main, read_csv_rows
 from modefisher.optimize import OptimizerConfig
 
 
@@ -83,6 +83,13 @@ def test_rerun_from_manifest_reproduces_columns(tmp_path):
                "--tmax", "0.4", "--tstep", "0.1", "--outdir", str(out2)])
     assert rc == 0
     assert _numeric_lines(out1 / "sweep.csv") == _numeric_lines(out2 / "sweep.csv")
+
+
+def test_reader_rejects_unknown_schema(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# schema=modefisher-csv/999 manifest=deadbeef\nkind\nkerr\n")
+    with pytest.raises(SchemaError):
+        read_csv_rows(bad)
 
 
 def test_config_precedence_defaults_file_flags(tmp_path):

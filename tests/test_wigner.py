@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from modefisher.analysis import default_cutoff
+from modefisher.cli import main
 from modefisher.dynamics import coherent_input_state, evolve_continuous
 from modefisher.hilbert import coherent_state, reduce_to_mode
 from modefisher.metrology import GridError
@@ -85,3 +87,22 @@ def test_small_grid_rejected():
         wigner(rho, x, p)
     with pytest.raises(ValueError):
         wigner(np.zeros((3, 4)), *default_axes())
+
+
+def test_wigner_csv_layout(tmp_path):
+    out = tmp_path / "wig"
+    assert main(["wigner", "--kind", "kerr", "--n", "1", "--time", "0.3",
+                 "--half-width", "6", "--grid-points", "101", "--outdir", str(out)]) == 0
+    x, p = default_axes(half_width=6.0, points=101)
+    psi = evolve_continuous("kerr", 0.3, coherent_input_state("kerr", 1.0, default_cutoff(1.0)))
+    grid = wigner(reduce_to_mode(psi, 0), x, p)
+    lines = (out / "wigner.csv").read_text().splitlines()
+    assert lines[0].startswith("# schema=modefisher-csv/1 manifest=")
+    top = lines[1].split(",")
+    assert top[0] == "" and float(top[1]) == -6.0
+    row = lines[2].split(",")
+    assert float(row[0]) == -6.0
+    assert len(row) == len(x) + 1
+    # row i holds W(x_j, p_i) after its p value
+    table = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[2:]])
+    np.testing.assert_allclose(table, grid.values, atol=1e-12)
