@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import multiprocessing
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -96,6 +97,11 @@ def _manifest(command: str, config: dict, extra: dict | None = None) -> tuple[di
         json.dumps(body, sort_keys=True, default=str).encode()
     ).hexdigest()
     return {**body, "sha256": digest}, digest
+
+
+def _relative_to(outdir: Path, path: str) -> str:
+    """``path`` as seen from ``outdir``, so a manifest does not depend on the calling directory."""
+    return os.path.relpath(Path(path).resolve(), outdir.resolve())
 
 
 def _write_manifest(outdir: Path, manifest: dict) -> None:
@@ -225,7 +231,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     opt_config = _optimizer_config(config)  # rejects bad values before any file is written
     outdir = Path(config["outdir"])
     schedule = list(range(1, opt_config.d_max + 1))
-    manifest, digest = _manifest("optimize", config, {"stage": args.stage})
+    extra = {"stage": args.stage}
+    if args.stage == "measure":
+        if args.prep_csv is None:
+            print("--stage measure needs --prep-csv pointing at a "
+                  "prepare run", file=sys.stderr)
+            return 1
+        extra["prep_csv"] = _relative_to(outdir, args.prep_csv)
+    manifest, digest = _manifest("optimize", config, extra)
     _write_manifest(outdir, manifest)
     payload = {"kind": config["kind"], "n_mean": float(config["n_mean"]),
                "schedule": schedule, "config": config}
@@ -241,10 +254,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
               f"(seed {best.seed}, d {best.d}) -> {outdir}")
     if args.stage in ("measure", "both"):
         if prep_vector is None:
-            if args.prep_csv is None:
-                print("--stage measure needs --prep-csv pointing at a "
-                      "prepare run", file=sys.stderr)
-                return 1
             prep_vector = _best_prep_vector(Path(args.prep_csv))
         records = _farm_seeds(
             _measure_worker, dict(payload, prep_vector=[float(v) for v in prep_vector]),
@@ -265,7 +274,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     if args.params is not None:
         params = load_params(args.params)
         state = run_circuit(params, psi0)
-        source = {"params": str(args.params)}
+        source = {"params": _relative_to(outdir, args.params)}
     else:
         state = evolve_continuous(kind, float(args.time), psi0)
         source = {"time": float(args.time)}
@@ -317,7 +326,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                     f"no stored parameters for d={d} under {args.paired_dir}")
             prep_by_d[d] = best_by_qfi(candidates, n_mean, int(config["cutoff"]),
                                        float(config["phi"]), float(config["delta"]))
-        manifest, digest = _manifest("ablate", config, {"paired_dir": str(args.paired_dir)})
+        manifest, digest = _manifest("ablate", config,
+                                     {"paired_dir": _relative_to(outdir, args.paired_dir)})
         _write_manifest(outdir, manifest)
         plain, records = paired_depth_scan(
             kind, prep_by_d, _measurement_model(config), n_mean, opt_config,
@@ -330,7 +340,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         return 0
 
     params = load_params(args.params)
-    manifest, digest = _manifest("ablate", config, {"params": str(args.params)})
+    manifest, digest = _manifest("ablate", config, {"params": _relative_to(outdir, args.params)})
     _write_manifest(outdir, manifest)
     result = ablation_theta(kind, params, n_mean, opt_config,
                             phi=float(config["phi"]), cutoff=int(config["cutoff"]))

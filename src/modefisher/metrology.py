@@ -5,10 +5,18 @@ the encoded pure-state family; an independent variance-of-generator
 oracle cross-checks it.  Classical Fisher information is computed from
 analytic probability derivatives for photon counting and for double
 homodyne readout, optionally including projective emitter outcomes.
+
+Homodyne readout has one transform path, shared by :func:`cfi` and
+:func:`homodyne_probabilities`.  The quadrature angle is applied as the
+Fock-side phase e^{i theta (n1 + n2)} on the amplitudes, so the cached
+oscillator-eigenfunction table stays real.  Both modes then contract
+with it as real GEMMs, the second one in blocks of x1 rows, and no full
+complex (outcome, x1, x2) table is ever built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,6 +30,9 @@ DEFAULT_DELTA = 1e-2
 PROBABILITY_FLOOR = 1e-12
 _COUNT_NORM_ATOL = 1e-6
 _DENSITY_NORM_ATOL = 1e-4
+# x1 rows per homodyne GEMM block: at cutoff 40, 801 points and four
+# emitter outcomes a block of state and derivative planes is 3.3 MB
+_ROW_BLOCK = 32
 
 
 class GridError(ValueError):
@@ -118,16 +129,11 @@ def _hermite_functions(cutoff: int, x_max: float, points: int) -> np.ndarray:
     return h
 
 
-def _quadrature_transform(cutoff: int, theta: float, x: np.ndarray) -> np.ndarray:
-    """M[i, n] = <x_i|n>_theta = e^{i n theta} psi_n(x_i)."""
-    h = _hermite_functions(cutoff, float(x[-1]), len(x))
-    if theta == 0.0:
-        return h.T.copy()
-    return h.T * np.exp(1j * theta * np.arange(cutoff))[None, :]
-
-
-def _mode_axes(state: CompositeState) -> tuple[int, ...]:
-    return state.layout.mode_indices
+def _outcome_tables(state: CompositeState) -> np.ndarray:
+    """Amplitudes as (outcomes, n1, n2): mode axes last, other factors flattened."""
+    cutoff = state.layout.cutoff
+    amps = np.moveaxis(state.tensor(), state.layout.mode_indices, (-2, -1))
+    return amps.reshape(-1, cutoff, cutoff)
 
 
 def _marginal_axes(state: CompositeState, include_emitters: bool) -> tuple[int, ...]:
@@ -152,15 +158,32 @@ def counting_probabilities(state: CompositeState, include_emitters: bool = False
     return p
 
 
-def _homodyne_amplitudes(state: CompositeState, theta: float,
-                         x: np.ndarray) -> np.ndarray:
-    """Amplitude table with each mode axis rotated to the x^(theta) basis."""
-    cutoff = state.layout.cutoff
-    m = _quadrature_transform(cutoff, theta, x)
-    amps = state.tensor()
-    for axis in _mode_axes(state):
-        amps = np.moveaxis(np.tensordot(m, amps, axes=(1, axis)), 0, axis)
-    return amps
+def _quadrature_blocks(states: list[CompositeState], theta: float, x: np.ndarray):
+    """Quadrature amplitudes of the stacked states, one block of x1 rows at a time.
+
+    The rotation to the x^(theta) basis is the Fock-side phase
+    e^{i theta (n1 + n2)}, so both modes contract with the real table
+    H[n, i] = psi_n(x_i): mode 1 in one real GEMM for every state, real or
+    imaginary part and outcome, mode 2 per block of x1 rows.  Yields
+    ``(rows, amps)`` with ``amps[k, part, q, r, j]`` the real (part 0) or
+    imaginary (part 1) amplitude of state k and outcome q at
+    (x1, x2) = (x[rows][r], x[j]); each (k, part) plane is contiguous.
+    """
+    z = np.stack([_outcome_tables(s) for s in states])       # (k, q, n1, n2)
+    cutoff = z.shape[-1]
+    if theta != 0.0:
+        n = np.arange(cutoff)
+        z = z * np.exp(1j * theta * (n[:, None] + n[None, :]))
+    planes = np.stack((z.real, z.imag), axis=1)              # (k, part, q, n1, n2)
+    lead = planes.shape[:3]
+    planes = np.moveaxis(planes.reshape(-1, cutoff, cutoff), 1, 0).reshape(cutoff, -1)
+    h = _hermite_functions(cutoff, float(x[-1]), len(x))
+    half = (h.T @ planes).reshape(len(x), -1, cutoff)        # (x1, k*part*q, n2)
+    for start in range(0, len(x), _ROW_BLOCK):
+        block = half[start:start + _ROW_BLOCK]
+        amps = block.swapaxes(0, 1).reshape(-1, cutoff) @ h
+        yield (slice(start, start + len(block)),
+               amps.reshape(*lead, len(block), len(x)))
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -168,6 +191,11 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     w = np.full(len(x), dx)
     w[0] = w[-1] = 0.5 * dx
     return w
+
+
+def _check_density(total: float) -> None:
+    if abs(total - 1.0) > _DENSITY_NORM_ATOL:
+        raise GridError(f"density integrates to {total:.6f}; grid too small")
 
 
 def homodyne_probabilities(state: CompositeState, theta: float,
@@ -179,24 +207,19 @@ def homodyne_probabilities(state: CompositeState, theta: float,
     samples and it trapezoid-integrates to 1.  Raises :class:`GridError`
     when the grid leaves a normalization deficit above 1e-4.
     """
-    x = grid.axis(state.layout.cutoff)
-    amps = _homodyne_amplitudes(state, theta, x)
-    p = np.abs(amps) ** 2
+    layout = state.layout
+    x = grid.axis(layout.cutoff)
+    outcomes = [layout.dims[i] for i in layout.qubit_indices]
+    p = np.empty((math.prod(outcomes), len(x), len(x)))
+    for rows, ((re, im),) in _quadrature_blocks([state], theta, x):
+        p[:, rows] = re * re + im * im
+    p = np.moveaxis(p.reshape(*outcomes, len(x), len(x)), (-2, -1), layout.mode_indices)
     drop = _marginal_axes(state, include_emitters)
     if drop:
         p = p.sum(axis=drop)
     w = _trapezoid_weights(x)
-    total = _integrate_modes(p, w, n_leading=p.ndim - 2)
-    if abs(total - 1.0) > _DENSITY_NORM_ATOL:
-        raise GridError(f"density integrates to {total:.6f}; grid too small")
+    _check_density(float(np.sum(p @ w @ w)))
     return x, p
-
-
-def _integrate_modes(table: np.ndarray, w: np.ndarray, n_leading: int) -> float:
-    """Sum leading outcome axes, trapezoid the two trailing mode axes."""
-    out = np.tensordot(table, w, axes=(table.ndim - 1, 0))
-    out = np.tensordot(out, w, axes=(out.ndim - 1, 0))
-    return float(out.sum()) if n_leading else float(out)
 
 
 def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
@@ -214,6 +237,13 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
     therefore runs at ``model.theta - phi/2``, with phi frozen at the
     operating point (the frame does not rotate with the infinitesimal
     phase deviation being estimated).
+
+    The homodyne kernel never builds a full complex table.  The angle is
+    a Fock-side phase, so the state and its derivative contract with the
+    real Hermite table as real GEMMs (:func:`_quadrature_blocks`), mode 2
+    in blocks of x1 rows.  Each block forms p and dp, sums the emitter
+    outcomes when they are marginalized, and adds its trapezoid-weighted
+    share of the Fisher sum and of the normalization total.
     """
     state, deriv = family.state, family.derivative
     if model.kind == "counting":
@@ -233,26 +263,25 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
         return FisherResult(max(value, 0.0), "cfi", family.phi)
 
     x = model.grid.axis(state.layout.cutoff)
-    theta_frame = model.theta - 0.5 * family.phi
-    amp = _homodyne_amplitudes(state, theta_frame, x)
-    damp = _homodyne_amplitudes(deriv, theta_frame, x)
-    p = np.abs(amp) ** 2
-    dp = 2.0 * (amp.conj() * damp).real
-    drop = _marginal_axes(state, model.include_emitters)
-    if drop:
-        p = p.sum(axis=drop)
-        dp = dp.sum(axis=drop)
     w = _trapezoid_weights(x)
-    total = _integrate_modes(p, w, n_leading=p.ndim - 2)
-    if abs(total - 1.0) > _DENSITY_NORM_ATOL:
-        raise GridError(f"density integrates to {total:.6f}; grid too small")
-    mask = p > PROBABILITY_FLOOR
-    quot = np.zeros_like(p)
-    quot[mask] = dp[mask] ** 2 / p[mask]
-    # Trapezoid over both quadrature axes, plain sum over emitter outcomes.
-    weighted = np.tensordot(np.tensordot(quot, w, axes=(quot.ndim - 1, 0)),
-                            w, axes=(-1, 0))
-    value = float(np.sum(weighted))
+    marginal = bool(_marginal_axes(state, model.include_emitters))
+    theta_frame = model.theta - 0.5 * family.phi
+    value = total = 0.0
+    for rows, ((a, b), (c, d)) in _quadrature_blocks([state, deriv], theta_frame, x):
+        p = a * a
+        p += b * b
+        dp = a * c
+        dp += b * d
+        dp *= 2.0
+        if marginal:
+            p = p.sum(axis=0)
+            dp = dp.sum(axis=0)
+        dp *= dp
+        quot = np.divide(dp, p, out=np.zeros_like(p), where=p > PROBABILITY_FLOOR)
+        # trapezoid over both quadrature axes, plain sum over emitter outcomes
+        value += float(np.sum(quot @ w @ w[rows]))
+        total += float(np.sum(p @ w @ w[rows]))
+    _check_density(total)
     return FisherResult(max(value, 0.0), "cfi", family.phi)
 
 

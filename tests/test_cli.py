@@ -143,6 +143,9 @@ def test_optimize_then_measure_round_trip(tmp_path):
     assert rc == 0
     _, rows = read_csv_rows(meas_dir / "measure.csv")
     assert len(rows) == 1
+    manifest = json.loads((meas_dir / "manifest.json").read_text())
+    assert manifest["stage"] == "measure"
+    assert manifest["prep_csv"] == "../prep/prepare.csv"  # the probe, seen from the run
 
 
 @pytest.mark.parametrize("flags, config", [
@@ -258,6 +261,25 @@ def test_wigner_command_time_source(tmp_path):
     assert float(row[0]) == -6.0 and len(row) == 201 + 1  # p axis down the first column
     with pytest.raises(SystemExit):  # --time and --params are exclusive
         main(["wigner", "--time", "0.5", "--params", "x.json"])
+
+
+def test_manifest_digest_does_not_depend_on_calling_directory(tmp_path, monkeypatch):
+    # the same wigner run, started from two directories with --params typed
+    # relative to each; the output directory is the same absolute path
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (tmp_path / "circuit.json").write_text(json.dumps(
+        {"kind": "kerr", "n_mean": 2.0, "d": 1, "seed": 0, "params": [0.3, 0.2]}))
+    digests = []
+    for cwd, params in ((tmp_path, "circuit.json"), (sub, "../circuit.json")):
+        monkeypatch.chdir(cwd)
+        out = tmp_path / "wig"
+        assert main(["wigner", "--kind", "kerr", "--n", "2", "--params", params,
+                     "--grid-points", "201", "--outdir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["params"] == "../circuit.json"
+        digests.append(manifest["sha256"])
+    assert digests[0] == digests[1]
 
 
 def test_theta_sweep_command(tmp_path, capsys):

@@ -6,6 +6,7 @@ from modefisher.dynamics import coherent_input_state, evolve_continuous
 from modefisher.encoding import encode, encoded_family
 from modefisher.hilbert import CompositeState, jc_layout, kerr_layout
 from modefisher.metrology import (
+    PROBABILITY_FLOOR,
     GridError,
     MeasurementModel,
     QuadratureGrid,
@@ -16,6 +17,7 @@ from modefisher.metrology import (
     qfi_fidelity,
     qfi_variance_oracle,
 )
+from modefisher.metrology import _hermite_functions
 
 
 def _random_probe(layout, seed):
@@ -106,6 +108,60 @@ def test_homodyne_vacuum_marginal_is_gaussian():
     x, p = homodyne_probabilities(vac, 0.0)
     marginal = np.trapezoid(p, x, axis=1)
     np.testing.assert_allclose(marginal, np.exp(-x * x) / np.sqrt(np.pi), atol=1e-9)
+
+
+def _dense_homodyne(family, theta, x, include_emitters):
+    """Reference kernel: full complex quadrature tables of state and derivative.
+
+    Rotates each mode axis with M[i, n] = e^{i n theta} psi_n(x_i), then
+    forms p and dp on the whole grid and trapezoid-weights dp^2/p.
+    Returns (p, cfi).
+    """
+    cutoff = family.state.layout.cutoff
+    m = _hermite_functions(cutoff, float(x[-1]), len(x)).T * np.exp(1j * theta * np.arange(cutoff))
+
+    def rotate(state):
+        amps = state.tensor()
+        for axis in state.layout.mode_indices:
+            amps = np.moveaxis(np.tensordot(m, amps, axes=(1, axis)), 0, axis)
+        return amps
+
+    amp, damp = rotate(family.state), rotate(family.derivative)
+    p = np.abs(amp) ** 2
+    dp = 2.0 * (amp.conj() * damp).real
+    if not include_emitters and family.state.layout.qubit_indices:
+        p = p.sum(axis=family.state.layout.qubit_indices)
+        dp = dp.sum(axis=family.state.layout.qubit_indices)
+    w = np.full(len(x), x[1] - x[0])
+    w[0] = w[-1] = 0.5 * (x[1] - x[0])
+    mask = p > PROBABILITY_FLOOR
+    quot = np.zeros_like(p)
+    quot[mask] = dp[mask] ** 2 / p[mask]
+    return p, float(np.sum(quot @ w @ w))
+
+
+@pytest.mark.parametrize("points", [201, 403, 801])
+def test_homodyne_kernel_matches_dense_tables(points):
+    """Row-blocked real kernel against the full complex tables.
+
+    None of the sizes is a multiple of the row block (403 leaves 19 rows),
+    so the last block is short.
+    """
+    grid = QuadratureGrid(points=points)
+    phi = 0.9
+    for layout, seed in ((kerr_layout(12), 3), (jc_layout(8), 4)):
+        family = encoded_family(_random_probe(layout, seed), phi)
+        x = grid.axis(layout.cutoff)
+        for theta in (0.0, 1.3):
+            for keep in (False, True):
+                model = MeasurementModel("homodyne", include_emitters=keep,
+                                         theta=theta, grid=grid)
+                p_ref, f_ref = _dense_homodyne(family, theta - 0.5 * phi, x, keep)
+                f = cfi(family, model).value
+                assert abs(f - f_ref) <= 1e-12 * f_ref, (layout.dims, theta, keep)
+                _, p = homodyne_probabilities(family.state, theta - 0.5 * phi, grid, keep)
+                assert p.shape == p_ref.shape
+                np.testing.assert_allclose(p, p_ref, rtol=0, atol=1e-12 * p_ref.max())
 
 
 def test_cfi_upper_bounded_by_qfi():
