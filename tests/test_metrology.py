@@ -156,10 +156,12 @@ def test_homodyne_kernel_matches_dense_tables(points):
             for keep in (False, True):
                 model = MeasurementModel("homodyne", include_emitters=keep,
                                          theta=theta, grid=grid)
-                p_ref, f_ref = _dense_homodyne(family, theta - 0.5 * phi, x, keep)
+                _, f_ref = _dense_homodyne(family, theta - 0.5 * phi, x, keep)
                 f = cfi(family, model).value
                 assert abs(f - f_ref) <= 1e-12 * f_ref, (layout.dims, theta, keep)
-                _, p = homodyne_probabilities(family.state, theta - 0.5 * phi, grid, keep)
+                # cfi shifts the angle by -phi/2; the density takes it as given
+                p_ref, _ = _dense_homodyne(family, theta, x, keep)
+                _, p = homodyne_probabilities(family.state, theta, grid, keep)
                 assert p.shape == p_ref.shape
                 np.testing.assert_allclose(p, p_ref, rtol=0, atol=1e-12 * p_ref.max())
 
