@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.signal
 
 from .dynamics import coherent_input_state, evolve_continuous
-from .encoding import DEFAULT_PHI, encoded_family
+from .encoding import DEFAULT_PHI, beam_split, encoded_family, split_family
 from .hilbert import default_cutoff
 from .metrology import (
     DEFAULT_DELTA,
@@ -24,6 +22,7 @@ from .metrology import (
     cfi,
     inverse_fisher,
     qfi_fidelity,
+    qfi_from_split,
 )
 
 JC_TIME_GRID = np.round(np.arange(0, 30.0 + 1e-9, 0.1), 10)
@@ -68,18 +67,18 @@ def sweep_continuous(kind: str, n_mean: float, time_grid=None,
                      grid: QuadratureGrid = QuadratureGrid(),
                      phi: float = DEFAULT_PHI, delta: float = DEFAULT_DELTA,
                      cutoff: int | None = None) -> list[SweepRecord]:
-    """Inverse QFI (optionally CFI) of continuously evolved probes."""
+    """Inverse QFI (optionally CFI) of continuously evolved probes, each beam split once."""
     times = _grid_for(kind, time_grid)
     cut = cutoff if cutoff is not None else default_cutoff(n_mean)
     psi0 = coherent_input_state(kind, n_mean, cut)
     with_emitters = kind == "jc"
     records = []
     for t in times:
-        probe = evolve_continuous(kind, float(t), psi0)
-        fq = qfi_fidelity(probe, phi, delta).value
+        chi = beam_split(evolve_continuous(kind, float(t), psi0))
+        fq = qfi_from_split(chi, phi, delta).value
         inv_counting = inv_homodyne = None
         if include_cfi_counting or include_cfi_homodyne:
-            family = encoded_family(probe, phi)
+            family = split_family(chi, phi)
             if include_cfi_counting:
                 model = MeasurementModel("counting", include_emitters=with_emitters)
                 inv_counting = inverse_fisher(cfi(family, model).value)
@@ -116,6 +115,7 @@ def find_minima(records: list[SweepRecord],
     span = float(y.max() - y.min())
     keep: set[int] = set()
     if span > 0 and min_prominence > 0:
+        import scipy.signal  # deferred: importing it costs about a second
         idx, props = scipy.signal.find_peaks(
             -y, prominence=min_prominence * span)
         keep.update(int(i) for i in idx)
@@ -194,6 +194,7 @@ def fit(model: str, xs, ys) -> FitResult:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if model == "sqrt":
+        import scipy.optimize  # deferred: importing it costs about a second
         if len(xs) < 3:
             raise ValueError("sqrt fit needs at least 3 points")
 

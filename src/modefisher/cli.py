@@ -4,7 +4,9 @@ Every command resolves its configuration from defaults, an optional JSON
 config file, and command-line flags (flags win), then writes a manifest
 next to its outputs.  Each output table names the manifest's digest, and
 re-running from a manifest reproduces the numeric columns byte for byte
-(wall-time columns excepted).
+(wall-time columns excepted), its recorded inputs filling absent flags.
+Paths are recorded relative to the output directory, which the digest
+leaves out, so neither depends on where a run is written or started.
 """
 
 from __future__ import annotations
@@ -64,11 +66,22 @@ _DEFAULTS = {
     "outdir": "runs/out",
 }
 
+# manifest inputs outside ``config`` that fill absent flags (paths relative to the manifest)
+_RECORDED_VALUES = ("stage", "time", "tmax", "tstep")
+_RECORDED_PATHS = ("prep_csv", "params", "paired_dir")
 
-def _load_config_file(path: str) -> dict:
+
+def _load_config_file(path: str, args: argparse.Namespace) -> dict:
     payload = json.loads(Path(path).read_text())
     if "config" in payload and isinstance(payload["config"], dict):
-        payload = payload["config"]  # accept a previously written manifest
+        # a previously written manifest: its recorded inputs fill absent flags
+        for key in (*_RECORDED_VALUES, *_RECORDED_PATHS):
+            if key in payload and getattr(args, key, "") is None:
+                value = payload[key]
+                if key in _RECORDED_PATHS:
+                    value = os.path.normpath(Path(path).parent / value)
+                setattr(args, key, value)
+        payload = payload["config"]
     unknown = set(payload) - set(_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -79,7 +92,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
     config = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        config.update(_load_config_file(args.config))
+        config.update(_load_config_file(args.config, args))
     for key in _DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
@@ -90,11 +103,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _manifest(command: str, config: dict, extra: dict | None = None) -> tuple[dict, str]:
-    body = {"schema": CSV_SCHEMA, "command": command, "config": config}
-    if extra:
-        body.update(extra)
+    """Manifest and its digest, which covers everything but ``config["outdir"]``."""
+    body = {"schema": CSV_SCHEMA, "command": command, "config": config, **(extra or {})}
+    hashed = {**body, "config": {k: v for k, v in config.items() if k != "outdir"}}
     digest = hashlib.sha256(
-        json.dumps(body, sort_keys=True, default=str).encode()
+        json.dumps(hashed, sort_keys=True, default=str).encode()
     ).hexdigest()
     return {**body, "sha256": digest}, digest
 
@@ -231,8 +244,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     opt_config = _optimizer_config(config)  # rejects bad values before any file is written
     outdir = Path(config["outdir"])
     schedule = list(range(1, opt_config.d_max + 1))
-    extra = {"stage": args.stage}
-    if args.stage == "measure":
+    stage = args.stage or "prepare"
+    extra = {"stage": stage}
+    if stage == "measure":
         if args.prep_csv is None:
             print("--stage measure needs --prep-csv pointing at a "
                   "prepare run", file=sys.stderr)
@@ -245,14 +259,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     workers = int(config["workers"])
 
     prep_vector = None
-    if args.stage in ("prepare", "both"):
+    if stage in ("prepare", "both"):
         records = _farm_seeds(_prep_worker, payload, opt_config, workers)
         write_records(records, outdir / "prepare.csv", digest, params_dir=outdir / "params")
         best = best_record(records)
         prep_vector = best.best_params
         print(f"prepare: best 1/F_Q = {best.inv_fisher:.6g} "
               f"(seed {best.seed}, d {best.d}) -> {outdir}")
-    if args.stage in ("measure", "both"):
+    if stage in ("measure", "both"):
         if prep_vector is None:
             prep_vector = _best_prep_vector(Path(args.prep_csv))
         records = _farm_seeds(
@@ -270,6 +284,8 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     outdir = Path(config["outdir"])
     kind, n_mean, cut = config["kind"], float(config["n_mean"]), int(config["cutoff"])
+    if args.params is None and args.time is None:
+        raise ValueError("wigner needs --time or --params")
     psi0 = coherent_input_state(kind, n_mean, cut)
     if args.params is not None:
         params = load_params(args.params)
@@ -316,6 +332,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     outdir = Path(config["outdir"])
     kind, n_mean = config["kind"], float(config["n_mean"])
     opt_config = _optimizer_config(config)
+    if args.params is None and args.paired_dir is None:
+        raise ValueError("ablate needs --params or --paired-dir")
 
     if args.paired_dir is not None:
         prep_by_d = {}
@@ -373,7 +391,8 @@ def _nonnegative_float(text: str) -> float:
 
 
 def _add_common(parser: argparse.ArgumentParser, optimizer: bool = False) -> None:
-    parser.add_argument("--config", help="JSON config file (or a manifest); flags override it")
+    parser.add_argument("--config", help="JSON config file, or a manifest whose recorded "
+                        "inputs fill absent flags; flags override it")
     parser.add_argument("--kind", choices=("jc", "kerr"), dest="kind",
                         help="nonlinearity family. Default: %(default)s")
     parser.add_argument("--n", type=_nonnegative_float, dest="n_mean",
@@ -424,14 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="optimize preparation/measurement circuits")
     _add_common(p_opt, optimizer=True)
-    p_opt.add_argument("--stage", choices=_STAGE_KEYS, default="prepare")
+    p_opt.add_argument("--stage", choices=_STAGE_KEYS, help="Default: prepare")
     p_opt.add_argument("--prep-csv", dest="prep_csv",
                        help="prepare.csv of a stored run (for --stage measure)")
     p_opt.set_defaults(fn=cmd_optimize)
 
     p_wig = sub.add_parser("wigner", help="Wigner grid of one reduced mode")
     _add_common(p_wig)
-    src = p_wig.add_mutually_exclusive_group(required=True)
+    src = p_wig.add_mutually_exclusive_group()
     src.add_argument("--time", type=float, help="continuous interaction time")
     src.add_argument("--params", help="stored circuit parameter file")
     p_wig.add_argument("--mode", type=int, choices=(1, 2), default=1,
@@ -452,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_abl = sub.add_parser("ablate", help="readout strategy comparisons on fixed probes")
     _add_common(p_abl, optimizer=True)
-    src = p_abl.add_mutually_exclusive_group(required=True)
+    src = p_abl.add_mutually_exclusive_group()
     src.add_argument("--params", help="stored preparation parameters (three-arm comparison)")
     src.add_argument("--paired-dir", dest="paired_dir",
                      help="stored preparation params dir (depth-paired scan)")

@@ -1,9 +1,13 @@
 """Local gates and unitary evolution on truncated composite states.
 
-Every propagator exp(-i t H) is built from a Hermitian eigendecomposition
-of its local generator (or written down directly when diagonal), so gates
-are exact at the truncation and never materialize full-space operators.
-Application touches only the target axes.
+Every propagator exp(-i t H) is written in the structure of its local
+generator, so gates are exact at the truncation and none is held as a
+dense matrix.  Gates act on a ``(k, *dims)`` stack of tensors
+(:func:`apply_stack`); :func:`apply` is the stack of one.
+
+The Jaynes-Cummings generator sigma† a + sigma a† couples only |g,n> and
+|e,n-1>, with strength sqrt(n), so its propagator rotates each such pair
+by g sqrt(n); |g,0> and the truncation edge |e,c-1> stay put.
 
 The two-mode tunnel generator a2†a1 + a1†a2 conserves n1 + n2, so the
 tunnel gate (and the beam splitter built from it) is stored and applied
@@ -16,7 +20,8 @@ block-diagonal in n1 + n2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -27,13 +32,10 @@ from .hilbert import (
     LayoutError,
     SubsystemLayout,
     coherent_state,
-    destroy,
     jc_layout,
     kerr_layout,
     product_state,
 )
-
-UNITARITY_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,8 @@ class LocalGate:
 
     Exactly one representation is populated:
 
-    - ``matrix``: dense unitary on the joint target space;
+    - ``rabi``: the (emitter, mode) Jaynes-Cummings rotation of each pair
+      {|g,n>, |e,n-1>}, as ``rabi = (cos(g sqrt(n)), sin(g sqrt(n)))``;
     - ``diag``: diagonal phases on the joint target space (targets must be
       in increasing factor order);
     - ``basis`` + ``phases``: a two-mode gate that conserves n1 + n2, held
@@ -59,36 +62,27 @@ class LocalGate:
 
     label: str
     targets: tuple[int, ...] | None
-    matrix: np.ndarray | None = None
+    rabi: np.ndarray | None = None
     diag: np.ndarray | None = None
     basis: np.ndarray | None = None
     phases: np.ndarray | None = None
     identity: bool = field(default=False)
 
     def as_matrix(self) -> np.ndarray:
-        """Dense joint-space matrix (test and inspection use only)."""
-        if self.matrix is not None:
-            return self.matrix
+        """Dense joint-space matrix (test and inspection use only).
+
+        Column j is the gate applied to basis state j of its target factors.
+        """
         if self.diag is not None:
             return np.diag(self.diag)
-        assert self.basis is not None and self.phases is not None
-        cutoff = self.basis.shape[1]
-        gather, _ = _sector_index(cutoff)
-        u = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
-        for rows, v, ph in zip(gather, self.basis, self.phases):
-            rows = rows[rows < cutoff * cutoff]
-            d = len(rows)
-            u[np.ix_(rows, rows)] = (v[:d, :d] * ph[:d]) @ v[:d, :d].T
-        return u
-
-    @property
-    def joint_dim(self) -> int:
-        if self.matrix is not None:
-            return self.matrix.shape[0]
-        if self.diag is not None:
-            return self.diag.shape[0]
-        assert self.basis is not None
-        return self.basis.shape[1] ** 2
+        if self.rabi is not None:
+            factors = (("qubit", QUBIT_DIM), ("mode", self.rabi.shape[1]))
+        else:
+            factors = (("mode", self.basis.shape[1]),) * 2
+        layout = SubsystemLayout(factors)
+        eye = np.eye(layout.total_dim, dtype=complex).reshape(-1, *layout.dims)
+        out = apply_stack(replace(self, targets=(0, 1)), layout, eye)
+        return out.reshape(layout.total_dim, -1).T
 
 
 @lru_cache(maxsize=None)
@@ -96,18 +90,19 @@ def _sector_index(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather and scatter indices between (n1, n2) and sector order.
 
     ``gather[s, k]`` is the flat index n1*c + n2 of the k-th state (n1
-    ascending) of sector s = n1 + n2; padding slots point at c², one past
-    the end, where the caller keeps a zero row.  ``scatter[n1*c + n2]`` is
-    the inverse: the flat position s*c + k in the sector-major array.
+    ascending) of sector s = n1 + n2.  Padding slots repeat index 0:
+    the padded eigenbases are the identity there, so a padding row is
+    never mixed into a sector and is never scattered back.
+    ``scatter[n1*c + n2]`` is the inverse: the flat position s*c + k in
+    the sector-major array.
     """
     c = cutoff
-    gather = np.full((2 * c - 1, c), c * c)
+    gather = np.zeros((2 * c - 1, c), dtype=np.intp)
+    scatter = np.empty(c * c, dtype=np.intp)
     for s in range(2 * c - 1):
         n1 = np.arange(max(0, s - c + 1), min(s, c - 1) + 1)
         gather[s, :len(n1)] = n1 * c + (s - n1)
-    valid = gather < c * c
-    scatter = np.empty(c * c, dtype=np.intp)
-    scatter[gather[valid]] = np.flatnonzero(valid)
+        scatter[gather[s, :len(n1)]] = s * c + np.arange(len(n1))
     gather.setflags(write=False)
     scatter.setflags(write=False)
     return gather, scatter
@@ -122,33 +117,17 @@ def _tunnel_sectors(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     so each eigenbasis is real orthogonal and independent of the tunneling
     strength; per-call gates only rescale the eigenphases.  Returns the
     eigenvalues ``(2c-1, c)`` and eigenbases ``(2c-1, c, c)`` in the
-    sector order of :func:`_sector_index`.
+    sector order of :func:`_sector_index`, the identity on padding slots.
     """
     c = cutoff
     w = np.zeros((2 * c - 1, c))
     v = np.zeros((2 * c - 1, c, c))
-    for s, rows in enumerate(_sector_index(c)[0]):
-        n1 = rows[rows < c * c] // c
+    for s in range(2 * c - 1):
+        n1 = np.arange(max(0, s - c + 1), min(s, c - 1) + 1)
         d = len(n1)
         off = np.sqrt((n1[:-1] + 1.0) * (s - n1[:-1]))
         w[s, :d], v[s, :d, :d] = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
         v[s, d:, d:] = np.eye(c - d)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
-
-
-@lru_cache(maxsize=None)
-def _jc_eigensystem(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of sigma† a + sigma a† on one (qubit, mode) pair.
-
-    Qubit basis order is (|g>, |e>), qubit axis slowest.
-    """
-    a = destroy(cutoff)
-    raise_q = np.zeros((QUBIT_DIM, QUBIT_DIM))
-    raise_q[1, 0] = 1.0  # |e><g|
-    gen = np.kron(raise_q, a) + np.kron(raise_q.T, a.T)
-    w, v = np.linalg.eigh(gen)
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
@@ -163,12 +142,9 @@ def jc_gate(g: float, cutoff: int, pair: tuple[int, int] = (0, 2)) -> LocalGate:
     """
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    if g == 0.0:
-        return LocalGate("jc", tuple(pair), matrix=np.eye(QUBIT_DIM * cutoff, dtype=complex),
-                         identity=True)
-    w, v = _jc_eigensystem(cutoff)
-    u = (v * np.exp(-1j * g * w)) @ v.T
-    return LocalGate("jc", tuple(pair), matrix=u)
+    angle = g * np.sqrt(np.arange(cutoff))
+    return LocalGate("jc", tuple(pair), rabi=np.stack((np.cos(angle), np.sin(angle))),
+                     identity=(g == 0.0))
 
 
 def kerr_gate(k: float, cutoff: int, mode: int = 0) -> LocalGate:
@@ -196,68 +172,70 @@ def detune_gate(delta: float, emitter: int) -> LocalGate:
 
 
 def _resolve_targets(gate: LocalGate, layout: SubsystemLayout) -> tuple[int, ...]:
+    """The gate's factor indices, checked against its representation."""
     targets = gate.targets if gate.targets is not None else layout.mode_indices
-    if len(set(targets)) != len(targets):
-        raise LayoutError(f"gate targets {targets} are not distinct")
-    for t in targets:
-        if not 0 <= t < len(layout.factors):
-            raise LayoutError(f"gate target {t} outside layout of {len(layout.factors)} factors")
-    joint = 1
-    for t in targets:
-        joint *= layout.dims[t]
-    if joint != gate.joint_dim:
-        raise LayoutError(
-            f"gate acts on dim {gate.joint_dim}, targets {targets} span dim {joint}"
-        )
+    if len(set(targets)) != len(targets) or not all(
+            0 <= t < len(layout.factors) for t in targets):
+        raise LayoutError(f"gate targets {targets} are not distinct factors of {layout.factors}")
+    factors = [layout.factors[t] for t in targets]
+    if gate.rabi is not None:
+        fits = factors == [("qubit", QUBIT_DIM), ("mode", gate.rabi.shape[1])]
+    elif gate.basis is not None:
+        fits = factors == [("mode", gate.basis.shape[1])] * 2
+    else:  # a joint diagonal broadcasts over targets in increasing order
+        fits = (list(targets) == sorted(targets)
+                and math.prod(dim for _, dim in factors) == gate.diag.size)
+    if not fits:
+        raise LayoutError(f"{gate.label} gate does not act on factors {factors}")
     return targets
+
+
+def apply_stack(gate: LocalGate, layout: SubsystemLayout, stack: np.ndarray) -> np.ndarray:
+    """Apply a local gate to each tensor of a ``(k, *layout.dims)`` stack.
+
+    The stack axis rides along like a spectator factor.  The result is
+    C-contiguous (``stack`` itself for an identity gate).
+    """
+    if gate.identity:
+        return stack
+    axes = tuple(t + 1 for t in _resolve_targets(gate, layout))
+    if gate.diag is not None:
+        shape = [1] * stack.ndim
+        for a in axes:
+            shape[a] = stack.shape[a]
+        return stack * gate.diag.reshape(shape)
+    moved = np.moveaxis(stack, axes, (0, 1))
+    if gate.rabi is not None:
+        # rotate every pair (|g,n>, |e,n-1>), n >= 1; the two unpaired states are copied
+        out = np.empty_like(stack)
+        dst = np.moveaxis(out, axes, (0, 1))
+        shape = (-1,) + (1,) * (stack.ndim - 2)
+        cos, isin = gate.rabi[0, 1:].reshape(shape), (-1j * gate.rabi[1, 1:]).reshape(shape)
+        ground, excited = moved[0, 1:], moved[1, :-1]
+        dst[0, 1:] = cos * ground + isin * excited
+        dst[1, :-1] = cos * excited + isin * ground
+        dst[0, 0], dst[1, -1] = moved[0, 0], moved[1, -1]
+        return out
+    # Gather the mode pair into sector-major order, rotate every sector by
+    # its eigenbasis with batched real matmuls on stacked re/im, and
+    # scatter back.  Every other axis rides along as extra columns.
+    cutoff = gate.basis.shape[1]
+    gather, scatter = _sector_index(cutoff)
+    cols = moved.reshape(cutoff * cutoff, -1)
+    x = np.take(cols, gather, axis=0).view(np.float64)
+    y = np.matmul(gate.basis.transpose(0, 2, 1), x).view(np.complex128)
+    y *= gate.phases[:, :, None]
+    z = np.matmul(gate.basis, y.view(np.float64)).view(np.complex128)
+    out = np.take(z.reshape(-1, cols.shape[1]), scatter, axis=0).reshape(moved.shape)
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), axes))
 
 
 def apply(gate: LocalGate, state: CompositeState) -> CompositeState:
     """Apply a local gate, contracting only the target axes."""
     if gate.identity:
         return state
-    layout = state.layout
-    targets = _resolve_targets(gate, layout)
-    psi = state.tensor()
-    ndim = psi.ndim
-
-    if gate.diag is not None:
-        # Broadcast the joint diagonal over the (sorted) target axes.
-        if list(targets) != sorted(targets):
-            raise LayoutError("diagonal gates need targets in increasing order")
-        shape = [1] * ndim
-        for t in targets:
-            shape[t] = layout.dims[t]
-        out = psi * gate.diag.reshape(shape)
-        return CompositeState(layout, out.reshape(-1), check_norm=False)
-
-    if gate.basis is not None:
-        # Gather the mode pair into sector-major order (a zero row backs
-        # the padding slots), rotate every sector by its eigenbasis with
-        # batched real matmuls on stacked re/im, and scatter back.
-        # Emitter factors ride along as extra columns.
-        cutoff = gate.basis.shape[1]
-        if any(layout.dims[t] != cutoff for t in targets):
-            raise LayoutError(f"sector gate needs two mode factors of cutoff {cutoff}")
-        gather, scatter = _sector_index(cutoff)
-        moved = np.moveaxis(psi, targets, (0, 1))
-        cols = moved.reshape(cutoff * cutoff, -1)
-        padded = np.concatenate((cols, np.zeros((1, cols.shape[1]), dtype=cols.dtype)))
-        x = padded[gather].view(np.float64)
-        y = np.matmul(gate.basis.transpose(0, 2, 1), x).view(np.complex128)
-        y *= gate.phases[:, :, None]
-        z = np.matmul(gate.basis, y.view(np.float64)).view(np.complex128)
-        out = z.reshape(-1, cols.shape[1])[scatter].reshape(moved.shape)
-        out = np.moveaxis(out, (0, 1), targets)
-        return CompositeState(layout, np.ascontiguousarray(out).reshape(-1), check_norm=False)
-
-    assert gate.matrix is not None
-    tdims = [layout.dims[t] for t in targets]
-    u = gate.matrix.reshape(*tdims, *tdims)
-    contracted = np.tensordot(u, psi, axes=(list(range(len(targets), 2 * len(targets))),
-                                            list(targets)))
-    out = np.moveaxis(contracted, range(len(targets)), targets)
-    return CompositeState(layout, np.ascontiguousarray(out).reshape(-1), check_norm=False)
+    out = apply_stack(gate, state.layout, state.tensor()[None])
+    return CompositeState(state.layout, out.reshape(-1), check_norm=False)
 
 
 def evolve_continuous(kind: str, time: float, psi0: CompositeState) -> CompositeState:
@@ -269,22 +247,20 @@ def evolve_continuous(kind: str, time: float, psi0: CompositeState) -> Composite
     compose to the exact joint propagator.
     """
     layout = psi0.layout
+    modes, qubits = layout.mode_indices, layout.qubit_indices
     if kind == "jc":
-        if len(layout.qubit_indices) != 2 or len(layout.mode_indices) != 2:
+        if len(qubits) != 2 or len(modes) != 2:
             raise LayoutError("jc evolution needs the (qubit, qubit, mode, mode) layout")
-        cutoff = layout.cutoff
-        q0, q1 = layout.qubit_indices
-        m0, m1 = layout.mode_indices
-        state = apply(jc_gate(time, cutoff, (q0, m0)), psi0)
-        return apply(jc_gate(time, cutoff, (q1, m1)), state)
-    if kind == "kerr":
-        if len(layout.mode_indices) != 2 or layout.qubit_indices:
+        gates = [jc_gate(time, layout.cutoff, pair) for pair in zip(qubits, modes)]
+    elif kind == "kerr":
+        if len(modes) != 2 or qubits:
             raise LayoutError("kerr evolution needs the (mode, mode) layout")
-        cutoff = layout.cutoff
-        m0, m1 = layout.mode_indices
-        state = apply(kerr_gate(time, cutoff, m0), psi0)
-        return apply(kerr_gate(time, cutoff, m1), state)
-    raise ValueError(f"unknown evolution kind {kind!r}")
+        gates = [kerr_gate(time, layout.cutoff, m) for m in modes]
+    else:
+        raise ValueError(f"unknown evolution kind {kind!r}")
+    for gate in gates:
+        psi0 = apply(gate, psi0)
+    return psi0
 
 
 def coherent_input_state(kind: str, n_mean: float, cutoff: int) -> CompositeState:

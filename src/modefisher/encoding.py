@@ -5,18 +5,21 @@ splitter BS = exp(-i (pi/4)(a2†a1 + a1†a2)) and a differential phase
 PD(phi) = exp(-i (phi/2)(n2 - n1)).  Emitter factors, when present, ride
 along untouched.  Both beam splitters conserve n1 + n2 and are applied
 sector by sector (see :mod:`modefisher.dynamics`).  Only PD depends on
-phi, so the first beam splitter can be shared: the encoded family
-computes it once for the state and the derivative together.
+phi, so the beam-split probe chi = BS |psi_P> (:func:`beam_split`) is
+shared by the encoded family and the QFI overlap, and the family pushes
+the phased state and its tangent through the outer beam splitter as one
+(2, ...) stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import LocalGate, apply, tunnel_gate
-from .hilbert import CompositeState, LayoutError
+from .dynamics import LocalGate, apply, apply_stack, tunnel_gate
+from .hilbert import CompositeState, LayoutError, SubsystemLayout
 
 DEFAULT_PHI = np.pi / 3
 
@@ -29,24 +32,33 @@ class PhaseFamily:
     derivative: CompositeState
     phi: float
 
+    @classmethod
+    def from_stack(cls, layout: SubsystemLayout, stack: np.ndarray, phi: float) -> "PhaseFamily":
+        """Family from a ``(2, *dims)`` stack of state and derivative tensors."""
+        state, deriv = (CompositeState(layout, s.reshape(-1), check_norm=False) for s in stack)
+        return cls(state, deriv, phi)
 
+
+@lru_cache(maxsize=None)
 def beam_splitter_gate(cutoff: int, modes: tuple[int, int] | None = None) -> LocalGate:
-    """Symmetric beam splitter: tunneling at j = pi/4."""
+    """Symmetric beam splitter: tunneling at j = pi/4 (cached, read-only)."""
     gate = tunnel_gate(np.pi / 4, cutoff, modes)
+    gate.phases.setflags(write=False)
     return LocalGate("bs", gate.targets, basis=gate.basis, phases=gate.phases)
 
 
+@lru_cache(maxsize=32)
 def phase_diff_gate(phi: float, cutoff: int,
                     modes: tuple[int, int] | None = None) -> LocalGate:
-    """Differential phase exp(-i (phi/2)(n2 - n1)) on the mode pair."""
+    """Differential phase exp(-i (phi/2)(n2 - n1)) on the mode pair (cached, read-only)."""
     n = np.arange(cutoff)
     diag = np.exp(-0.5j * phi * (n[None, :] - n[:, None])).ravel()
+    diag.setflags(write=False)
     return LocalGate("phase_diff", modes, diag=diag, identity=(phi == 0.0))
 
 
-def _diff_number(state: CompositeState) -> np.ndarray:
-    """n2 - n1 shaped to broadcast against ``state.tensor()``."""
-    layout = state.layout
+def _diff_number(layout: SubsystemLayout) -> np.ndarray:
+    """n2 - n1 shaped to broadcast against a tensor of ``layout``."""
     m1, m2 = layout.mode_indices
     n = np.arange(layout.cutoff)
     shape = [1] * len(layout.dims)
@@ -54,46 +66,35 @@ def _diff_number(state: CompositeState) -> np.ndarray:
     return (n[None, :] - n[:, None]).reshape(shape)
 
 
-def _require_two_modes(state: CompositeState) -> int:
+def beam_split(state: CompositeState) -> CompositeState:
+    """chi = BS |psi_P>, the probe as the phase stage sees it."""
     if len(state.layout.mode_indices) != 2:
         raise LayoutError("phase encoding needs a layout with exactly two modes")
-    return state.layout.cutoff
-
-
-def _phased(state: CompositeState, phi: float) -> CompositeState:
-    """PD(phi) . BS |psi_P>, the part the state and its derivative share."""
-    cutoff = _require_two_modes(state)
-    return apply(phase_diff_gate(phi, cutoff), apply(beam_splitter_gate(cutoff), state))
-
-
-def _tangent(phased: CompositeState) -> CompositeState:
-    """(-i/2)(n2 - n1) |phased>, the generator insertion for d/dphi."""
-    amps = (phased.tensor() * (-0.5j * _diff_number(phased))).reshape(-1)
-    return CompositeState(phased.layout, amps, check_norm=False)
+    return apply(beam_splitter_gate(state.layout.cutoff), state)
 
 
 def encode(state: CompositeState, phi: float) -> CompositeState:
     """|psi_E(phi)> = BS . PD(phi) . BS |psi_P>."""
-    phased = _phased(state, phi)
-    return apply(beam_splitter_gate(phased.layout.cutoff), phased)
+    return encoded_family(state, phi).state
 
 
 def encode_derivative(state: CompositeState, phi: float) -> CompositeState:
-    """Exact d/dphi of the encoded state (unnormalized tangent vector).
+    """Exact d/dphi of the encoded state (unnormalized tangent vector)."""
+    return encoded_family(state, phi).derivative
 
-    Equals BS . (-i/2)(n2 - n1) . PD(phi) . BS |psi_P> because only the
-    differential phase depends on phi.
+
+def split_family(chi: CompositeState, phi: float = DEFAULT_PHI) -> PhaseFamily:
+    """:func:`encoded_family` of the probe whose beam-split state is ``chi``.
+
+    Only PD depends on phi, so the derivative is BS (-i/2)(n2 - n1) PD(phi) chi.
     """
-    phased = _phased(state, phi)
-    return apply(beam_splitter_gate(phased.layout.cutoff), _tangent(phased))
+    layout = chi.layout
+    phased = apply(phase_diff_gate(phi, layout.cutoff), chi).tensor()
+    stack = np.stack((phased, phased * (-0.5j * _diff_number(layout))))
+    bs = beam_splitter_gate(layout.cutoff)
+    return PhaseFamily.from_stack(layout, apply_stack(bs, layout, stack), phi)
 
 
 def encoded_family(state: CompositeState, phi: float = DEFAULT_PHI) -> PhaseFamily:
-    """Encoded state together with its phase derivative at ``phi``.
-
-    The first beam splitter and the phase stage are shared between the
-    two branches, so the family costs three beam splitters, not four.
-    """
-    phased = _phased(state, phi)
-    bs = beam_splitter_gate(phased.layout.cutoff)
-    return PhaseFamily(apply(bs, phased), apply(bs, _tangent(phased)), phi)
+    """Encoded state together with its phase derivative at ``phi``."""
+    return split_family(beam_split(state), phi)

@@ -2,9 +2,11 @@
 
 Quantum Fisher information comes from the finite-difference fidelity of
 the encoded pure-state family; an independent variance-of-generator
-oracle cross-checks it.  Classical Fisher information is computed from
-analytic probability derivatives for photon counting and for double
-homodyne readout, optionally including projective emitter outcomes.
+oracle cross-checks it.  Both read the beam-split probe chi = BS |psi_P>
+that the encoded family starts from; :func:`qfi_from_split` shares it.
+Classical Fisher information is computed from analytic probability
+derivatives for photon counting and for double homodyne readout,
+optionally including projective emitter outcomes.
 
 Homodyne readout has one transform path, shared by :func:`cfi` and
 :func:`homodyne_probabilities`.  The quadrature angle is applied as the
@@ -22,9 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import apply
-from .encoding import DEFAULT_PHI, PhaseFamily, _diff_number, beam_splitter_gate
-from .hilbert import CompositeState
+from .encoding import DEFAULT_PHI, PhaseFamily, _diff_number, beam_split
+from .hilbert import CompositeState, SubsystemLayout
 
 DEFAULT_DELTA = 1e-2
 PROBABILITY_FLOOR = 1e-12
@@ -137,9 +138,7 @@ def _outcome_tables(state: CompositeState) -> np.ndarray:
 
 
 def _marginal_axes(state: CompositeState, include_emitters: bool) -> tuple[int, ...]:
-    if include_emitters:
-        return ()
-    return state.layout.qubit_indices
+    return () if include_emitters else state.layout.qubit_indices
 
 
 def counting_probabilities(state: CompositeState, include_emitters: bool = False) -> np.ndarray:
@@ -285,6 +284,27 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
     return FisherResult(max(value, 0.0), "cfi", family.phi)
 
 
+@lru_cache(maxsize=32)
+def _fidelity_phases(layout: SubsystemLayout, delta: float) -> np.ndarray:
+    """exp(-i delta (n2 - n1)/2) over ``layout``, read-only."""
+    table = np.exp(-0.5j * delta * _diff_number(layout))
+    table.setflags(write=False)
+    return table
+
+
+def qfi_from_split(chi: CompositeState, phi: float = DEFAULT_PHI,
+                   delta: float = DEFAULT_DELTA) -> FisherResult:
+    """:func:`qfi_fidelity` of the probe whose beam-split state is ``chi``."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if abs(np.linalg.norm(chi.amplitudes) - 1.0) > 1e-6:
+        raise ValueError("probe must be unit norm")
+    p = np.abs(chi.tensor()) ** 2
+    overlap = abs(np.sum(p * _fidelity_phases(chi.layout, delta)))
+    value = 8.0 * (1.0 - overlap) / delta**2
+    return FisherResult(max(value, 0.0), "qfi", phi, delta_used=delta)
+
+
 def qfi_fidelity(probe: CompositeState, phi: float = DEFAULT_PHI,
                  delta: float = DEFAULT_DELTA) -> FisherResult:
     """QFI from the fidelity drop between nearby encoded states.
@@ -293,18 +313,10 @@ def qfi_fidelity(probe: CompositeState, phi: float = DEFAULT_PHI,
     encoded family.  With chi = BS |psi_P>, the overlap is
     <chi| PD(delta) |chi> = sum |chi|^2 exp(-i delta (n2 - n1)/2): the
     outer beam splitter and the phase stage at phi cancel, so it takes one
-    beam splitter and a diagonal sum, and it does not depend on phi
-    (``phi`` only labels the result).
+    beam splitter and a diagonal sum against a cached phase table, and it
+    does not depend on phi (``phi`` only labels the result).
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if abs(np.linalg.norm(probe.amplitudes) - 1.0) > 1e-6:
-        raise ValueError("probe must be unit norm")
-    chi = apply(beam_splitter_gate(probe.layout.cutoff), probe)
-    p = np.abs(chi.tensor()) ** 2
-    overlap = abs(np.sum(p * np.exp(-0.5j * delta * _diff_number(chi))))
-    value = 8.0 * (1.0 - overlap) / delta**2
-    return FisherResult(max(value, 0.0), "qfi", phi, delta_used=delta)
+    return qfi_from_split(beam_split(probe), phi, delta)
 
 
 def qfi_variance_oracle(probe: CompositeState, phi: float = DEFAULT_PHI) -> FisherResult:
@@ -314,8 +326,8 @@ def qfi_variance_oracle(probe: CompositeState, phi: float = DEFAULT_PHI) -> Fish
     first beam splitter, the QFI of the pure family is exactly
     4 (<G^2> - <G>^2); no finite difference is involved.
     """
-    chi = apply(beam_splitter_gate(probe.layout.cutoff), probe)
-    g = 0.5 * _diff_number(chi)
+    chi = beam_split(probe)
+    g = 0.5 * _diff_number(chi.layout)
     p = np.abs(chi.tensor()) ** 2
     mean = float((g * p).sum())
     second = float((g * g * p).sum())

@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modefisher
 from modefisher.analysis import (
     NoCrossingError,
     SweepRecord,
@@ -15,7 +19,9 @@ from modefisher.analysis import (
     time_to_tfs,
 )
 from modefisher.artifacts import read_csv_rows, write_csv
-from modefisher.metrology import bounds
+from modefisher.dynamics import coherent_input_state, evolve_continuous
+from modefisher.encoding import encoded_family
+from modefisher.metrology import MeasurementModel, bounds, cfi, inverse_fisher, qfi_fidelity
 
 
 def test_default_cutoff_values():
@@ -145,3 +151,23 @@ def test_sweep_csv_round_trip(tmp_path):
                         float(r["inv_cfi_counting"]), r["inv_cfi_homodyne"] or None)
             for r in rows]
     assert back == records
+
+
+@pytest.mark.parametrize("kind, times", [("jc", (0.0, 0.7, 2.3)), ("kerr", (0.0, 0.05, 0.4))])
+def test_sweep_values_equal_the_standalone_calls(kind, times):
+    # one shared beam-split probe: the same bits as the two standalone routes
+    records = sweep_continuous(kind, 4.0, time_grid=times, include_cfi_counting=True)
+    psi0 = coherent_input_state(kind, 4.0, default_cutoff(4.0))
+    model = MeasurementModel("counting", include_emitters=kind == "jc")
+    for r in records:
+        probe = evolve_continuous(kind, r.time, psi0)
+        assert r.inv_qfi == inverse_fisher(qfi_fidelity(probe).value)
+        assert r.inv_cfi_counting == inverse_fisher(cfi(encoded_family(probe), model).value)
+
+
+def test_package_import_leaves_scipy_solvers_unloaded():
+    code = ("import sys, modefisher; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=Path(modefisher.__file__).parents[1], check=True).stdout
+    assert out.strip() == "[]"

@@ -300,3 +300,63 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "0.125" in proc.stdout
+
+
+def test_rerun_from_measure_manifest_uses_recorded_inputs(tmp_path, monkeypatch):
+    # --stage and --prep-csv come from the manifest, the path resolved
+    # against the manifest's directory, not the calling one
+    common = ["--kind", "kerr", "--n", "2", "--dmax", "1", "--max-iters", "30"]
+    assert main(["optimize", *common, "--seeds", "2", "--outdir", str(tmp_path / "prep")]) == 0
+    first = tmp_path / "meas"
+    assert main(["optimize", *common, "--seeds", "1", "--stage", "measure",
+                 "--prep-csv", str(tmp_path / "prep" / "prepare.csv"),
+                 "--outdir", str(first)]) == 0
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["optimize", "--config", str(first / "manifest.json"),
+                 "--outdir", str(tmp_path / "again")]) == 0
+    again = tmp_path / "again"
+    assert _numeric_lines(first / "measure.csv") == _numeric_lines(again / "measure.csv")
+    old, new = (json.loads((d / "manifest.json").read_text()) for d in (first, again))
+    assert new["stage"] == "measure" and new["prep_csv"] == "../prep/prepare.csv"
+    assert new["sha256"] == old["sha256"]
+
+
+def test_rerun_from_wigner_manifest_uses_recorded_params(tmp_path):
+    (tmp_path / "circuit.json").write_text(json.dumps(
+        {"kind": "kerr", "n_mean": 2.0, "d": 1, "seed": 0, "params": [0.3, 0.2]}))
+    first, again = tmp_path / "wig", tmp_path / "again"
+    assert main(["wigner", "--kind", "kerr", "--n", "2", "--grid-points", "201",
+                 "--params", str(tmp_path / "circuit.json"), "--outdir", str(first)]) == 0
+    assert main(["wigner", "--config", str(first / "manifest.json"), "--grid-points", "201",
+                 "--outdir", str(again)]) == 0
+    assert (first / "wigner.csv").read_text() == (again / "wigner.csv").read_text()
+
+
+def test_source_flags_are_still_needed_without_a_manifest(tmp_path, capsys):
+    assert main(["wigner", "--kind", "kerr", "--n", "2", "--outdir", str(tmp_path / "w")]) == 1
+    assert main(["ablate", "--kind", "kerr", "--n", "2", "--outdir", str(tmp_path / "a")]) == 1
+    err = capsys.readouterr().err
+    assert "--time or --params" in err and "--params or --paired-dir" in err
+
+
+def test_manifest_digest_ignores_the_output_directory(tmp_path, monkeypatch):
+    # one run, its relative --outdir typed from two calling directories
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    digests = []
+    for cwd, outdir in ((tmp_path, "out"), (sub, "../out")):
+        monkeypatch.chdir(cwd)
+        assert main(["sweep", "--kind", "kerr", "--n", "2", "--tmax", "0.2",
+                     "--tstep", "0.1", "--outdir", outdir]) == 0
+        digests.append(json.loads((tmp_path / "out" / "manifest.json").read_text())["sha256"])
+    assert digests[0] == digests[1]
+
+
+def test_rerun_from_sweep_manifest_uses_recorded_grid(tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["sweep", "--kind", "kerr", "--n", "2", "--tmax", "0.3", "--tstep", "0.1",
+                 "--outdir", str(first)]) == 0
+    assert main(["sweep", "--config", str(first / "manifest.json"), "--outdir", str(again)]) == 0
+    assert _numeric_lines(first / "sweep.csv") == _numeric_lines(again / "sweep.csv")

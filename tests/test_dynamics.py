@@ -5,6 +5,7 @@ import scipy.linalg
 from modefisher.dynamics import (
     LocalGate,
     apply,
+    apply_stack,
     coherent_input_state,
     detune_gate,
     evolve_continuous,
@@ -74,6 +75,53 @@ def test_jc_gate_against_dense_expm():
     for g in (0.3, 1.7, -2.2):
         u_ref = scipy.linalg.expm(-1j * g * h)
         np.testing.assert_allclose(jc_gate(g, cutoff).as_matrix(), u_ref, atol=1e-12)
+
+
+def test_jc_apply_matches_dense_expm_contraction():
+    """Closed-form 2x2 rotations equal the dense propagator contracted on (q, m)."""
+    cutoff = 6
+    a = destroy(cutoff)
+    raise_q = np.array([[0.0, 0.0], [1.0, 0.0]])
+    h = np.kron(raise_q, a) + np.kron(raise_q.T, a.T)
+    layout = jc_layout(cutoff)
+    rng = np.random.default_rng(12)
+    state = _random_state(layout, rng)
+    # most of the weight on |e, c-1> of both pairs, the truncation edge
+    edge = state.tensor().copy()
+    edge[1, 1, cutoff - 1, cutoff - 1] += 5.0
+    states = (state, CompositeState(layout, (edge / np.linalg.norm(edge)).reshape(-1)))
+    for g in (0.3, 7.9, 50.0):
+        u = scipy.linalg.expm(-1j * g * h).reshape(2, cutoff, 2, cutoff)
+        for pair in ((0, 2), (1, 3)):
+            for psi in states:
+                expected = np.moveaxis(
+                    np.tensordot(u, psi.tensor(), axes=((2, 3), pair)), (0, 1), pair)
+                out = apply(jc_gate(g, cutoff, pair), psi)
+                np.testing.assert_allclose(out.tensor(), expected, atol=1e-12, rtol=0)
+
+
+def test_jc_gate_needs_emitter_then_mode():
+    state = _random_state(jc_layout(4), np.random.default_rng(13))
+    with pytest.raises(LayoutError):
+        apply(jc_gate(0.5, 4, (2, 0)), state)
+
+
+def test_stacked_apply_equals_one_state_at_a_time():
+    rng = np.random.default_rng(14)
+    cutoff = 5
+    for layout, gates in (
+        (jc_layout(cutoff), (jc_gate(1.3, cutoff, (0, 2)), jc_gate(-0.6, cutoff, (1, 3)),
+                             tunnel_gate(0.8, cutoff), detune_gate(0.4, 1),
+                             beam_splitter_gate(cutoff))),
+        (kerr_layout(cutoff), (kerr_gate(0.9, cutoff, 1), tunnel_gate(-1.7, cutoff))),
+    ):
+        states = [_random_state(layout, rng) for _ in range(3)]
+        stack = np.stack([s.tensor() for s in states])
+        for gate in gates:
+            out = apply_stack(gate, layout, stack)
+            assert out.flags.c_contiguous
+            for k, s in enumerate(states):
+                np.testing.assert_allclose(out[k], apply(gate, s).tensor(), atol=1e-15, rtol=0)
 
 
 def test_jc_gate_excitation_exchange():

@@ -4,6 +4,7 @@ import pytest
 from modefisher.dynamics import apply, coherent_input_state
 from modefisher.encoding import (
     DEFAULT_PHI,
+    beam_split,
     beam_splitter_gate,
     encode,
     encode_derivative,
@@ -16,6 +17,7 @@ from modefisher.hilbert import (
     SubsystemLayout,
     coherent_state,
     inner_product,
+    jc_layout,
     kerr_layout,
     product_state,
 )
@@ -105,3 +107,39 @@ def test_encode_needs_two_modes():
     single = CompositeState(SubsystemLayout((("mode", 6),)), amps)
     with pytest.raises(LayoutError):
         encode(single, 0.5)
+
+
+def test_stacked_family_equals_unstacked_applies():
+    # the state and its tangent share one outer beam-splitter call
+    rng = np.random.default_rng(4)
+    for layout in (kerr_layout(6), jc_layout(5)):
+        amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+        state = CompositeState(layout, amps / np.linalg.norm(amps))
+        phi = 0.7
+        cutoff = layout.cutoff
+        phased = apply(phase_diff_gate(phi, cutoff), apply(beam_splitter_gate(cutoff), state))
+        m1, m2 = layout.mode_indices
+        n = np.arange(cutoff)
+        shape = [1] * len(layout.dims)
+        shape[m1] = shape[m2] = cutoff
+        tangent = CompositeState(
+            layout, (phased.tensor() * (-0.5j * (n[None, :] - n[:, None]).reshape(shape)))
+            .reshape(-1), check_norm=False)
+        family = encoded_family(state, phi)
+        bs = beam_splitter_gate(cutoff)
+        np.testing.assert_allclose(family.state.amplitudes, apply(bs, phased).amplitudes,
+                                   atol=1e-15, rtol=0)
+        np.testing.assert_allclose(family.derivative.amplitudes,
+                                   apply(bs, tangent).amplitudes, atol=1e-15, rtol=0)
+        np.testing.assert_array_equal(beam_split(state).amplitudes,
+                                      apply(bs, state).amplitudes)
+
+
+def test_cached_beam_splitter_is_read_only():
+    gate = beam_splitter_gate(7)
+    assert beam_splitter_gate(7) is gate
+    for array in (gate.basis, gate.phases):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert not phase_diff_gate(0.4, 7).diag.flags.writeable
