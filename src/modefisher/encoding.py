@@ -5,10 +5,9 @@ splitter BS = exp(-i (pi/4)(a2†a1 + a1†a2)) and a differential phase
 PD(phi) = exp(-i (phi/2)(n2 - n1)).  Emitter factors, when present, ride
 along untouched.  Both beam splitters conserve n1 + n2 and are applied
 sector by sector (see :mod:`modefisher.dynamics`).  Only PD depends on
-phi, so the beam-split probe chi = BS |psi_P> (:func:`beam_split`) is
-shared by the encoded family and the QFI overlap, and the family pushes
-the phased state and its tangent through the outer beam splitter as one
-(2, ...) stack.
+phi, so the encoded family and the QFI share chi = BS |psi_P>
+(:func:`beam_split`), and the phased state and its tangent pass the
+outer beam splitter as one (2, ...) stack.
 """
 
 from __future__ import annotations

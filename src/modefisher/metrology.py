@@ -2,11 +2,10 @@
 
 Quantum Fisher information comes from the finite-difference fidelity of
 the encoded pure-state family; an independent variance-of-generator
-oracle cross-checks it.  Both read the beam-split probe chi = BS |psi_P>
-that the encoded family starts from; :func:`qfi_from_split` shares it.
-Classical Fisher information is computed from analytic probability
-derivatives for photon counting and for double homodyne readout,
-optionally including projective emitter outcomes.
+oracle cross-checks it; both read chi = BS |psi_P> (:func:`qfi_from_split`
+takes it).  Classical Fisher information is computed from analytic
+probability derivatives for photon counting and for double homodyne
+readout, optionally including projective emitter outcomes.
 
 Homodyne readout has one transform path, shared by :func:`cfi` and
 :func:`homodyne_probabilities`.  The quadrature angle is applied as the
@@ -138,7 +137,9 @@ def _outcome_tables(state: CompositeState) -> np.ndarray:
 
 
 def _marginal_axes(state: CompositeState, include_emitters: bool) -> tuple[int, ...]:
-    return () if include_emitters else state.layout.qubit_indices
+    if include_emitters:
+        return ()
+    return state.layout.qubit_indices
 
 
 def counting_probabilities(state: CompositeState, include_emitters: bool = False) -> np.ndarray:
