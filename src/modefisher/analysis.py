@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import coherent_input_state, evolve_continuous
-from .encoding import DEFAULT_PHI, beam_split, encoded_family, split_family
+from .encoding import DEFAULT_PHI, encoded_family
 from .hilbert import default_cutoff
 from .metrology import (
     DEFAULT_DELTA,
@@ -22,7 +22,6 @@ from .metrology import (
     cfi,
     inverse_fisher,
     qfi_fidelity,
-    qfi_from_split,
 )
 
 JC_TIME_GRID = np.round(np.arange(0, 30.0 + 1e-9, 0.1), 10)
@@ -67,18 +66,18 @@ def sweep_continuous(kind: str, n_mean: float, time_grid=None,
                      grid: QuadratureGrid = QuadratureGrid(),
                      phi: float = DEFAULT_PHI, delta: float = DEFAULT_DELTA,
                      cutoff: int | None = None) -> list[SweepRecord]:
-    """Inverse QFI (optionally CFI) of continuously evolved probes, each beam split once."""
+    """Inverse QFI (optionally CFI) of continuously evolved probes."""
     times = _grid_for(kind, time_grid)
     cut = cutoff if cutoff is not None else default_cutoff(n_mean)
     psi0 = coherent_input_state(kind, n_mean, cut)
     with_emitters = kind == "jc"
     records = []
     for t in times:
-        chi = beam_split(evolve_continuous(kind, float(t), psi0))
-        fq = qfi_from_split(chi, phi, delta).value
+        probe = evolve_continuous(kind, float(t), psi0)
+        fq = qfi_fidelity(probe, phi, delta).value
         inv_counting = inv_homodyne = None
         if include_cfi_counting or include_cfi_homodyne:
-            family = split_family(chi, phi)
+            family = encoded_family(probe, phi)
             if include_cfi_counting:
                 model = MeasurementModel("counting", include_emitters=with_emitters)
                 inv_counting = inverse_fisher(cfi(family, model).value)

@@ -4,9 +4,8 @@ Every command resolves its configuration from defaults, an optional JSON
 config file, and command-line flags (flags win), then writes a manifest
 next to its outputs.  Each output table names the manifest's digest, and
 re-running from a manifest reproduces the numeric columns byte for byte
-(wall-time columns excepted), its recorded inputs filling absent flags.
-Paths are recorded relative to the output directory, which the digest
-leaves out, so neither depends on where a run is written or started.
+(wall-time columns excepted).  Recorded paths are relative to the output
+directory, which the digest leaves out.
 """
 
 from __future__ import annotations
@@ -66,21 +65,24 @@ _DEFAULTS = {
     "outdir": "runs/out",
 }
 
-# manifest inputs outside ``config`` that fill absent flags (paths relative to the manifest)
-_RECORDED_VALUES = ("stage", "time", "tmax", "tstep")
-_RECORDED_PATHS = ("prep_csv", "params", "paired_dir")
+# manifest inputs outside ``config`` that fill absent flags (paths relative to the
+# manifest); a command reads one of _SOURCES, so none is filled if one is typed
+_RECORDED = ("stage", "prep_csv", "params", "paired_dir")
+_SOURCES = ("time", "params", "paired_dir")
 
 
 def _load_config_file(path: str, args: argparse.Namespace) -> dict:
     payload = json.loads(Path(path).read_text())
     if "config" in payload and isinstance(payload["config"], dict):
         # a previously written manifest: its recorded inputs fill absent flags
-        for key in (*_RECORDED_VALUES, *_RECORDED_PATHS):
-            if key in payload and getattr(args, key, "") is None:
-                value = payload[key]
-                if key in _RECORDED_PATHS:
-                    value = os.path.normpath(Path(path).parent / value)
-                setattr(args, key, value)
+        typed_source = any(getattr(args, key, None) is not None for key in _SOURCES)
+        for key in _RECORDED:
+            if (key not in payload or getattr(args, key, "") is not None
+                    or (key in _SOURCES and typed_source)):
+                continue
+            value = payload[key]
+            setattr(args, key, value if key == "stage"
+                    else os.path.normpath(Path(path).parent / value))
         payload = payload["config"]
     unknown = set(payload) - set(_DEFAULTS)
     if unknown:
@@ -391,8 +393,7 @@ def _nonnegative_float(text: str) -> float:
 
 
 def _add_common(parser: argparse.ArgumentParser, optimizer: bool = False) -> None:
-    parser.add_argument("--config", help="JSON config file, or a manifest whose recorded "
-                        "inputs fill absent flags; flags override it")
+    parser.add_argument("--config", help="JSON config file or manifest; flags override it")
     parser.add_argument("--kind", choices=("jc", "kerr"), dest="kind",
                         help="nonlinearity family. Default: %(default)s")
     parser.add_argument("--n", type=_nonnegative_float, dest="n_mean",

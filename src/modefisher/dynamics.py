@@ -2,8 +2,8 @@
 
 Every propagator exp(-i t H) is written in the structure of its local
 generator, so gates are exact at the truncation and none is held as a
-dense matrix.  Gates act on a ``(k, *dims)`` stack of tensors
-(:func:`apply_stack`); :func:`apply` is the stack of one.
+dense matrix.  :func:`apply` acts on one state or on a ``(k, *dims)``
+stack of tensors, such as a state and its phase derivative.
 
 The Jaynes-Cummings generator sigma† a + sigma a† couples only |g,n> and
 |e,n-1>, with strength sqrt(n), so its propagator rotates each such pair
@@ -81,7 +81,7 @@ class LocalGate:
             factors = (("mode", self.basis.shape[1]),) * 2
         layout = SubsystemLayout(factors)
         eye = np.eye(layout.total_dim, dtype=complex).reshape(-1, *layout.dims)
-        out = apply_stack(replace(self, targets=(0, 1)), layout, eye)
+        out = _apply_stack(replace(self, targets=(0, 1)), layout, eye)
         return out.reshape(layout.total_dim, -1).T
 
 
@@ -190,7 +190,7 @@ def _resolve_targets(gate: LocalGate, layout: SubsystemLayout) -> tuple[int, ...
     return targets
 
 
-def apply_stack(gate: LocalGate, layout: SubsystemLayout, stack: np.ndarray) -> np.ndarray:
+def _apply_stack(gate: LocalGate, layout: SubsystemLayout, stack: np.ndarray) -> np.ndarray:
     """Apply a local gate to each tensor of a ``(k, *layout.dims)`` stack.
 
     The stack axis rides along like a spectator factor.  The result is
@@ -230,11 +230,18 @@ def apply_stack(gate: LocalGate, layout: SubsystemLayout, stack: np.ndarray) -> 
     return np.ascontiguousarray(np.moveaxis(out, (0, 1), axes))
 
 
-def apply(gate: LocalGate, state: CompositeState) -> CompositeState:
-    """Apply a local gate, contracting only the target axes."""
+def apply(gate: LocalGate, state, layout: SubsystemLayout | None = None):
+    """Apply a local gate, contracting only the target axes.
+
+    ``state`` is a :class:`CompositeState`, or, with ``layout`` given, a
+    ``(k, *layout.dims)`` stack of tensors that is pushed through as one
+    array (returned as an array of the same shape).
+    """
+    if layout is not None:
+        return _apply_stack(gate, layout, state)
     if gate.identity:
         return state
-    out = apply_stack(gate, state.layout, state.tensor()[None])
+    out = _apply_stack(gate, state.layout, state.tensor()[None])
     return CompositeState(state.layout, out.reshape(-1), check_norm=False)
 
 

@@ -5,9 +5,9 @@ splitter BS = exp(-i (pi/4)(a2†a1 + a1†a2)) and a differential phase
 PD(phi) = exp(-i (phi/2)(n2 - n1)).  Emitter factors, when present, ride
 along untouched.  Both beam splitters conserve n1 + n2 and are applied
 sector by sector (see :mod:`modefisher.dynamics`).  Only PD depends on
-phi, so the encoded family and the QFI share chi = BS |psi_P>
-(:func:`beam_split`), and the phased state and its tangent pass the
-outer beam splitter as one (2, ...) stack.
+phi, so the QFI and the encoded family of a probe share one chi = BS |psi_P>
+(:func:`beam_split`), and the family's state and tangent pass the outer
+beam splitter as one stack.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import LocalGate, apply, apply_stack, tunnel_gate
+from .dynamics import LocalGate, apply, tunnel_gate
 from .hilbert import CompositeState, LayoutError, SubsystemLayout
 
 DEFAULT_PHI = np.pi / 3
@@ -65,11 +65,24 @@ def _diff_number(layout: SubsystemLayout) -> np.ndarray:
     return (n[None, :] - n[:, None]).reshape(shape)
 
 
+_last_split: list = []  # [(copy of the last probe's amplitudes, its chi)]
+
+
 def beam_split(state: CompositeState) -> CompositeState:
-    """chi = BS |psi_P>, the probe as the phase stage sees it."""
+    """chi = BS |psi_P>, the probe as the phase stage sees it (read-only).
+
+    The last probe's chi is kept, so the QFI and the encoded family of one
+    probe take a single beam splitter between them.
+    """
     if len(state.layout.mode_indices) != 2:
         raise LayoutError("phase encoding needs a layout with exactly two modes")
-    return apply(beam_splitter_gate(state.layout.cutoff), state)
+    for amps, chi in _last_split:
+        if chi.layout == state.layout and np.array_equal(amps, state.amplitudes):
+            return chi
+    chi = apply(beam_splitter_gate(state.layout.cutoff), state)
+    chi.amplitudes.setflags(write=False)
+    _last_split[:] = [(state.amplitudes.copy(), chi)]
+    return chi
 
 
 def encode(state: CompositeState, phi: float) -> CompositeState:
@@ -82,18 +95,16 @@ def encode_derivative(state: CompositeState, phi: float) -> CompositeState:
     return encoded_family(state, phi).derivative
 
 
-def split_family(chi: CompositeState, phi: float = DEFAULT_PHI) -> PhaseFamily:
-    """:func:`encoded_family` of the probe whose beam-split state is ``chi``.
+def encoded_family(state: CompositeState, phi: float = DEFAULT_PHI) -> PhaseFamily:
+    """Encoded state together with its phase derivative at ``phi``.
 
-    Only PD depends on phi, so the derivative is BS (-i/2)(n2 - n1) PD(phi) chi.
+    Only PD depends on phi, so the derivative is BS (-i/2)(n2 - n1) PD(phi) chi
+    and the outer beam splitter takes the phased state and that tangent as
+    one stack.
     """
+    chi = beam_split(state)
     layout = chi.layout
     phased = apply(phase_diff_gate(phi, layout.cutoff), chi).tensor()
     stack = np.stack((phased, phased * (-0.5j * _diff_number(layout))))
-    bs = beam_splitter_gate(layout.cutoff)
-    return PhaseFamily.from_stack(layout, apply_stack(bs, layout, stack), phi)
-
-
-def encoded_family(state: CompositeState, phi: float = DEFAULT_PHI) -> PhaseFamily:
-    """Encoded state together with its phase derivative at ``phi``."""
-    return split_family(beam_split(state), phi)
+    stack = apply(beam_splitter_gate(layout.cutoff), stack, layout)
+    return PhaseFamily.from_stack(layout, stack, phi)

@@ -2,10 +2,10 @@
 
 Quantum Fisher information comes from the finite-difference fidelity of
 the encoded pure-state family; an independent variance-of-generator
-oracle cross-checks it; both read chi = BS |psi_P> (:func:`qfi_from_split`
-takes it).  Classical Fisher information is computed from analytic
-probability derivatives for photon counting and for double homodyne
-readout, optionally including projective emitter outcomes.
+oracle cross-checks it; both read the encoded family's chi = BS |psi_P>.
+Classical Fisher information is computed from analytic probability
+derivatives for photon counting and for double homodyne readout,
+optionally including projective emitter outcomes.
 
 Homodyne readout has one transform path, shared by :func:`cfi` and
 :func:`homodyne_probabilities`.  The quadrature angle is applied as the
@@ -293,19 +293,6 @@ def _fidelity_phases(layout: SubsystemLayout, delta: float) -> np.ndarray:
     return table
 
 
-def qfi_from_split(chi: CompositeState, phi: float = DEFAULT_PHI,
-                   delta: float = DEFAULT_DELTA) -> FisherResult:
-    """:func:`qfi_fidelity` of the probe whose beam-split state is ``chi``."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if abs(np.linalg.norm(chi.amplitudes) - 1.0) > 1e-6:
-        raise ValueError("probe must be unit norm")
-    p = np.abs(chi.tensor()) ** 2
-    overlap = abs(np.sum(p * _fidelity_phases(chi.layout, delta)))
-    value = 8.0 * (1.0 - overlap) / delta**2
-    return FisherResult(max(value, 0.0), "qfi", phi, delta_used=delta)
-
-
 def qfi_fidelity(probe: CompositeState, phi: float = DEFAULT_PHI,
                  delta: float = DEFAULT_DELTA) -> FisherResult:
     """QFI from the fidelity drop between nearby encoded states.
@@ -317,7 +304,15 @@ def qfi_fidelity(probe: CompositeState, phi: float = DEFAULT_PHI,
     beam splitter and a diagonal sum against a cached phase table, and it
     does not depend on phi (``phi`` only labels the result).
     """
-    return qfi_from_split(beam_split(probe), phi, delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if abs(np.linalg.norm(probe.amplitudes) - 1.0) > 1e-6:
+        raise ValueError("probe must be unit norm")
+    chi = beam_split(probe)
+    p = np.abs(chi.tensor()) ** 2
+    overlap = abs(np.sum(p * _fidelity_phases(chi.layout, delta)))
+    value = 8.0 * (1.0 - overlap) / delta**2
+    return FisherResult(max(value, 0.0), "qfi", phi, delta_used=delta)
 
 
 def qfi_variance_oracle(probe: CompositeState, phi: float = DEFAULT_PHI) -> FisherResult:

@@ -36,21 +36,14 @@ from __future__ import annotations
 import functools
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import default_cutoff, find_minima, sweep_continuous
 from .artifacts import load_params
-from .circuits import (
-    LAYER_WIDTH,
-    AnsatzParams,
-    build_circuit,
-    interaction_budget,
-    prepare_probe,
-    run_circuit,
-)
-from .dynamics import apply_stack, coherent_input_state
+from .circuits import LAYER_WIDTH, AnsatzParams, build_circuit, interaction_budget, run_circuit
+from .dynamics import apply, coherent_input_state
 from .encoding import DEFAULT_PHI, PhaseFamily, encoded_family
 from .metrology import DEFAULT_DELTA, MeasurementModel, cfi, inverse_fisher, qfi_fidelity
 
@@ -199,6 +192,10 @@ def minimize(objective, x0: np.ndarray, config: OptimizerConfig,
     return tracked.best_x, tracked.best_f, tracked.nfev
 
 
+def _cutoff_for(n_mean: float, cutoff: int | None) -> int:
+    return cutoff if cutoff is not None else default_cutoff(n_mean)
+
+
 def _search(kind: str, n_mean: float, objective_at, d_schedule, config: OptimizerConfig,
             first_layer=None, open_wide: bool = True, tail: int = 0,
             floor_at=None) -> list[OptRecord]:
@@ -269,7 +266,7 @@ def optimize_preparation(kind: str, n_mean: float, d_schedule, config: Optimizer
     their simplex wide; Kerr seeds start at the identity with the
     default simplex (see the module docstring).
     """
-    cut = cutoff if cutoff is not None else default_cutoff(n_mean)
+    cut = _cutoff_for(n_mean, cutoff)
     psi0 = coherent_input_state(kind, n_mean, cut)
 
     def objective(x: np.ndarray) -> float:
@@ -289,7 +286,7 @@ def _measured_family(params: AnsatzParams, family: PhaseFamily) -> PhaseFamily:
     layout = family.state.layout
     stack = np.stack((family.state.tensor(), family.derivative.tensor()))
     for gate in build_circuit(params, layout):
-        stack = apply_stack(gate, layout, stack)
+        stack = apply(gate, stack, layout)
     return PhaseFamily.from_stack(layout, stack, family.phi)
 
 
@@ -311,7 +308,9 @@ def optimize_measurement(kind: str, prepared_params: AnsatzParams, model: Measur
     analytic phase derivative is propagated through the (phase-
     independent) measurement circuit at every objective call.
     """
-    family = encoded_family(prepare_probe(prepared_params, n_mean, cutoff), phi)
+    cut = _cutoff_for(n_mean, cutoff)
+    psi0 = coherent_input_state(kind, n_mean, cut)
+    family = encoded_family(run_circuit(prepared_params, psi0), phi)
     objective = _cfi_objective(kind, family, model)
     return _search(kind, n_mean, lambda _d: objective, d_schedule, config)
 
@@ -336,25 +335,32 @@ def ablation_theta(kind: str, prepared_params: AnsatzParams, n_mean: float,
     """
     from .metrology import QuadratureGrid
 
-    family = encoded_family(prepare_probe(prepared_params, n_mean, cutoff), phi)
-    model0 = MeasurementModel("homodyne", include_emitters=(kind == "jc"), theta=0.0,
-                              grid=grid if grid is not None else QuadratureGrid())
+    grid = grid if grid is not None else QuadratureGrid()
+    cut = _cutoff_for(n_mean, cutoff)
+    psi0 = coherent_input_state(kind, n_mean, cut)
+    family = encoded_family(run_circuit(prepared_params, psi0), phi)
 
     def theta_objective(x: np.ndarray) -> float:
-        return -cfi(family, replace(model0, theta=float(x[0]))).value
+        model = MeasurementModel("homodyne", include_emitters=(kind == "jc"),
+                                 theta=float(x[0]), grid=grid)
+        return -cfi(family, model).value
 
     rng = seed_stream(config.master_seed, 0)
     x0 = rng.uniform(-config.init_scale, config.init_scale, size=1)
     x_best, f_best, _ = minimize(theta_objective, x0, config, open_wide=True)
     theta_arm = (float(x_best[0]), -f_best)
 
+    model0 = MeasurementModel("homodyne", include_emitters=(kind == "jc"),
+                              theta=0.0, grid=grid)
     schedule = list(range(1, config.d_max + 1))
     fixed = optimize_measurement(kind, prepared_params, model0, n_mean,
-                                 schedule, config, phi=phi, cutoff=cutoff)
+                                 schedule, config, phi=phi, cutoff=cut)
 
     def joint_objective(x: np.ndarray) -> float:
+        model = MeasurementModel("homodyne", include_emitters=(kind == "jc"),
+                                 theta=float(x[-1]), grid=grid)
         measured = _measured_family(AnsatzParams.from_vector(kind, x[:-1]), family)
-        return -cfi(measured, replace(model0, theta=float(x[-1]))).value
+        return -cfi(measured, model).value
 
     joint = _search(kind, n_mean, lambda _d: joint_objective, schedule, config, tail=1)
     return ThetaAblation(theta_arm, fixed, joint)
@@ -375,7 +381,9 @@ def paired_depth_scan(kind: str, prep_best_by_d: dict[int, AnsatzParams],
     depths = sorted(prep_best_by_d)
     if depths != list(range(depths[0], depths[0] + len(depths))):
         raise ValueError("paired scan needs consecutive depths")
-    families = {d: encoded_family(prepare_probe(prep_best_by_d[d], n_mean, cutoff), phi)
+    cut = _cutoff_for(n_mean, cutoff)
+    psi0 = coherent_input_state(kind, n_mean, cut)
+    families = {d: encoded_family(run_circuit(prep_best_by_d[d], psi0), phi)
                 for d in depths}
     plain = {d: cfi(families[d], model).value for d in depths}
     records = _search(kind, n_mean, lambda d: _cfi_objective(kind, families[d], model),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import modefisher
+import modefisher.encoding
 from modefisher.analysis import (
     NoCrossingError,
     SweepRecord,
@@ -19,7 +20,7 @@ from modefisher.analysis import (
     time_to_tfs,
 )
 from modefisher.artifacts import read_csv_rows, write_csv
-from modefisher.dynamics import coherent_input_state, evolve_continuous
+from modefisher.dynamics import apply, coherent_input_state, evolve_continuous
 from modefisher.encoding import encoded_family
 from modefisher.metrology import MeasurementModel, bounds, cfi, inverse_fisher, qfi_fidelity
 
@@ -113,7 +114,7 @@ def test_time_to_tfs_reaches_target():
 
 
 def test_theta_sweep_relabels_kerr_frame():
-    from modefisher.dynamics import coherent_input_state, evolve_continuous
+    from modefisher.dynamics import apply, coherent_input_state, evolve_continuous
     from modefisher.encoding import encoded_family
     from modefisher.metrology import MeasurementModel, cfi
 
@@ -163,6 +164,19 @@ def test_sweep_values_equal_the_standalone_calls(kind, times):
         probe = evolve_continuous(kind, r.time, psi0)
         assert r.inv_qfi == inverse_fisher(qfi_fidelity(probe).value)
         assert r.inv_cfi_counting == inverse_fisher(cfi(encoded_family(probe), model).value)
+
+
+def test_sweep_point_splits_its_probe_once(monkeypatch):
+    # the QFI and the encoded family share chi: one inner and one (stacked) outer split
+    calls = []
+
+    def counting_apply(gate, state, layout=None):
+        calls.append(gate.label)
+        return apply(gate, state, layout)
+
+    monkeypatch.setattr(modefisher.encoding, "apply", counting_apply)
+    sweep_continuous("jc", 4.0, time_grid=(0.3, 0.9, 1.4), include_cfi_counting=True)
+    assert calls.count("bs") == 2 * 3
 
 
 def test_package_import_leaves_scipy_solvers_unloaded():

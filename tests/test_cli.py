@@ -354,9 +354,28 @@ def test_manifest_digest_ignores_the_output_directory(tmp_path, monkeypatch):
     assert digests[0] == digests[1]
 
 
-def test_rerun_from_sweep_manifest_uses_recorded_grid(tmp_path):
-    first, again = tmp_path / "first", tmp_path / "again"
-    assert main(["sweep", "--kind", "kerr", "--n", "2", "--tmax", "0.3", "--tstep", "0.1",
-                 "--outdir", str(first)]) == 0
-    assert main(["sweep", "--config", str(first / "manifest.json"), "--outdir", str(again)]) == 0
-    assert _numeric_lines(first / "sweep.csv") == _numeric_lines(again / "sweep.csv")
+def test_typed_wigner_time_beats_recorded_params(tmp_path):
+    (tmp_path / "circuit.json").write_text(json.dumps(
+        {"kind": "kerr", "n_mean": 2.0, "d": 1, "seed": 0, "params": [0.3, 0.2]}))
+    first, again = tmp_path / "wig", tmp_path / "again"
+    assert main(["wigner", "--kind", "kerr", "--n", "2", "--params",
+                 str(tmp_path / "circuit.json"), "--outdir", str(first)]) == 0
+    assert main(["wigner", "--config", str(first / "manifest.json"), "--time", "0.5",
+                 "--outdir", str(again)]) == 0
+    manifest = json.loads((again / "manifest.json").read_text())
+    assert manifest["time"] == 0.5 and "params" not in manifest
+
+
+def test_typed_ablate_params_beat_recorded_paired_dir(tmp_path):
+    # the recorded paired_dir holds no parameters, so using it would fail
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(
+        {"command": "ablate", "paired_dir": "missing",
+         "config": {"kind": "kerr", "n_mean": 2.0, "d_max": 1, "seeds": 1, "max_iters": 5}}))
+    (tmp_path / "circuit.json").write_text(json.dumps(
+        {"kind": "kerr", "n_mean": 2.0, "d": 1, "seed": 0, "params": [0.3, 0.2]}))
+    out = tmp_path / "arms"
+    assert main(["ablate", "--config", str(manifest), "--params",
+                 str(tmp_path / "circuit.json"), "--outdir", str(out)]) == 0
+    assert (out / "theta_only.csv").exists() and not (out / "paired.csv").exists()
+    assert "paired_dir" not in json.loads((out / "manifest.json").read_text())

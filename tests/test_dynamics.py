@@ -5,7 +5,6 @@ import scipy.linalg
 from modefisher.dynamics import (
     LocalGate,
     apply,
-    apply_stack,
     coherent_input_state,
     detune_gate,
     evolve_continuous,
@@ -118,7 +117,7 @@ def test_stacked_apply_equals_one_state_at_a_time():
         states = [_random_state(layout, rng) for _ in range(3)]
         stack = np.stack([s.tensor() for s in states])
         for gate in gates:
-            out = apply_stack(gate, layout, stack)
+            out = apply(gate, stack, layout)
             assert out.flags.c_contiguous
             for k, s in enumerate(states):
                 np.testing.assert_allclose(out[k], apply(gate, s).tensor(), atol=1e-15, rtol=0)

@@ -143,3 +143,17 @@ def test_cached_beam_splitter_is_read_only():
         with pytest.raises(ValueError):
             array[0] = 0.0
     assert not phase_diff_gate(0.4, 7).diag.flags.writeable
+
+
+def test_beam_split_is_shared_by_equal_probes_only():
+    layout = kerr_layout(6)
+    amps = coherent_input_state("kerr", 0.5, 6).amplitudes
+    state = CompositeState(layout, amps.copy())
+    chi = beam_split(state)
+    assert not chi.amplitudes.flags.writeable
+    assert beam_split(CompositeState(layout, amps.copy())) is chi
+    state.amplitudes[:] = apply(phase_diff_gate(0.9, 6), state).amplitudes  # changed in place
+    fresh = beam_split(state)
+    assert fresh is not chi
+    np.testing.assert_array_equal(fresh.amplitudes,
+                                  apply(beam_splitter_gate(6), state).amplitudes)
