@@ -8,6 +8,7 @@ angle sweeps for homodyne readout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ from .metrology import (
     qfi_fidelity,
 )
 
-JC_TIME_GRID = np.round(np.arange(0, 30.0 + 1e-9, 0.1), 10)
-KERR_TIME_GRID = np.arange(0, 401) * (np.pi / 200)
+# (tmax, tstep) of each kind's default sweep grid
+TIME_GRID_BOUNDS = {"jc": (30.0, 0.1), "kerr": (2 * np.pi, np.pi / 200)}
 
 
 class NoCrossingError(RuntimeError):
@@ -49,11 +50,22 @@ class FitResult:
     r_squared: float
 
 
+def time_grid_from(tmax: float, tstep: float) -> np.ndarray:
+    """Times 0, tstep, 2 tstep, ... up to ``tmax`` (within 1e-9 of a step).
+
+    Time i is computed as i / (1/tstep), so a decimal step such as 0.1
+    lands on the decimal times.
+    """
+    if not tstep > 0:
+        raise ValueError("time step must be positive")
+    return np.arange(math.floor(tmax / tstep + 1e-9) + 1) / (1.0 / tstep)
+
+
 def _grid_for(kind: str, time_grid=None) -> np.ndarray:
     if time_grid is not None:
         grid = np.asarray(time_grid, dtype=float)
     else:
-        grid = JC_TIME_GRID if kind == "jc" else KERR_TIME_GRID
+        grid = time_grid_from(*TIME_GRID_BOUNDS[kind])
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("time grid must be 1-D and strictly increasing")
     return grid
@@ -229,8 +241,7 @@ def fit(model: str, xs, ys) -> FitResult:
 
 
 def sweep_theta(kind: str, n_mean: float, probe_time: float, theta_grid=None,
-                grid: QuadratureGrid = QuadratureGrid(),
-                phi: float = DEFAULT_PHI, delta: float = DEFAULT_DELTA,
+                grid: QuadratureGrid = QuadratureGrid(), phi: float = DEFAULT_PHI,
                 cutoff: int | None = None) -> tuple[list[tuple[float, float]], float]:
     """Homodyne inverse CFI versus quadrature angle for one fixed probe.
 

@@ -1,11 +1,14 @@
 """Command-line front end: sweeps, optimization, Wigner grids, reports.
 
-Every command resolves its configuration from defaults, an optional JSON
-config file, and command-line flags (flags win), then writes a manifest
-next to its outputs.  Each output table names the manifest's digest, and
-re-running from a manifest reproduces the numeric columns byte for byte
-(wall-time columns excepted).  Recorded paths are relative to the output
-directory, which the digest leaves out.
+Every input of a command is a key of one table, ``_CONFIG``: the common
+keys plus the command's own.  A value resolves as table default < JSON
+config file < typed flag, and the whole resolved dict is the ``config``
+block of the manifest written next to the outputs.  A manifest is itself
+a config file, so ``<command> --config <manifest> --outdir <new>``, with
+no other flag, reproduces the numeric columns of every table byte for
+byte (wall-time columns excepted) and the manifest digest, which leaves
+``outdir`` out.  Input paths are written relative to the output
+directory and read relative to the config file's directory.
 """
 
 from __future__ import annotations
@@ -22,7 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import default_cutoff, find_minima, sweep_continuous, sweep_theta
+from .analysis import (
+    TIME_GRID_BOUNDS,
+    default_cutoff,
+    find_minima,
+    sweep_continuous,
+    sweep_theta,
+    time_grid_from,
+)
 from .artifacts import (
     CSV_SCHEMA,
     load_params,
@@ -31,7 +41,7 @@ from .artifacts import (
     write_csv,
     write_records,
 )
-from .circuits import AnsatzParams, run_circuit
+from .circuits import AnsatzParams, prepare_probe
 from .dynamics import coherent_input_state, evolve_continuous
 from .encoding import DEFAULT_PHI
 from .hilbert import reduce_to_mode
@@ -52,76 +62,152 @@ from .wigner import default_axes, wigner
 _OPTIMIZER_KEYS = ("max_iters", "tol", "method", "init_scale", "seeds", "d_max",
                    "master_seed")
 
-_DEFAULTS = {
+_COMMON = {
     "kind": "kerr",
     "n_mean": 20.0,
     "cutoff": None,          # None -> default_cutoff(n_mean)
     "phi": DEFAULT_PHI,
     "delta": DEFAULT_DELTA,
+    "outdir": "runs/out",
+}
+_SEARCH = {
     "measurement": "counting",
     "theta": 0.0,
     **{key: getattr(OptimizerConfig(), key) for key in _OPTIMIZER_KEYS},
     "workers": 1,
-    "outdir": "runs/out",
+}
+# every config key of each command with its default; None is "not given"
+_CONFIG = {
+    "sweep": {**_COMMON, "theta": 0.0,
+              "tmax": None, "tstep": None,  # None -> TIME_GRID_BOUNDS of the kind
+              "with_counting": False, "with_homodyne": False},
+    "optimize": {**_COMMON, **_SEARCH, "stage": "prepare", "prep_csv": None},
+    "wigner": {**_COMMON, "time": None, "params": None, "mode": 1, "half_width": 9.0,
+               "grid_points": 201},
+    "theta-sweep": {**_COMMON, "probe_time": None, "points": 257},
+    "ablate": {**_COMMON, **_SEARCH, "params": None, "paired_dir": None},
+}
+# input paths: written relative to the output directory, read relative to the config file
+_PATHS = ("prep_csv", "params", "paired_dir")
+# a command reads exactly one key of its group; a typed one clears the config file's
+_ONE_OF = {"wigner": ("time", "params"), "theta-sweep": ("probe_time",),
+           "ablate": ("params", "paired_dir")}
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
+# flag, help and argparse options of each config key that has a flag;
+# the help text gets the key's default from _CONFIG
+_FLAGS = {
+    "kind": ("--kind", "nonlinearity family", {"choices": ("jc", "kerr")}),
+    "n_mean": ("--n", "total mean photon number N", {"type": _nonnegative_float}),
+    "cutoff": ("--cutoff", "per-mode Fock cutoff (from N when not given)", {"type": int}),
+    "phi": ("--phi", "operating phase of the interferometer", {"type": float}),
+    "delta": ("--delta", "finite-difference step for the QFI", {"type": float}),
+    "outdir": ("--outdir", "output directory", {}),
+    "seeds": ("--seeds", "restarts per batch", {"type": int}),
+    "d_max": ("--dmax", "deepest circuit in the growth schedule", {"type": int}),
+    "max_iters": ("--max-iters", "objective evaluations per (seed, depth) stage",
+                  {"type": int}),
+    "master_seed": ("--master-seed", "top-level seed for all random streams", {"type": int}),
+    "method": ("--method", "local optimizer", {"choices": ("cobyla", "nelder-mead")}),
+    "workers": ("--workers", "process pool size for independent seeds", {"type": int}),
+    "measurement": ("--measurement", "readout model for measurement stages",
+                    {"choices": ("counting", "homodyne")}),
+    "theta": ("--theta", "homodyne quadrature angle", {"type": float}),
+    "tmax": ("--tmax", "end of the time grid (from --kind when not given)", {"type": float}),
+    "tstep": ("--tstep", "time grid step (from --kind when not given)", {"type": float}),
+    "with_counting": ("--with-counting", "add the photon-counting CFI column",
+                      {"action": "store_true"}),
+    "with_homodyne": ("--with-homodyne", "add the homodyne CFI column",
+                      {"action": "store_true"}),
+    "stage": ("--stage", "search stages to run", {"choices": ("prepare", "measure", "both")}),
+    "prep_csv": ("--prep-csv", "prepare.csv of a stored run (for --stage measure)", {}),
+    "time": ("--time", "continuous interaction time", {"type": float}),
+    "params": ("--params", "stored circuit parameter file", {}),
+    "mode": ("--mode", "which mode to reduce to", {"type": int, "choices": (1, 2)}),
+    "half_width": ("--half-width", "phase-space half width", {"type": float}),
+    "grid_points": ("--grid-points", "points per phase-space axis", {"type": int}),
+    "probe_time": ("--probe-time", "interaction time of the fixed probe", {"type": float}),
+    "points": ("--points", "angles on [0, 2pi]", {"type": int}),
+    "paired_dir": ("--paired-dir", "stored preparation params dir (depth-paired scan)", {}),
 }
 
-# manifest inputs outside ``config`` that fill absent flags (paths relative to the
-# manifest); a command reads one of _SOURCES, so none is filled if one is typed
-_RECORDED = ("stage", "prep_csv", "params", "paired_dir")
-_SOURCES = ("time", "params", "paired_dir")
 
-
-def _load_config_file(path: str, args: argparse.Namespace) -> dict:
+def _load_config_file(path: str, command: str) -> dict:
+    """Config of a JSON file: a plain key/value object or a manifest of ``command``."""
     payload = json.loads(Path(path).read_text())
-    if "config" in payload and isinstance(payload["config"], dict):
-        # a previously written manifest: its recorded inputs fill absent flags
-        typed_source = any(getattr(args, key, None) is not None for key in _SOURCES)
-        for key in _RECORDED:
-            if (key not in payload or getattr(args, key, "") is not None
-                    or (key in _SOURCES and typed_source)):
-                continue
-            value = payload[key]
-            setattr(args, key, value if key == "stage"
-                    else os.path.normpath(Path(path).parent / value))
+    if "config" in payload:
+        extra = set(payload) - {"schema", "command", "config", "sha256"}
+        if extra:
+            raise ValueError(f"{path}: unknown manifest keys {sorted(extra)}")
+        if payload.get("command") != command:
+            raise ValueError(f"{path} is a manifest of {payload.get('command')!r}, "
+                             f"not of {command!r}")
         payload = payload["config"]
-    unknown = set(payload) - set(_DEFAULTS)
+    unknown = set(payload) - set(_CONFIG[command])
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return payload
+    for key, value in payload.items():  # argparse checks only typed choices
+        choices = _FLAGS[key][2].get("choices") if key in _FLAGS else None
+        if choices is not None and value not in choices:
+            raise ValueError(f"config {key} = {value!r} is not one of {list(choices)}")
+    return {key:os.path.normpath(Path(path).parent / value)
+            if key in _PATHS and value is not None else value
+            for key, value in payload.items()}
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
-    config = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        config.update(_load_config_file(args.config, args))
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
+    """defaults < config file < typed flags; a typed key of a one-of group clears the group."""
+    command = args.command
+    config = dict(_CONFIG[command])
+    if args.config:
+        config.update(_load_config_file(args.config, command))
+    typed = {key: getattr(args, key) for key in config if getattr(args, key, None) is not None}
+    group = _ONE_OF.get(command, ())
+    if typed.keys() & set(group):
+        config.update(dict.fromkeys(group))
+    config.update(typed)
+    if group and sum(config[key] is not None for key in group) != 1:
+        raise ValueError(f"{command} needs one input: "
+                         + " or ".join(_FLAGS[key][0] for key in group))
     if config["cutoff"] is None:
         config["cutoff"] = default_cutoff(config["n_mean"])
     return config
 
 
-def _manifest(command: str, config: dict, extra: dict | None = None) -> tuple[dict, str]:
-    """Manifest and its digest, which covers everything but ``config["outdir"]``."""
-    body = {"schema": CSV_SCHEMA, "command": command, "config": config, **(extra or {})}
-    hashed = {**body, "config": {k: v for k, v in config.items() if k != "outdir"}}
+def _write_manifest(command: str, config: dict) -> str:
+    """Write the run's manifest into ``config["outdir"]`` and return its digest.
+
+    The digest covers everything but ``outdir``.  Input paths are recorded
+    relative to the output directory, so the manifest does not depend on
+    the calling directory.
+    """
+    outdir = Path(config["outdir"])
+    recorded = {key: os.path.relpath(Path(value).resolve(), outdir.resolve())
+                if key in _PATHS and value is not None else value
+                for key, value in config.items()}
+    body = {"schema": CSV_SCHEMA, "command": command, "config": recorded}
+    hashed = {**body, "config": {k: v for k, v in recorded.items() if k != "outdir"}}
     digest = hashlib.sha256(
         json.dumps(hashed, sort_keys=True, default=str).encode()
     ).hexdigest()
-    return {**body, "sha256": digest}, digest
-
-
-def _relative_to(outdir: Path, path: str) -> str:
-    """``path`` as seen from ``outdir``, so a manifest does not depend on the calling directory."""
-    return os.path.relpath(Path(path).resolve(), outdir.resolve())
-
-
-def _write_manifest(outdir: Path, manifest: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1, default=str) + "\n")
+    (outdir / "manifest.json").write_text(
+        json.dumps({**body, "sha256": digest}, indent=1, default=str) + "\n")
+    return digest
 
 
 def _optimizer_config(config: dict) -> OptimizerConfig:
@@ -152,26 +238,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    outdir = Path(config["outdir"])
-    grid = None
-    if args.tmax is not None or args.tstep is not None:
-        kind = config["kind"]
-        tmax = args.tmax if args.tmax is not None else (30.0 if kind == "jc" else 2 * np.pi)
-        tstep = args.tstep if args.tstep is not None else (0.1 if kind == "jc" else np.pi / 200)
-        grid = np.arange(0.0, tmax + 1e-12, tstep)
-        manifest_extra = {"tmax": tmax, "tstep": tstep}
-    else:
-        manifest_extra = {}
-    manifest, digest = _manifest("sweep", config, manifest_extra)
+    for key, bound in zip(("tmax", "tstep"), TIME_GRID_BOUNDS[config["kind"]]):
+        if config[key] is None:
+            config[key] = bound
     records = sweep_continuous(
-        config["kind"], float(config["n_mean"]), time_grid=grid,
-        include_cfi_counting=args.with_counting,
-        include_cfi_homodyne=args.with_homodyne, theta=float(config["theta"]),
+        config["kind"], float(config["n_mean"]),
+        time_grid=time_grid_from(float(config["tmax"]), float(config["tstep"])),
+        include_cfi_counting=bool(config["with_counting"]),
+        include_cfi_homodyne=bool(config["with_homodyne"]), theta=float(config["theta"]),
         phi=float(config["phi"]), delta=float(config["delta"]),
         cutoff=int(config["cutoff"]),
     )
     minima = find_minima(records)
-    _write_manifest(outdir, manifest)
+    outdir = Path(config["outdir"])
+    digest = _write_manifest("sweep", config)
     write_csv(outdir / "sweep.csv", digest,
               ["kind", "N", "time", "inv_qfi", "inv_cfi_counting", "inv_cfi_homodyne"],
               [(r.kind, float(r.n_mean), r.time, r.inv_qfi, r.inv_cfi_counting,
@@ -180,9 +260,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               [(config["kind"], float(config["n_mean"]), t, v) for t, v in minima])
     print(f"{len(records)} sweep rows, {len(minima)} minima -> {outdir}")
     return 0
-
-
-_STAGE_KEYS = ("prepare", "measure", "both")
 
 
 def _prep_worker(payload: dict) -> list:
@@ -244,18 +321,14 @@ def _best_prep_vector(prep_csv: Path) -> np.ndarray:
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     opt_config = _optimizer_config(config)  # rejects bad values before any file is written
+    stage = config["stage"]
+    if stage == "measure" and config["prep_csv"] is None:
+        print("--stage measure needs --prep-csv pointing at a "
+              "prepare run", file=sys.stderr)
+        return 1
     outdir = Path(config["outdir"])
     schedule = list(range(1, opt_config.d_max + 1))
-    stage = args.stage or "prepare"
-    extra = {"stage": stage}
-    if stage == "measure":
-        if args.prep_csv is None:
-            print("--stage measure needs --prep-csv pointing at a "
-                  "prepare run", file=sys.stderr)
-            return 1
-        extra["prep_csv"] = _relative_to(outdir, args.prep_csv)
-    manifest, digest = _manifest("optimize", config, extra)
-    _write_manifest(outdir, manifest)
+    digest = _write_manifest("optimize", config)
     payload = {"kind": config["kind"], "n_mean": float(config["n_mean"]),
                "schedule": schedule, "config": config}
     workers = int(config["workers"])
@@ -270,7 +343,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
               f"(seed {best.seed}, d {best.d}) -> {outdir}")
     if stage in ("measure", "both"):
         if prep_vector is None:
-            prep_vector = _best_prep_vector(Path(args.prep_csv))
+            prep_vector = _best_prep_vector(Path(config["prep_csv"]))
         records = _farm_seeds(
             _measure_worker, dict(payload, prep_vector=[float(v) for v in prep_vector]),
             opt_config, workers)
@@ -284,23 +357,21 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_wigner(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    outdir = Path(config["outdir"])
     kind, n_mean, cut = config["kind"], float(config["n_mean"]), int(config["cutoff"])
-    if args.params is None and args.time is None:
-        raise ValueError("wigner needs --time or --params")
-    psi0 = coherent_input_state(kind, n_mean, cut)
-    if args.params is not None:
-        params = load_params(args.params)
-        state = run_circuit(params, psi0)
-        source = {"params": _relative_to(outdir, args.params)}
+    if config["params"] is not None:
+        params = load_params(config["params"])
+        if params.kind != kind:
+            raise ValueError(f"{config['params']} holds a {params.kind} circuit, not {kind}")
+        state = prepare_probe(params, n_mean, cut)
     else:
-        state = evolve_continuous(kind, float(args.time), psi0)
-        source = {"time": float(args.time)}
-    manifest, digest = _manifest("wigner", config, {**source, "mode": args.mode})
-    rho = reduce_to_mode(state, args.mode - 1)
-    x_axis, p_axis = default_axes(half_width=args.half_width, points=args.grid_points)
+        state = evolve_continuous(kind, float(config["time"]),
+                                  coherent_input_state(kind, n_mean, cut))
+    rho = reduce_to_mode(state, int(config["mode"]) - 1)
+    x_axis, p_axis = default_axes(half_width=float(config["half_width"]),
+                                  points=int(config["grid_points"]))
     grid = wigner(rho, x_axis, p_axis)
-    _write_manifest(outdir, manifest)
+    outdir = Path(config["outdir"])
+    digest = _write_manifest("wigner", config)
     # first row is the x axis, first column the p axis
     write_csv(outdir / "wigner.csv", digest, ["", *grid.x_axis.tolist()],
               [[p, *row] for p, row in zip(grid.p_axis.tolist(), grid.values.tolist())])
@@ -311,20 +382,16 @@ def cmd_wigner(args: argparse.Namespace) -> int:
 
 def cmd_theta_sweep(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    outdir = Path(config["outdir"])
-    manifest, digest = _manifest("theta-sweep", config,
-                                 {"probe_time": args.probe_time,
-                                  "points": args.points})
-    theta_grid = np.linspace(0.0, 2 * np.pi, args.points)
+    kind, n_mean, probe_time = config["kind"], float(config["n_mean"]), float(config["probe_time"])
     samples, theta_min = sweep_theta(
-        config["kind"], float(config["n_mean"]), float(args.probe_time),
-        theta_grid=theta_grid, phi=float(config["phi"]),
-        delta=float(config["delta"]), cutoff=int(config["cutoff"]),
+        kind, n_mean, probe_time,
+        theta_grid=np.linspace(0.0, 2 * np.pi, int(config["points"])),
+        phi=float(config["phi"]), cutoff=int(config["cutoff"]),
     )
-    _write_manifest(outdir, manifest)
+    outdir = Path(config["outdir"])
+    digest = _write_manifest("theta-sweep", config)
     write_csv(outdir / "theta_sweep.csv", digest, ["kind", "N", "probe_time", "theta", "inv_cfi"],
-              [(config["kind"], float(config["n_mean"]), float(args.probe_time), theta, value)
-               for theta, value in samples])
+              [(kind, n_mean, probe_time, theta, value) for theta, value in samples])
     print(f"theta_min = {theta_min!r} ({theta_min / np.pi:.5f} pi) -> {outdir}")
     return 0
 
@@ -334,21 +401,17 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     outdir = Path(config["outdir"])
     kind, n_mean = config["kind"], float(config["n_mean"])
     opt_config = _optimizer_config(config)
-    if args.params is None and args.paired_dir is None:
-        raise ValueError("ablate needs --params or --paired-dir")
 
-    if args.paired_dir is not None:
+    if config["paired_dir"] is not None:
+        paired_dir = Path(config["paired_dir"])
         prep_by_d = {}
         for d in range(1, int(config["d_max"]) + 1):
-            candidates = sorted(Path(args.paired_dir).glob(sidecar_name(kind, n_mean, d, "*")))
+            candidates = sorted(paired_dir.glob(sidecar_name(kind, n_mean, d, "*")))
             if not candidates:
-                raise FileNotFoundError(
-                    f"no stored parameters for d={d} under {args.paired_dir}")
+                raise FileNotFoundError(f"no stored parameters for d={d} under {paired_dir}")
             prep_by_d[d] = best_by_qfi(candidates, n_mean, int(config["cutoff"]),
                                        float(config["phi"]), float(config["delta"]))
-        manifest, digest = _manifest("ablate", config,
-                                     {"paired_dir": _relative_to(outdir, args.paired_dir)})
-        _write_manifest(outdir, manifest)
+        digest = _write_manifest("ablate", config)
         plain, records = paired_depth_scan(
             kind, prep_by_d, _measurement_model(config), n_mean, opt_config,
             phi=float(config["phi"]), cutoff=int(config["cutoff"]))
@@ -359,9 +422,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         print(f"paired scan over d=1..{max(plain)} -> {outdir}")
         return 0
 
-    params = load_params(args.params)
-    manifest, digest = _manifest("ablate", config, {"params": _relative_to(outdir, args.params)})
-    _write_manifest(outdir, manifest)
+    params = load_params(config["params"])
+    digest = _write_manifest("ablate", config)
     result = ablation_theta(kind, params, n_mean, opt_config,
                             phi=float(config["phi"]), cutoff=int(config["cutoff"]))
     write_records(result.fixed_theta, outdir / "fixed_theta.csv", digest,
@@ -378,48 +440,17 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return value
-
-
-def _add_common(parser: argparse.ArgumentParser, optimizer: bool = False) -> None:
-    parser.add_argument("--config", help="JSON config file or manifest; flags override it")
-    parser.add_argument("--kind", choices=("jc", "kerr"), dest="kind",
-                        help="nonlinearity family. Default: %(default)s")
-    parser.add_argument("--n", type=_nonnegative_float, dest="n_mean",
-                        help="total mean photon number N")
-    parser.add_argument("--cutoff", type=int, help="per-mode Fock cutoff (default: from N)")
-    parser.add_argument("--phi", type=float, help="operating phase of the interferometer")
-    parser.add_argument("--delta", type=float, help="finite-difference step for the QFI")
-    parser.add_argument("--outdir", help="output directory. Default: runs/out")
-    if optimizer:
-        parser.add_argument("--seeds", type=int, help="restarts per batch. Default: 10")
-        parser.add_argument("--dmax", type=int, dest="d_max",
-                            help="deepest circuit in the growth schedule")
-        parser.add_argument("--max-iters", type=int, dest="max_iters",
-                            help="objective evaluations per (seed, depth) stage")
-        parser.add_argument("--master-seed", type=int, dest="master_seed",
-                            help="top-level seed for all random streams")
-        parser.add_argument("--method", choices=("cobyla", "nelder-mead"),
-                            help="local optimizer")
-        parser.add_argument("--workers", type=int,
-                            help="process pool size for independent seeds. Default: 1")
-        parser.add_argument("--measurement", choices=("counting", "homodyne"),
-                            help="readout model for measurement stages")
-        parser.add_argument("--theta", type=float, help="homodyne quadrature angle")
+_COMMANDS = {
+    "sweep": (cmd_sweep, "inverse QFI against interaction time"),
+    "optimize": (cmd_optimize, "optimize preparation/measurement circuits"),
+    "wigner": (cmd_wigner, "Wigner grid of one reduced mode"),
+    "theta-sweep": (cmd_theta_sweep, "homodyne CFI against quadrature angle"),
+    "ablate": (cmd_ablate, "readout strategy comparisons on fixed probes"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per ``_CONFIG`` entry; every flag defaults to None."""
     parser = argparse.ArgumentParser(
         prog="modefisher",
         description="Two-mode bosonic metrology: sweeps, circuit optimization, "
@@ -431,53 +462,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("n_mean", type=_positive_float, help="total mean photon number")
     p_bench.set_defaults(fn=cmd_bench)
 
-    p_sweep = sub.add_parser("sweep", help="inverse QFI against interaction time")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--tmax", type=float, help="end of the time grid")
-    p_sweep.add_argument("--tstep", type=float, help="time grid step")
-    p_sweep.add_argument("--with-counting", action="store_true",
-                         help="add the photon-counting CFI column")
-    p_sweep.add_argument("--with-homodyne", action="store_true",
-                         help="add the homodyne CFI column")
-    p_sweep.add_argument("--theta", type=float, help="homodyne quadrature angle")
-    p_sweep.set_defaults(fn=cmd_sweep)
-
-    p_opt = sub.add_parser("optimize", help="optimize preparation/measurement circuits")
-    _add_common(p_opt, optimizer=True)
-    p_opt.add_argument("--stage", choices=_STAGE_KEYS, help="Default: prepare")
-    p_opt.add_argument("--prep-csv", dest="prep_csv",
-                       help="prepare.csv of a stored run (for --stage measure)")
-    p_opt.set_defaults(fn=cmd_optimize)
-
-    p_wig = sub.add_parser("wigner", help="Wigner grid of one reduced mode")
-    _add_common(p_wig)
-    src = p_wig.add_mutually_exclusive_group()
-    src.add_argument("--time", type=float, help="continuous interaction time")
-    src.add_argument("--params", help="stored circuit parameter file")
-    p_wig.add_argument("--mode", type=int, choices=(1, 2), default=1,
-                       help="which mode to reduce to. Default: %(default)s")
-    p_wig.add_argument("--half-width", type=float, default=9.0, dest="half_width",
-                       help="phase-space half width. Default: %(default)s")
-    p_wig.add_argument("--grid-points", type=int, default=201, dest="grid_points",
-                       help="points per phase-space axis. Default: %(default)s")
-    p_wig.set_defaults(fn=cmd_wigner)
-
-    p_theta = sub.add_parser("theta-sweep", help="homodyne CFI against quadrature angle")
-    _add_common(p_theta)
-    p_theta.add_argument("--probe-time", type=float, required=True, dest="probe_time",
-                         help="interaction time of the fixed probe")
-    p_theta.add_argument("--points", type=int, default=257,
-                         help="angles on [0, 2pi]. Default: %(default)s")
-    p_theta.set_defaults(fn=cmd_theta_sweep)
-
-    p_abl = sub.add_parser("ablate", help="readout strategy comparisons on fixed probes")
-    _add_common(p_abl, optimizer=True)
-    src = p_abl.add_mutually_exclusive_group()
-    src.add_argument("--params", help="stored preparation parameters (three-arm comparison)")
-    src.add_argument("--paired-dir", dest="paired_dir",
-                     help="stored preparation params dir (depth-paired scan)")
-    p_abl.set_defaults(fn=cmd_ablate)
-
+    for command, (fn, summary) in _COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=summary)
+        p_cmd.add_argument("--config", help="JSON config file or manifest; flags override it")
+        one_of = _ONE_OF.get(command, ())
+        group = p_cmd.add_mutually_exclusive_group() if one_of else p_cmd
+        for key, default in _CONFIG[command].items():
+            if key not in _FLAGS:
+                continue
+            flag, text, options = _FLAGS[key]
+            if default is not None and not isinstance(default, bool):
+                text = f"{text}. Default: {default}"
+            target = group if key in one_of else p_cmd
+            target.add_argument(flag, dest=key, default=None, help=text, **options)
+        p_cmd.set_defaults(fn=fn)
     return parser
 
 

@@ -14,7 +14,6 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 QUBIT_DIM = 2
-NORM_ATOL = 1e-9
 
 
 class LayoutError(ValueError):
@@ -117,9 +116,6 @@ class CompositeState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def renormalized(self) -> "CompositeState":
-        return CompositeState(self.layout, self.amplitudes / np.linalg.norm(self.amplitudes))
 
 
 def coherent_truncation_tail(alpha: complex, cutoff: int) -> float:

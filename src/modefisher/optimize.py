@@ -42,7 +42,8 @@ import numpy as np
 
 from .analysis import default_cutoff, find_minima, sweep_continuous
 from .artifacts import load_params
-from .circuits import LAYER_WIDTH, AnsatzParams, build_circuit, interaction_budget, run_circuit
+from .circuits import (LAYER_WIDTH, AnsatzParams, build_circuit, interaction_budget,
+                       prepare_probe, run_circuit)
 from .dynamics import apply, coherent_input_state
 from .encoding import DEFAULT_PHI, PhaseFamily, encoded_family
 from .metrology import DEFAULT_DELTA, MeasurementModel, cfi, inverse_fisher, qfi_fidelity
@@ -192,10 +193,6 @@ def minimize(objective, x0: np.ndarray, config: OptimizerConfig,
     return tracked.best_x, tracked.best_f, tracked.nfev
 
 
-def _cutoff_for(n_mean: float, cutoff: int | None) -> int:
-    return cutoff if cutoff is not None else default_cutoff(n_mean)
-
-
 def _search(kind: str, n_mean: float, objective_at, d_schedule, config: OptimizerConfig,
             first_layer=None, open_wide: bool = True, tail: int = 0,
             floor_at=None) -> list[OptRecord]:
@@ -266,7 +263,7 @@ def optimize_preparation(kind: str, n_mean: float, d_schedule, config: Optimizer
     their simplex wide; Kerr seeds start at the identity with the
     default simplex (see the module docstring).
     """
-    cut = _cutoff_for(n_mean, cutoff)
+    cut = cutoff if cutoff is not None else default_cutoff(n_mean)
     psi0 = coherent_input_state(kind, n_mean, cut)
 
     def objective(x: np.ndarray) -> float:
@@ -308,9 +305,7 @@ def optimize_measurement(kind: str, prepared_params: AnsatzParams, model: Measur
     analytic phase derivative is propagated through the (phase-
     independent) measurement circuit at every objective call.
     """
-    cut = _cutoff_for(n_mean, cutoff)
-    psi0 = coherent_input_state(kind, n_mean, cut)
-    family = encoded_family(run_circuit(prepared_params, psi0), phi)
+    family = encoded_family(prepare_probe(prepared_params, n_mean, cutoff), phi)
     objective = _cfi_objective(kind, family, model)
     return _search(kind, n_mean, lambda _d: objective, d_schedule, config)
 
@@ -336,9 +331,7 @@ def ablation_theta(kind: str, prepared_params: AnsatzParams, n_mean: float,
     from .metrology import QuadratureGrid
 
     grid = grid if grid is not None else QuadratureGrid()
-    cut = _cutoff_for(n_mean, cutoff)
-    psi0 = coherent_input_state(kind, n_mean, cut)
-    family = encoded_family(run_circuit(prepared_params, psi0), phi)
+    family = encoded_family(prepare_probe(prepared_params, n_mean, cutoff), phi)
 
     def theta_objective(x: np.ndarray) -> float:
         model = MeasurementModel("homodyne", include_emitters=(kind == "jc"),
@@ -354,7 +347,7 @@ def ablation_theta(kind: str, prepared_params: AnsatzParams, n_mean: float,
                               theta=0.0, grid=grid)
     schedule = list(range(1, config.d_max + 1))
     fixed = optimize_measurement(kind, prepared_params, model0, n_mean,
-                                 schedule, config, phi=phi, cutoff=cut)
+                                 schedule, config, phi=phi, cutoff=cutoff)
 
     def joint_objective(x: np.ndarray) -> float:
         model = MeasurementModel("homodyne", include_emitters=(kind == "jc"),
@@ -381,9 +374,7 @@ def paired_depth_scan(kind: str, prep_best_by_d: dict[int, AnsatzParams],
     depths = sorted(prep_best_by_d)
     if depths != list(range(depths[0], depths[0] + len(depths))):
         raise ValueError("paired scan needs consecutive depths")
-    cut = _cutoff_for(n_mean, cutoff)
-    psi0 = coherent_input_state(kind, n_mean, cut)
-    families = {d: encoded_family(run_circuit(prep_best_by_d[d], psi0), phi)
+    families = {d: encoded_family(prepare_probe(prep_best_by_d[d], n_mean, cutoff), phi)
                 for d in depths}
     plain = {d: cfi(families[d], model).value for d in depths}
     records = _search(kind, n_mean, lambda d: _cfi_objective(kind, families[d], model),

@@ -1,14 +1,26 @@
-import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import modefisher.optimize
+from modefisher.analysis import TIME_GRID_BOUNDS, time_grid_from
 from modefisher.artifacts import SchemaError
-from modefisher.cli import _optimizer_config, _resolve_config, main, read_csv_rows
+from modefisher.cli import (
+    _CONFIG,
+    _FLAGS,
+    _PATHS,
+    _optimizer_config,
+    _resolve_config,
+    build_parser,
+    main,
+    read_csv_rows,
+)
 from modefisher.optimize import OptimizerConfig
 
 
@@ -105,7 +117,8 @@ def test_config_precedence_defaults_file_flags(tmp_path):
 
 
 def test_optimizer_defaults_come_from_optimizer_config():
-    assert _optimizer_config(_resolve_config(argparse.Namespace())) == OptimizerConfig()
+    args = build_parser().parse_args(["optimize"])
+    assert _optimizer_config(_resolve_config(args)) == OptimizerConfig()
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):
@@ -115,6 +128,18 @@ def test_unknown_config_key_fails(tmp_path, capsys):
                "--outdir", str(tmp_path / "run")])
     assert rc == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("sweep", {"kind": "foo"}), ("optimize", {"stage": "frobnicate"}),
+    ("wigner", {"mode": 3, "time": 0.5})])
+def test_config_file_values_meet_the_flag_choices(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--n", "2", "--outdir", str(out)]) == 1
+    assert "is not one of" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_measure_stage_requires_prep(tmp_path, capsys):
@@ -144,8 +169,8 @@ def test_optimize_then_measure_round_trip(tmp_path):
     _, rows = read_csv_rows(meas_dir / "measure.csv")
     assert len(rows) == 1
     manifest = json.loads((meas_dir / "manifest.json").read_text())
-    assert manifest["stage"] == "measure"
-    assert manifest["prep_csv"] == "../prep/prepare.csv"  # the probe, seen from the run
+    assert manifest["config"]["stage"] == "measure"
+    assert manifest["config"]["prep_csv"] == "../prep/prepare.csv"  # the probe, seen from the run
 
 
 @pytest.mark.parametrize("flags, config", [
@@ -277,7 +302,7 @@ def test_manifest_digest_does_not_depend_on_calling_directory(tmp_path, monkeypa
         assert main(["wigner", "--kind", "kerr", "--n", "2", "--params", params,
                      "--grid-points", "201", "--outdir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["params"] == "../circuit.json"
+        assert manifest["config"]["params"] == "../circuit.json"
         digests.append(manifest["sha256"])
     assert digests[0] == digests[1]
 
@@ -319,7 +344,8 @@ def test_rerun_from_measure_manifest_uses_recorded_inputs(tmp_path, monkeypatch)
     again = tmp_path / "again"
     assert _numeric_lines(first / "measure.csv") == _numeric_lines(again / "measure.csv")
     old, new = (json.loads((d / "manifest.json").read_text()) for d in (first, again))
-    assert new["stage"] == "measure" and new["prep_csv"] == "../prep/prepare.csv"
+    assert new["config"]["stage"] == "measure"
+    assert new["config"]["prep_csv"] == "../prep/prepare.csv"
     assert new["sha256"] == old["sha256"]
 
 
@@ -329,7 +355,7 @@ def test_rerun_from_wigner_manifest_uses_recorded_params(tmp_path):
     first, again = tmp_path / "wig", tmp_path / "again"
     assert main(["wigner", "--kind", "kerr", "--n", "2", "--grid-points", "201",
                  "--params", str(tmp_path / "circuit.json"), "--outdir", str(first)]) == 0
-    assert main(["wigner", "--config", str(first / "manifest.json"), "--grid-points", "201",
+    assert main(["wigner", "--config", str(first / "manifest.json"),
                  "--outdir", str(again)]) == 0
     assert (first / "wigner.csv").read_text() == (again / "wigner.csv").read_text()
 
@@ -362,20 +388,111 @@ def test_typed_wigner_time_beats_recorded_params(tmp_path):
                  str(tmp_path / "circuit.json"), "--outdir", str(first)]) == 0
     assert main(["wigner", "--config", str(first / "manifest.json"), "--time", "0.5",
                  "--outdir", str(again)]) == 0
-    manifest = json.loads((again / "manifest.json").read_text())
-    assert manifest["time"] == 0.5 and "params" not in manifest
+    config = json.loads((again / "manifest.json").read_text())["config"]
+    assert config["time"] == 0.5 and config["params"] is None
 
 
 def test_typed_ablate_params_beat_recorded_paired_dir(tmp_path):
     # the recorded paired_dir holds no parameters, so using it would fail
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(
-        {"command": "ablate", "paired_dir": "missing",
-         "config": {"kind": "kerr", "n_mean": 2.0, "d_max": 1, "seeds": 1, "max_iters": 5}}))
+        {"command": "ablate",
+         "config": {"kind": "kerr", "n_mean": 2.0, "d_max": 1, "seeds": 1, "max_iters": 5,
+                    "paired_dir": "missing"}}))
     (tmp_path / "circuit.json").write_text(json.dumps(
         {"kind": "kerr", "n_mean": 2.0, "d": 1, "seed": 0, "params": [0.3, 0.2]}))
     out = tmp_path / "arms"
     assert main(["ablate", "--config", str(manifest), "--params",
                  str(tmp_path / "circuit.json"), "--outdir", str(out)]) == 0
     assert (out / "theta_only.csv").exists() and not (out / "paired.csv").exists()
-    assert "paired_dir" not in json.loads((out / "manifest.json").read_text())
+    assert json.loads((out / "manifest.json").read_text())["config"]["paired_dir"] is None
+
+
+@pytest.fixture(scope="module")
+def prep_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("stored") / "prep"
+    assert main(["optimize", "--kind", "kerr", "--n", "2", "--dmax", "2", "--seeds", "2",
+                 "--max-iters", "20", "--outdir", str(out)]) == 0
+    return out
+
+
+_SEARCH_FLAGS = ["--kind", "kerr", "--n", "2", "--seeds", "1", "--max-iters", "10"]
+# one run per command, each with its own keys away from their defaults
+_ROUND_TRIPS = {
+    "sweep": ["sweep", "--kind", "kerr", "--n", "2", "--tmax", "0.3", "--tstep", "0.1",
+              "--with-counting", "--with-homodyne"],
+    "wigner": ["wigner", "--kind", "kerr", "--n", "2", "--time", "0.5", "--mode", "2",
+               "--half-width", "4", "--grid-points", "21"],
+    "theta-sweep": ["theta-sweep", "--kind", "kerr", "--n", "2", "--probe-time", "0.4",
+                    "--points", "5"],
+    "optimize-measure": ["optimize", *_SEARCH_FLAGS, "--dmax", "1", "--stage", "measure",
+                         "--prep-csv", "{prep}/prepare.csv"],
+    "ablate-params": ["ablate", *_SEARCH_FLAGS, "--dmax", "1",
+                      "--params", "{prep}/params/kerr_N2_d2_seed0.json"],
+    "ablate-paired": ["ablate", *_SEARCH_FLAGS, "--dmax", "2", "--paired-dir", "{prep}/params"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROUND_TRIPS))
+def test_rerun_from_manifest_alone_reproduces_every_table(tmp_path, prep_run, case):
+    args = [arg.format(prep=prep_run) for arg in _ROUND_TRIPS[case]]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(args + ["--outdir", str(first)]) == 0
+    assert main([args[0], "--config", str(first / "manifest.json"),
+                 "--outdir", str(again)]) == 0
+    tables = sorted(path.name for path in first.glob("*.csv"))
+    assert tables and tables == sorted(path.name for path in again.glob("*.csv"))
+    for name in tables:
+        assert _numeric_lines(first / name) == _numeric_lines(again / name)
+    old, new = (json.loads((d / "manifest.json").read_text()) for d in (first, again))
+    assert new["sha256"] == old["sha256"]
+
+
+@pytest.mark.parametrize("kind, tmax, tstep", [
+    ("jc", "30", "0.1"), ("kerr", repr(2 * np.pi), repr(np.pi / 200))])
+def test_spelled_out_time_grid_defaults_write_the_same_sweep(tmp_path, kind, tmax, tstep):
+    omitted, typed = tmp_path / "omitted", tmp_path / "typed"
+    assert main(["sweep", "--kind", kind, "--n", "2", "--outdir", str(omitted)]) == 0
+    assert main(["sweep", "--kind", kind, "--n", "2", "--tmax", tmax, "--tstep", tstep,
+                 "--outdir", str(typed)]) == 0
+    for name in ("sweep.csv", "minima.csv"):
+        assert (omitted / name).read_text() == (typed / name).read_text()
+    _, rows = read_csv_rows(omitted / "sweep.csv")
+    assert [float(r["time"]) for r in rows] == time_grid_from(*TIME_GRID_BOUNDS[kind]).tolist()
+
+
+_RUNS = Path(__file__).resolve().parents[1] / "runs"
+
+
+@pytest.mark.parametrize("manifest", sorted(_RUNS.glob("*/manifest.json")),
+                         ids=lambda path: path.parent.name)
+def test_stored_manifest_loads_for_its_command(manifest):
+    command = json.loads(manifest.read_text())["command"]
+    config = _resolve_config(build_parser().parse_args([command, "--config", str(manifest)]))
+    if config.get("stage") == "measure":
+        assert config["prep_csv"] is not None
+    for key in _PATHS:
+        if config.get(key) is not None:
+            assert Path(config[key]).exists(), f"{manifest}: {key} = {config[key]}"
+
+
+_SOURCE_FLAGS = {"wigner": ["--time", "0.5"], "theta-sweep": ["--probe-time", "0.4"],
+                 "ablate": ["--params", "circuit.json"]}
+
+
+@pytest.mark.parametrize("command", sorted(_CONFIG))
+def test_help_advertises_the_resolved_defaults(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "300")  # one help entry per option, unwrapped
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    entries = re.split(r"\n(?=  -)", capsys.readouterr().out)
+    advertised = [(re.search(r"--[\w-]+", entry).group(), match.group(1))
+                  for entry in entries if (match := re.search(r"Default: (\S+)", entry))]
+    assert len(advertised) == sum(
+        key in _FLAGS and value is not None and not isinstance(value, bool)
+        for key, value in _CONFIG[command].items())
+    base = [command, *_SOURCE_FLAGS.get(command, [])]
+    resolved = _resolve_config(build_parser().parse_args(base))
+    for flag, value in advertised:
+        typed = _resolve_config(build_parser().parse_args([*base, flag, value]))
+        assert typed == resolved, flag
