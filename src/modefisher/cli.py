@@ -7,8 +7,9 @@ block of the manifest written next to the outputs.  A manifest is itself
 a config file, so ``<command> --config <manifest> --outdir <new>``, with
 no other flag, reproduces the numeric columns of every table byte for
 byte (wall-time columns excepted) and the manifest digest, which leaves
-``outdir`` out.  Input paths are written relative to the output
-directory and read relative to the config file's directory.
+``outdir`` out and covers the contents of the input files, not their
+paths.  Input paths are written relative to the output directory and
+read relative to the config file's directory.
 """
 
 from __future__ import annotations
@@ -188,19 +189,30 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return config
 
 
+def _content_hash(path: Path) -> str | list:
+    """sha256 of a file, or the sorted (name, sha256) of a directory's files."""
+    if path.is_dir():
+        return sorted((p.name, _content_hash(p)) for p in path.iterdir() if p.is_file())
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _write_manifest(command: str, config: dict) -> str:
     """Write the run's manifest into ``config["outdir"]`` and return its digest.
 
-    The digest covers everything but ``outdir``.  Input paths are recorded
+    The digest covers everything but ``outdir``, with each input path
+    replaced by a hash of what it holds.  Input paths are recorded
     relative to the output directory, so the manifest does not depend on
-    the calling directory.
+    the calling directory, and the digest does not depend on where the
+    output directory is.
     """
     outdir = Path(config["outdir"])
     recorded = {key: os.path.relpath(Path(value).resolve(), outdir.resolve())
                 if key in _PATHS and value is not None else value
                 for key, value in config.items()}
     body = {"schema": CSV_SCHEMA, "command": command, "config": recorded}
-    hashed = {**body, "config": {k: v for k, v in recorded.items() if k != "outdir"}}
+    hashed = {**body, "config": {
+        key: _content_hash(Path(config[key])) if key in _PATHS and value is not None else value
+        for key, value in recorded.items() if key != "outdir"}}
     digest = hashlib.sha256(
         json.dumps(hashed, sort_keys=True, default=str).encode()
     ).hexdigest()

@@ -11,11 +11,14 @@ by g sqrt(n); |g,0> and the truncation edge |e,c-1> stay put.
 
 The two-mode tunnel generator a2†a1 + a1†a2 conserves n1 + n2, so the
 tunnel gate (and the beam splitter built from it) is stored and applied
-sector by sector: the two mode axes are gathered into the 2c-1 sectors of
-fixed total photon number, each sector is rotated by its own small
-eigenbasis, and the result is scattered back.  This is exact at the
-per-mode truncation, because the truncated generator is still
-block-diagonal in n1 + n2.
+sector by sector.  Sector s = n1 + n2 of the truncated pair has
+min(s, 2c-2-s) + 1 states, so sectors b and b + c (b < c) together fill
+exactly c slots: the c² basis states are permuted into c skew blocks,
+block b holding every (n1, n2) with n1 + n2 = b mod c, slot n1 of it the
+state (n1, (b - n1) mod c).  Each block is rotated by its eigenbasis,
+which is block-diagonal over its two sectors, and the result is permuted
+back.  This is exact at the per-mode truncation, because the truncated
+generator is still block-diagonal in n1 + n2.
 """
 
 from __future__ import annotations
@@ -49,11 +52,11 @@ class LocalGate:
     - ``diag``: diagonal phases on the joint target space (targets must be
       in increasing factor order);
     - ``basis`` + ``phases``: a two-mode gate that conserves n1 + n2, held
-      per photon-number sector.  ``basis[s]`` is the real orthogonal
-      eigenbasis V_s of sector s = n1 + n2 and ``phases[s]`` its
-      eigenphases, so U = V_s diag(phases[s]) V_s^T on that sector.  The
-      2c-1 sectors are padded to shapes ``(2c-1, c, c)`` and
-      ``(2c-1, c)``; padding slots carry the identity.
+      per skew block of photon-number sectors (see :func:`_sector_index`).
+      ``basis[b]`` is the real orthogonal eigenbasis V_b of block b, the
+      sectors n1 + n2 = b and b + c on its diagonal, and ``phases[b]`` its
+      eigenphases, so U = V_b diag(phases[b]) V_b^T on that block.  The
+      shapes are ``(c, c, c)`` and ``(c, c)``, with no padding.
 
     ``targets`` lists factor indices; ``None`` means "the two mode factors
     of whatever layout the gate is applied to", which lets mode-pair gates
@@ -87,22 +90,18 @@ class LocalGate:
 
 @lru_cache(maxsize=None)
 def _sector_index(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather and scatter indices between (n1, n2) and sector order.
+    """Gather and scatter indices between (n1, n2) and skew-block order.
 
-    ``gather[s, k]`` is the flat index n1*c + n2 of the k-th state (n1
-    ascending) of sector s = n1 + n2.  Padding slots repeat index 0:
-    the padded eigenbases are the identity there, so a padding row is
-    never mixed into a sector and is never scattered back.
-    ``scatter[n1*c + n2]`` is the inverse: the flat position s*c + k in
-    the sector-major array.
+    Block b < c holds the sectors n1 + n2 = b (slots n1 = 0..b) and
+    n1 + n2 = b + c (slots n1 = b+1..c-1), so ``gather[b, n1]`` is the
+    flat index n1*c + (b - n1) mod c.  The gather is a permutation of the
+    c² basis states, and ``scatter`` is its inverse: ``scatter[n1*c + n2]``
+    is the flat position b*c + n1 in the block-major array.
     """
     c = cutoff
-    gather = np.zeros((2 * c - 1, c), dtype=np.intp)
-    scatter = np.empty(c * c, dtype=np.intp)
-    for s in range(2 * c - 1):
-        n1 = np.arange(max(0, s - c + 1), min(s, c - 1) + 1)
-        gather[s, :len(n1)] = n1 * c + (s - n1)
-        scatter[gather[s, :len(n1)]] = s * c + np.arange(len(n1))
+    b, n1 = np.ogrid[:c, :c]
+    gather = n1 * c + (b - n1) % c
+    scatter = np.argsort(gather, axis=None)
     gather.setflags(write=False)
     scatter.setflags(write=False)
     return gather, scatter
@@ -110,24 +109,25 @@ def _sector_index(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _tunnel_sectors(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sector eigensystems of a2†a1 + a1†a2, padded to a common size.
+    """Eigensystems of a2†a1 + a1†a2, one per skew block of two sectors.
 
     Within sector s = n1 + n2 the generator is tridiagonal in n1, with
     <n1+1, n2-1| a1†a2 |n1, n2> = sqrt((n1+1) n2).  It is real symmetric,
     so each eigenbasis is real orthogonal and independent of the tunneling
-    strength; per-call gates only rescale the eigenphases.  Returns the
-    eigenvalues ``(2c-1, c)`` and eigenbases ``(2c-1, c, c)`` in the
-    sector order of :func:`_sector_index`, the identity on padding slots.
+    strength; per-call gates only rescale the eigenphases.  Sector s fills
+    slots n1 of block s mod c (:func:`_sector_index`), so its eigensystem
+    is written into that diagonal sub-block.  Returns the eigenvalues
+    ``(c, c)`` and eigenbases ``(c, c, c)``; each basis is exactly zero
+    between its block's two sectors.
     """
     c = cutoff
-    w = np.zeros((2 * c - 1, c))
-    v = np.zeros((2 * c - 1, c, c))
+    w = np.zeros((c, c))
+    v = np.zeros((c, c, c))
     for s in range(2 * c - 1):
         n1 = np.arange(max(0, s - c + 1), min(s, c - 1) + 1)
-        d = len(n1)
+        block = (s % c, slice(n1[0], n1[-1] + 1))
         off = np.sqrt((n1[:-1] + 1.0) * (s - n1[:-1]))
-        w[s, :d], v[s, :d, :d] = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-        v[s, d:, d:] = np.eye(c - d)
+        w[block], v[block + block[1:]] = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
@@ -216,9 +216,9 @@ def _apply_stack(gate: LocalGate, layout: SubsystemLayout, stack: np.ndarray) ->
         dst[1, :-1] = cos * excited + isin * ground
         dst[0, 0], dst[1, -1] = moved[0, 0], moved[1, -1]
         return out
-    # Gather the mode pair into sector-major order, rotate every sector by
+    # Permute the mode pair into skew-block order, rotate every block by
     # its eigenbasis with batched real matmuls on stacked re/im, and
-    # scatter back.  Every other axis rides along as extra columns.
+    # permute back.  Every other axis rides along as extra columns.
     cutoff = gate.basis.shape[1]
     gather, scatter = _sector_index(cutoff)
     cols = moved.reshape(cutoff * cutoff, -1)

@@ -380,6 +380,23 @@ def test_manifest_digest_ignores_the_output_directory(tmp_path, monkeypatch):
     assert digests[0] == digests[1]
 
 
+def test_manifest_digest_does_not_depend_on_output_depth(tmp_path):
+    # reruns from one manifest record params as ../circuit.json and as
+    # ../../../circuit.json; the digest hashes the file, not the path
+    (tmp_path / "circuit.json").write_text(json.dumps(
+        {"kind": "kerr", "n_mean": 2.0, "d": 1, "seed": 0, "params": [0.3, 0.2]}))
+    first = tmp_path / "a"
+    assert main(["wigner", "--kind", "kerr", "--n", "2", "--grid-points", "21",
+                 "--params", str(tmp_path / "circuit.json"), "--outdir", str(first)]) == 0
+    digests = []
+    for out in (first, tmp_path / "b", tmp_path / "deep" / "er" / "c"):
+        if out != first:
+            assert main(["wigner", "--config", str(first / "manifest.json"),
+                         "--outdir", str(out)]) == 0
+        digests.append(json.loads((out / "manifest.json").read_text())["sha256"])
+    assert digests[0] == digests[1] == digests[2]
+
+
 def test_typed_wigner_time_beats_recorded_params(tmp_path):
     (tmp_path / "circuit.json").write_text(json.dumps(
         {"kind": "kerr", "n_mean": 2.0, "d": 1, "seed": 0, "params": [0.3, 0.2]}))

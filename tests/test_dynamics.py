@@ -1,9 +1,18 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import modefisher
 from modefisher.dynamics import (
     LocalGate,
+    _sector_index,
+    _tunnel_sectors,
     apply,
     coherent_input_state,
     detune_gate,
@@ -157,6 +166,46 @@ def test_tunnel_gate_against_dense_expm():
             expected = (psi.reshape(-1, cutoff * cutoff) @ u_ref.T).reshape(*lead, cutoff,
                                                                             cutoff)
             np.testing.assert_allclose(apply(gate, state).tensor(), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("cutoff", [*range(2, 10), 40])
+def test_skew_blocks_pack_the_sectors_without_padding(cutoff):
+    c = cutoff
+    gather, scatter = _sector_index(c)
+    w, v = _tunnel_sectors(c)
+    assert gather.shape == w.shape == (c, c) and v.shape == (c, c, c)
+    assert np.array_equal(np.sort(gather, axis=None), np.arange(c * c))  # a permutation
+    assert np.array_equal(scatter[gather.ravel()], np.arange(c * c))
+    n1, n2 = np.divmod(gather, c)
+    assert np.array_equal(n1, np.broadcast_to(np.arange(c), (c, c)))  # slot n1 holds n1
+    total, block = n1 + n2, np.arange(c)[:, None]
+    assert np.all((total == block) | (total == block + c))
+    # each basis is orthogonal and exactly zero between its block's two sectors
+    np.testing.assert_allclose(v @ v.transpose(0, 2, 1), np.broadcast_to(np.eye(c), v.shape),
+                               atol=1e-12)
+    assert np.all(v[total[:, :, None] != total[:, None, :]] == 0.0)
+    for table in (gather, scatter, w, v):
+        assert not table.flags.writeable
+
+
+def test_stored_optima_do_not_depend_on_the_blas_thread_count():
+    runs = Path(__file__).resolve().parents[1] / "runs"
+    sidecars = [str(runs / f"prep_{name.split('_')[0]}_n20" / "params" / f"{name}.json")
+                for name in ("kerr_N20_d1_seed0", "kerr_N20_d6_seed4",
+                             "jc_N20_d2_seed0", "jc_N20_d8_seed0")]
+    code = ("import json, sys; from modefisher.artifacts import load_params; "
+            "from modefisher.circuits import prepare_probe; "
+            "from modefisher.metrology import qfi_fidelity; "
+            "print(json.dumps([qfi_fidelity(prepare_probe(load_params(p), 20.0)).value.hex() "
+            "for p in sys.argv[1:]]))")
+    values = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", code, *sidecars], capture_output=True,
+                             text=True, env=env, check=True,
+                             cwd=Path(modefisher.__file__).parents[1]).stdout
+        values.append(json.loads(out))
+    assert values[0] == values[1]
 
 
 def test_mode_pair_gates_conserve_total_photon_number():
