@@ -125,9 +125,9 @@ def _tunnel_sectors(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     v = np.zeros((c, c, c))
     for s in range(2 * c - 1):
         n1 = np.arange(max(0, s - c + 1), min(s, c - 1) + 1)
-        block = (s % c, slice(n1[0], n1[-1] + 1))
+        b, slots = s % c, slice(n1[0], n1[-1] + 1)
         off = np.sqrt((n1[:-1] + 1.0) * (s - n1[:-1]))
-        w[block], v[block + block[1:]] = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        w[b, slots], v[b, slots, slots] = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v

@@ -388,13 +388,13 @@ def test_manifest_digest_does_not_depend_on_output_depth(tmp_path):
     first = tmp_path / "a"
     assert main(["wigner", "--kind", "kerr", "--n", "2", "--grid-points", "21",
                  "--params", str(tmp_path / "circuit.json"), "--outdir", str(first)]) == 0
-    digests = []
-    for out in (first, tmp_path / "b", tmp_path / "deep" / "er" / "c"):
-        if out != first:
-            assert main(["wigner", "--config", str(first / "manifest.json"),
-                         "--outdir", str(out)]) == 0
-        digests.append(json.loads((out / "manifest.json").read_text())["sha256"])
-    assert digests[0] == digests[1] == digests[2]
+    reruns = (tmp_path / "b", tmp_path / "deep" / "er" / "c")
+    for out in reruns:
+        assert main(["wigner", "--config", str(first / "manifest.json"),
+                     "--outdir", str(out)]) == 0
+    digests = {json.loads((out / "manifest.json").read_text())["sha256"]
+               for out in (first, *reruns)}
+    assert len(digests) == 1
 
 
 def test_typed_wigner_time_beats_recorded_params(tmp_path):
