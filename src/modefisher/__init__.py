@@ -34,8 +34,6 @@ from .encoding import (
     DEFAULT_PHI,
     PhaseFamily,
     beam_splitter_gate,
-    encode,
-    encode_derivative,
     encoded_family,
     phase_diff_gate,
 )

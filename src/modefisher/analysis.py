@@ -17,7 +17,6 @@ from .dynamics import coherent_input_state, evolve_continuous
 from .encoding import DEFAULT_PHI, encoded_family
 from .hilbert import default_cutoff
 from .metrology import (
-    DEFAULT_DELTA,
     MeasurementModel,
     QuadratureGrid,
     cfi,
@@ -76,9 +75,9 @@ def sweep_continuous(kind: str, n_mean: float, time_grid=None,
                      include_cfi_homodyne: bool = False,
                      theta: float = 0.0,
                      grid: QuadratureGrid = QuadratureGrid(),
-                     phi: float = DEFAULT_PHI, delta: float = DEFAULT_DELTA,
+                     phi: float = DEFAULT_PHI,
                      cutoff: int | None = None) -> list[SweepRecord]:
-    """Inverse QFI (optionally CFI) of continuously evolved probes."""
+    """Inverse QFI (optionally CFI at phase ``phi``) of continuously evolved probes."""
     times = _grid_for(kind, time_grid)
     cut = cutoff if cutoff is not None else default_cutoff(n_mean)
     psi0 = coherent_input_state(kind, n_mean, cut)
@@ -86,7 +85,7 @@ def sweep_continuous(kind: str, n_mean: float, time_grid=None,
     records = []
     for t in times:
         probe = evolve_continuous(kind, float(t), psi0)
-        fq = qfi_fidelity(probe, phi, delta).value
+        fq = qfi_fidelity(probe).value
         inv_counting = inv_homodyne = None
         if include_cfi_counting or include_cfi_homodyne:
             family = encoded_family(probe, phi)
@@ -149,13 +148,13 @@ def find_minima(records: list[SweepRecord],
 
 
 def time_to_tfs(kind: str, n_mean: float, time_grid=None,
-                phi: float = DEFAULT_PHI, delta: float = DEFAULT_DELTA,
                 cutoff: int | None = None, refine_tol: float = 1e-4,
                 margin: float = 1.0) -> float:
     """First interaction time whose QFI reaches the twin-Fock value.
 
     Scans the grid for the first crossing of F_Q >= N(N+2)/2 - margin,
-    then bisects the bracketing interval down to ``refine_tol``.
+    then bisects the bracketing interval down to ``refine_tol``.  The QFI
+    is a property of the evolved probe alone, so no operating phase enters.
 
     ``margin`` is an absolute allowance in Fisher units.  The evolved
     QFI approaches the twin-Fock value from below without touching it
@@ -174,7 +173,7 @@ def time_to_tfs(kind: str, n_mean: float, time_grid=None,
         )
 
     def fisher(t: float) -> float:
-        return qfi_fidelity(evolve_continuous(kind, t, psi0), phi, delta).value
+        return qfi_fidelity(evolve_continuous(kind, t, psi0)).value
 
     prev_t, prev_f = float(times[0]), fisher(float(times[0]))
     if prev_f >= target:

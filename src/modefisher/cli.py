@@ -46,7 +46,7 @@ from .circuits import AnsatzParams, prepare_probe
 from .dynamics import coherent_input_state, evolve_continuous
 from .encoding import DEFAULT_PHI
 from .hilbert import reduce_to_mode
-from .metrology import DEFAULT_DELTA, MeasurementModel, bounds, inverse_fisher
+from .metrology import MeasurementModel, bounds, inverse_fisher
 from .optimize import (
     OptimizationError,
     OptimizerConfig,
@@ -68,7 +68,6 @@ _COMMON = {
     "n_mean": 20.0,
     "cutoff": None,          # None -> default_cutoff(n_mean)
     "phi": DEFAULT_PHI,
-    "delta": DEFAULT_DELTA,
     "outdir": "runs/out",
 }
 _SEARCH = {
@@ -116,7 +115,6 @@ _FLAGS = {
     "n_mean": ("--n", "total mean photon number N", {"type": _nonnegative_float}),
     "cutoff": ("--cutoff", "per-mode Fock cutoff (from N when not given)", {"type": int}),
     "phi": ("--phi", "operating phase of the interferometer", {"type": float}),
-    "delta": ("--delta", "finite-difference step for the QFI", {"type": float}),
     "outdir": ("--outdir", "output directory", {}),
     "seeds": ("--seeds", "restarts per batch", {"type": int}),
     "d_max": ("--dmax", "deepest circuit in the growth schedule", {"type": int}),
@@ -258,8 +256,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         time_grid=time_grid_from(float(config["tmax"]), float(config["tstep"])),
         include_cfi_counting=bool(config["with_counting"]),
         include_cfi_homodyne=bool(config["with_homodyne"]), theta=float(config["theta"]),
-        phi=float(config["phi"]), delta=float(config["delta"]),
-        cutoff=int(config["cutoff"]),
+        phi=float(config["phi"]), cutoff=int(config["cutoff"]),
     )
     minima = find_minima(records)
     outdir = Path(config["outdir"])
@@ -278,7 +275,6 @@ def _prep_worker(payload: dict) -> list:
     config = payload["config"]
     return optimize_preparation(
         payload["kind"], payload["n_mean"], payload["schedule"], payload["opt_config"],
-        phi=float(config["phi"]), delta=float(config["delta"]),
         cutoff=int(config["cutoff"]),
     )
 
@@ -421,8 +417,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             candidates = sorted(paired_dir.glob(sidecar_name(kind, n_mean, d, "*")))
             if not candidates:
                 raise FileNotFoundError(f"no stored parameters for d={d} under {paired_dir}")
-            prep_by_d[d] = best_by_qfi(candidates, n_mean, int(config["cutoff"]),
-                                       float(config["phi"]), float(config["delta"]))
+            prep_by_d[d] = best_by_qfi(candidates, n_mean, int(config["cutoff"]))
         digest = _write_manifest("ablate", config)
         plain, records = paired_depth_scan(
             kind, prep_by_d, _measurement_model(config), n_mean, opt_config,

@@ -39,21 +39,20 @@ class PhaseFamily:
 
 
 @lru_cache(maxsize=None)
-def beam_splitter_gate(cutoff: int, modes: tuple[int, int] | None = None) -> LocalGate:
+def beam_splitter_gate(cutoff: int) -> LocalGate:
     """Symmetric beam splitter: tunneling at j = pi/4 (cached, read-only)."""
-    gate = tunnel_gate(np.pi / 4, cutoff, modes)
+    gate = tunnel_gate(np.pi / 4, cutoff)
     gate.phases.setflags(write=False)
-    return LocalGate("bs", gate.targets, basis=gate.basis, phases=gate.phases)
+    return LocalGate("bs", None, basis=gate.basis, phases=gate.phases)
 
 
 @lru_cache(maxsize=32)
-def phase_diff_gate(phi: float, cutoff: int,
-                    modes: tuple[int, int] | None = None) -> LocalGate:
+def phase_diff_gate(phi: float, cutoff: int) -> LocalGate:
     """Differential phase exp(-i (phi/2)(n2 - n1)) on the mode pair (cached, read-only)."""
     n = np.arange(cutoff)
     diag = np.exp(-0.5j * phi * (n[None, :] - n[:, None])).ravel()
     diag.setflags(write=False)
-    return LocalGate("phase_diff", modes, diag=diag, identity=(phi == 0.0))
+    return LocalGate("phase_diff", None, diag=diag, identity=(phi == 0.0))
 
 
 def _diff_number(layout: SubsystemLayout) -> np.ndarray:
@@ -85,18 +84,8 @@ def beam_split(state: CompositeState) -> CompositeState:
     return chi
 
 
-def encode(state: CompositeState, phi: float) -> CompositeState:
-    """|psi_E(phi)> = BS . PD(phi) . BS |psi_P>."""
-    return encoded_family(state, phi).state
-
-
-def encode_derivative(state: CompositeState, phi: float) -> CompositeState:
-    """Exact d/dphi of the encoded state (unnormalized tangent vector)."""
-    return encoded_family(state, phi).derivative
-
-
 def encoded_family(state: CompositeState, phi: float = DEFAULT_PHI) -> PhaseFamily:
-    """Encoded state together with its phase derivative at ``phi``.
+    """|psi_E(phi)> = BS . PD(phi) . BS |psi_P> and its exact phase derivative.
 
     Only PD depends on phi, so the derivative is BS (-i/2)(n2 - n1) PD(phi) chi
     and the outer beam splitter takes the phased state and that tangent as

@@ -14,6 +14,9 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 QUBIT_DIM = 2
+# the one unit-norm tolerance: on |psi| for states and factor vectors, on
+# the square root of the total for probability tables
+NORM_ATOL = 1e-6
 
 
 class LayoutError(ValueError):
@@ -22,6 +25,12 @@ class LayoutError(ValueError):
 
 class CutoffError(ValueError):
     """Requested amplitudes carry non-negligible weight above the cutoff."""
+
+
+def check_unit_norm(norm: float, what: str = "state") -> None:
+    """Raise ValueError unless ``norm`` is 1 within :data:`NORM_ATOL`."""
+    if abs(norm - 1.0) > NORM_ATOL:
+        raise ValueError(f"{what} norm {norm:.9f} is not 1 within {NORM_ATOL:g}")
 
 
 @dataclass(frozen=True)
@@ -106,9 +115,7 @@ class CompositeState:
             )
         self.amplitudes = amps
         if check_norm:
-            nrm = np.linalg.norm(amps)
-            if abs(nrm - 1.0) > 1e-6:
-                raise ValueError(f"state norm {nrm:.3e} is not 1 within 1e-6")
+            check_unit_norm(float(np.linalg.norm(amps)))
 
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per factor (a view when possible)."""
@@ -184,8 +191,7 @@ def product_state(layout: SubsystemLayout, factor_vectors: list[np.ndarray]) -> 
         v = np.asarray(vec, dtype=np.complex128).ravel()
         if v.shape != (dim,):
             raise LayoutError(f"{kind} factor needs dim {dim}, got {v.shape}")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-6:
-            raise ValueError("factor vector is not unit norm")
+        check_unit_norm(float(np.linalg.norm(v)), f"{kind} factor vector")
         out = np.kron(out, v)
     return CompositeState(layout, out)
 

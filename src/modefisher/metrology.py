@@ -1,8 +1,10 @@
 """Fisher information, measurement models, and phase-estimation bounds.
 
-Quantum Fisher information comes from the finite-difference fidelity of
-the encoded pure-state family; an independent variance-of-generator
-oracle cross-checks it; both read the encoded family's chi = BS |psi_P>.
+Quantum Fisher information is a property of the probe alone: for the
+pure unitary family it does not depend on the operating phase, so both
+QFI routes take only the probe.  The fidelity drop over a fixed small
+phase step is the estimator; an independent variance-of-generator oracle
+cross-checks it; both read the encoded family's chi = BS |psi_P>.
 Classical Fisher information is computed from analytic probability
 derivatives for photon counting and for double homodyne readout,
 optionally including projective emitter outcomes.
@@ -23,13 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .encoding import DEFAULT_PHI, PhaseFamily, _diff_number, beam_split
-from .hilbert import CompositeState, SubsystemLayout
+from .encoding import PhaseFamily, _diff_number, beam_split
+from .hilbert import CompositeState, SubsystemLayout, check_unit_norm
 
-DEFAULT_DELTA = 1e-2
 PROBABILITY_FLOOR = 1e-12
-_COUNT_NORM_ATOL = 1e-6
 _DENSITY_NORM_ATOL = 1e-4
+# phase step of the fidelity estimator
+_FIDELITY_DELTA = 1e-2
 # x1 rows per homodyne GEMM block: at cutoff 40, 801 points and four
 # emitter outcomes a block of state and derivative planes is 3.3 MB
 _ROW_BLOCK = 32
@@ -83,9 +85,6 @@ class MeasurementModel:
 @dataclass(frozen=True)
 class FisherResult:
     value: float
-    kind: str
-    phi: float
-    delta_used: float | None = None
 
 
 @dataclass(frozen=True)
@@ -152,9 +151,7 @@ def counting_probabilities(state: CompositeState, include_emitters: bool = False
     drop = _marginal_axes(state, include_emitters)
     if drop:
         p = p.sum(axis=drop)
-    total = p.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total:.12f}, expected 1")
+    check_unit_norm(math.sqrt(p.sum()), "counting table")
     return p
 
 
@@ -255,12 +252,10 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
         if drop:
             p = p.sum(axis=drop)
             dp = dp.sum(axis=drop)
-        total = p.sum()
-        if abs(total - 1.0) > _COUNT_NORM_ATOL:
-            raise ValueError(f"probabilities sum to {total:.9f}, expected 1")
+        check_unit_norm(math.sqrt(p.sum()), "counting table")
         mask = p > PROBABILITY_FLOOR
         value = float((dp[mask] ** 2 / p[mask]).sum())
-        return FisherResult(max(value, 0.0), "cfi", family.phi)
+        return FisherResult(max(value, 0.0))
 
     x = model.grid.axis(state.layout.cutoff)
     w = _trapezoid_weights(x)
@@ -282,40 +277,36 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
         value += float(np.sum(quot @ w @ w[rows]))
         total += float(np.sum(p @ w @ w[rows]))
     _check_density(total)
-    return FisherResult(max(value, 0.0), "cfi", family.phi)
+    return FisherResult(max(value, 0.0))
 
 
 @lru_cache(maxsize=32)
-def _fidelity_phases(layout: SubsystemLayout, delta: float) -> np.ndarray:
-    """exp(-i delta (n2 - n1)/2) over ``layout``, read-only."""
-    table = np.exp(-0.5j * delta * _diff_number(layout))
+def _fidelity_phases(layout: SubsystemLayout) -> np.ndarray:
+    """exp(-i delta (n2 - n1)/2) over ``layout`` at the fidelity step, read-only."""
+    table = np.exp(-0.5j * _FIDELITY_DELTA * _diff_number(layout))
     table.setflags(write=False)
     return table
 
 
-def qfi_fidelity(probe: CompositeState, phi: float = DEFAULT_PHI,
-                 delta: float = DEFAULT_DELTA) -> FisherResult:
-    """QFI from the fidelity drop between nearby encoded states.
+def qfi_fidelity(probe: CompositeState) -> FisherResult:
+    """QFI of the probe from the fidelity drop between nearby encoded states.
 
     F_Q = 8 (1 - |<psi_E(phi)|psi_E(phi+delta)>|) / delta^2 for the pure
-    encoded family.  With chi = BS |psi_P>, the overlap is
-    <chi| PD(delta) |chi> = sum |chi|^2 exp(-i delta (n2 - n1)/2): the
-    outer beam splitter and the phase stage at phi cancel, so it takes one
-    beam splitter and a diagonal sum against a cached phase table, and it
-    does not depend on phi (``phi`` only labels the result).
+    encoded family, with the fixed step delta = 1e-2.  With chi = BS |psi_P>,
+    the overlap is <chi| PD(delta) |chi> = sum |chi|^2 exp(-i delta (n2 - n1)/2):
+    the outer beam splitter and the phase stage at phi cancel, so the value
+    is the same at every operating phase.  It takes one beam splitter and
+    a diagonal sum against a cached phase table.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if abs(np.linalg.norm(probe.amplitudes) - 1.0) > 1e-6:
-        raise ValueError("probe must be unit norm")
+    check_unit_norm(probe.norm(), "probe")
     chi = beam_split(probe)
     p = np.abs(chi.tensor()) ** 2
-    overlap = abs(np.sum(p * _fidelity_phases(chi.layout, delta)))
-    value = 8.0 * (1.0 - overlap) / delta**2
-    return FisherResult(max(value, 0.0), "qfi", phi, delta_used=delta)
+    overlap = abs(np.sum(p * _fidelity_phases(chi.layout)))
+    value = 8.0 * (1.0 - overlap) / _FIDELITY_DELTA**2
+    return FisherResult(max(value, 0.0))
 
 
-def qfi_variance_oracle(probe: CompositeState, phi: float = DEFAULT_PHI) -> FisherResult:
+def qfi_variance_oracle(probe: CompositeState) -> FisherResult:
     """Independent QFI route: 4 Var(G) on the beam-split probe.
 
     For unitary encoding with generator G = (n2 - n1)/2 conjugated by the
@@ -327,4 +318,4 @@ def qfi_variance_oracle(probe: CompositeState, phi: float = DEFAULT_PHI) -> Fish
     p = np.abs(chi.tensor()) ** 2
     mean = float((g * p).sum())
     second = float((g * g * p).sum())
-    return FisherResult(max(4.0 * (second - mean * mean), 0.0), "qfi", phi)
+    return FisherResult(max(4.0 * (second - mean * mean), 0.0))

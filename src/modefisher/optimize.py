@@ -46,7 +46,7 @@ from .circuits import (LAYER_WIDTH, AnsatzParams, build_circuit, interaction_bud
                        prepare_probe, run_circuit)
 from .dynamics import apply, coherent_input_state
 from .encoding import DEFAULT_PHI, PhaseFamily, encoded_family
-from .metrology import DEFAULT_DELTA, MeasurementModel, cfi, inverse_fisher, qfi_fidelity
+from .metrology import MeasurementModel, QuadratureGrid, cfi, inverse_fisher, qfi_fidelity
 
 log = logging.getLogger(__name__)
 
@@ -240,22 +240,19 @@ def _search(kind: str, n_mean: float, objective_at, d_schedule, config: Optimize
 
 
 @functools.lru_cache(maxsize=None)
-def jc_first_dip(n_mean: float, cutoff: int, phi: float = DEFAULT_PHI,
-                 delta: float = DEFAULT_DELTA) -> float:
+def jc_first_dip(n_mean: float, cutoff: int) -> float:
     """Coupling time g of the first dip of the continuous JC inverse-QFI curve.
 
     A single JC layer with no tunneling or detuning is the continuous
     evolution, so this is the one-layer optimum along g alone.
     """
-    minima = find_minima(sweep_continuous("jc", n_mean, phi=phi, delta=delta,
-                                          cutoff=cutoff))
+    minima = find_minima(sweep_continuous("jc", n_mean, cutoff=cutoff))
     if not minima:
         raise OptimizationError(f"continuous jc sweep at N={n_mean:g} has no dip")
     return minima[0][0]
 
 
 def optimize_preparation(kind: str, n_mean: float, d_schedule, config: OptimizerConfig,
-                         phi: float = DEFAULT_PHI, delta: float = DEFAULT_DELTA,
                          cutoff: int | None = None) -> list[OptRecord]:
     """Maximize QFI over preparation-circuit parameters, growing layers.
 
@@ -268,12 +265,12 @@ def optimize_preparation(kind: str, n_mean: float, d_schedule, config: Optimizer
 
     def objective(x: np.ndarray) -> float:
         probe = run_circuit(AnsatzParams.from_vector(kind, x), psi0)
-        return -qfi_fidelity(probe, phi, delta).value
+        return -qfi_fidelity(probe).value
 
     if kind != "jc":
         return _search(kind, n_mean, lambda _d: objective, d_schedule, config,
                        open_wide=False)
-    first_layer = (0.0, 0.0, jc_first_dip(float(n_mean), cut, phi, delta))
+    first_layer = (0.0, 0.0, jc_first_dip(float(n_mean), cut))
     return _search(kind, n_mean, lambda _d: objective, d_schedule, config,
                    first_layer=first_layer)
 
@@ -322,15 +319,12 @@ class ThetaAblation:
 def ablation_theta(kind: str, prepared_params: AnsatzParams, n_mean: float,
                    config: OptimizerConfig, phi: float = DEFAULT_PHI,
                    cutoff: int | None = None,
-                   grid=None) -> ThetaAblation:
+                   grid: QuadratureGrid = QuadratureGrid()) -> ThetaAblation:
     """Compare homodyne readout strategies on one fixed probe.
 
     Arms: (a) optimize the quadrature angle with no measurement circuit,
     (b) fix theta=0 and optimize the circuit, (c) optimize both jointly.
     """
-    from .metrology import QuadratureGrid
-
-    grid = grid if grid is not None else QuadratureGrid()
     family = encoded_family(prepare_probe(prepared_params, n_mean, cutoff), phi)
 
     def theta_objective(x: np.ndarray) -> float:
@@ -390,12 +384,11 @@ def best_record(records: list[OptRecord], d: int | None = None) -> OptRecord:
     return min(pool, key=lambda r: r.best_objective)
 
 
-def best_by_qfi(paths, n_mean: float, cutoff: int, phi: float = DEFAULT_PHI,
-                delta: float = DEFAULT_DELTA) -> AnsatzParams:
+def best_by_qfi(paths, n_mean: float, cutoff: int) -> AnsatzParams:
     """Stored circuit whose probe has the largest QFI (the first on ties)."""
     candidates = [load_params(path) for path in paths]
     if not candidates:
         raise ValueError("no stored parameters to choose from")
     psi0 = coherent_input_state(candidates[0].kind, n_mean, cutoff)
     return max(candidates,
-               key=lambda params: qfi_fidelity(run_circuit(params, psi0), phi, delta).value)
+               key=lambda params: qfi_fidelity(run_circuit(params, psi0)).value)

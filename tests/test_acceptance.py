@@ -154,7 +154,7 @@ def test_oracle_equivalence(report):
         amps[support] = (rng.normal(size=support.sum())
                          + 1j * rng.normal(size=support.sum()))
         probe = CompositeState(layout, amps / np.linalg.norm(amps))
-        est = qfi_fidelity(probe, delta=1e-2).value
+        est = qfi_fidelity(probe).value
         exact = qfi_variance_oracle(probe).value
         worst = max(worst, abs(est - exact) / exact)
     ok = worst <= 1e-3

@@ -122,12 +122,14 @@ def test_optimizer_defaults_come_from_optimizer_config():
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n_men": 4.0}))
-    rc = main(["sweep", "--config", str(cfg), "--tmax", "0.3", "--tstep", "0.1",
-               "--outdir", str(tmp_path / "run")])
-    assert rc == 1
-    assert "unknown config keys" in capsys.readouterr().err
+    # a typo, and the QFI step that is no longer a knob
+    for config in ({"n_men": 4.0}, {"delta": 0.01}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["sweep", "--config", str(cfg), "--tmax", "0.3", "--tstep", "0.1",
+                   "--outdir", str(tmp_path / "run")])
+        assert rc == 1
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, config", [

@@ -3,7 +3,7 @@ import pytest
 
 from modefisher.circuits import AnsatzParams, prepare_probe
 from modefisher.dynamics import coherent_input_state, evolve_continuous
-from modefisher.encoding import encode, encoded_family
+from modefisher.encoding import PhaseFamily, encoded_family
 from modefisher.hilbert import CompositeState, jc_layout, kerr_layout
 from modefisher.metrology import (
     PROBABILITY_FLOOR,
@@ -49,24 +49,25 @@ def test_coherent_probe_sits_at_shot_noise():
 
 def test_qfi_estimator_agrees_with_variance_route():
     probe = _random_probe(kerr_layout(10), 5)
-    est = qfi_fidelity(probe, np.pi / 3, 1e-2)
-    oracle = qfi_variance_oracle(probe, np.pi / 3)
-    assert est.delta_used == 1e-2
+    est = qfi_fidelity(probe)
+    oracle = qfi_variance_oracle(probe)
     assert abs(est.value - oracle.value) / oracle.value < 1e-3
 
 
 def test_qfi_matches_fidelity_of_two_encodings():
-    """The one-beam-splitter overlap equals the overlap of two encodings."""
-    phi, delta = np.pi / 3, 1e-2
+    """The probe-only QFI equals the overlap of two encodings at every phase point."""
+    delta = 1e-2
     rng = np.random.default_rng(12)
     for kind, width in (("kerr", 2), ("jc", 3)):
         for _ in range(3):
             params = AnsatzParams.from_vector(kind, rng.normal(size=2 * width))
             probe = prepare_probe(params, 6.0)
-            left, right = encode(probe, phi), encode(probe, phi + delta)
-            ref = 8.0 * (1.0 - abs(np.vdot(left.amplitudes, right.amplitudes))) / delta**2
-            value = qfi_fidelity(probe, phi, delta).value
-            assert abs(value - ref) <= 1e-10 * ref, (kind, value, ref)
+            value = qfi_fidelity(probe).value
+            for phi in (0.3, np.pi / 3, 1.9):
+                left = encoded_family(probe, phi).state
+                right = encoded_family(probe, phi + delta).state
+                ref = 8.0 * (1.0 - abs(np.vdot(left.amplitudes, right.amplitudes))) / delta**2
+                assert abs(value - ref) <= 1e-10 * ref, (kind, phi, value, ref)
 
 
 def test_qfi_input_guards():
@@ -74,9 +75,25 @@ def test_qfi_input_guards():
     bad = CompositeState(layout, 0.5 * np.eye(36)[0], check_norm=False)
     with pytest.raises(ValueError):
         qfi_fidelity(bad)
-    good = _random_probe(layout, 0)
-    with pytest.raises(ValueError):
-        qfi_fidelity(good, delta=0.0)
+
+
+def test_one_unit_norm_tolerance():
+    """Constructor, QFI and both counting checks accept and reject the same norms."""
+    family = encoded_family(_random_probe(kerr_layout(6), 3))
+    model = MeasurementModel("counting")
+    for norm, accepted in ((1 - 0.9e-6, True), (1 + 0.9e-6, True), (1 + 1.1e-6, False)):
+        amps = norm * family.state.amplitudes
+        state = CompositeState(family.state.layout, amps, check_norm=False)
+        checks = (lambda: CompositeState(state.layout, amps),
+                  lambda: qfi_fidelity(state),
+                  lambda: counting_probabilities(state),
+                  lambda: cfi(PhaseFamily(state, family.derivative, family.phi), model))
+        for check in checks:
+            if accepted:
+                check()
+            else:
+                with pytest.raises(ValueError):
+                    check()
 
 
 def test_counting_probabilities_normalized():
