@@ -126,6 +126,24 @@ def test_cramer_rao_hierarchy_homodyne():
         assert cfi(family, model).value <= fq * (1 + 1e-6)
 
 
+def test_qfi_is_phase_point_independent():
+    """The two-encoding fidelity QFI is the same at every phase point and
+    equals the probe-only qfi_fidelity."""
+    delta = 1e-2
+    rng = np.random.default_rng(106)
+    for _ in range(100):
+        probe = _random_state(kerr_layout(int(rng.integers(3, 8))), rng)
+        values = []
+        for phi in (0.3, np.pi / 3, 1.9):
+            left = encoded_family(probe, phi).state.amplitudes
+            right = encoded_family(probe, phi + delta).state.amplitudes
+            values.append(8.0 * (1.0 - abs(np.vdot(left, right))) / delta**2)
+        spread = (max(values) - min(values)) / max(values)
+        assert spread < 1e-6
+        fq = qfi_fidelity(probe).value
+        assert abs(fq - values[0]) / fq < 1e-6
+
+
 def test_fidelity_estimator_tracks_variance_oracle():
     rng = np.random.default_rng(107)
     for _ in range(100):
