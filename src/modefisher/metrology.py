@@ -15,6 +15,19 @@ Fock-side phase e^{i theta (n1 + n2)} on the amplitudes, so the cached
 oscillator-eigenfunction table stays real.  Both modes then contract
 with it as real GEMMs, the second one in blocks of x1 rows, and no full
 complex (outcome, x1, x2) table is ever built.
+
+:func:`cfi` contracts the second mode only on a support window of the
+grid.  After the mode-1 GEMM each outcome's amplitude is
+a_q(x1, x2) = sum_n half_q[x1, n] psi_n(x2), so by Cauchy-Schwarz
+p(x1, x2) <= sum_q |half_q[x1, :]|^2 K(x2) <= R(x1), with
+K(x) = sum_n psi_n(x)^2, Kmax its largest value on the grid and
+R(x1) = Kmax sum_q |half_q[x1, :]|^2.  The column bound C(x2) is the same
+sum with n2 contracted first.  Every cell outside the contiguous
+rows x columns where R and C reach PROBABILITY_FLOOR/2 has p below the
+floor, so it adds exactly 0 to the Fisher sum; the factor 1/2 leaves
+room for rounding.  The window only reorders the Fisher sum and drops
+less than PROBABILITY_FLOOR/2 per cell from the normalization total.
+:func:`homodyne_probabilities` always returns the full grid.
 """
 
 from __future__ import annotations
@@ -33,7 +46,8 @@ _DENSITY_NORM_ATOL = 1e-4
 # phase step of the fidelity estimator
 _FIDELITY_DELTA = 1e-2
 # x1 rows per homodyne GEMM block: at cutoff 40, 801 points and four
-# emitter outcomes a block of state and derivative planes is 3.3 MB
+# emitter outcomes the one block buffer of state and derivative planes
+# is 3.3 MB (less once cfi narrows the columns to the support window)
 _ROW_BLOCK = 32
 
 
@@ -155,16 +169,36 @@ def counting_probabilities(state: CompositeState, include_emitters: bool = False
     return p
 
 
-def _quadrature_blocks(states: list[CompositeState], theta: float, x: np.ndarray):
+@lru_cache(maxsize=32)
+def _hermite_kmax(cutoff: int, x_max: float, points: int) -> float:
+    """max_i K(x_i) with K(x) = sum_n psi_n(x)^2, the support window's factor."""
+    h = _hermite_functions(cutoff, x_max, points)
+    return float(np.einsum("ni,ni->i", h, h).max())
+
+
+def _support(weight: np.ndarray) -> slice | None:
+    """Smallest slice holding every index whose bound reaches PROBABILITY_FLOOR/2."""
+    (kept,) = np.nonzero(weight >= 0.5 * PROBABILITY_FLOOR)
+    return slice(kept[0], kept[-1] + 1) if len(kept) else None
+
+
+def _quadrature_blocks(states: list[CompositeState], theta: float, x: np.ndarray,
+                       window: bool = False):
     """Quadrature amplitudes of the stacked states, one block of x1 rows at a time.
 
     The rotation to the x^(theta) basis is the Fock-side phase
     e^{i theta (n1 + n2)}, so both modes contract with the real table
     H[n, i] = psi_n(x_i): mode 1 in one real GEMM for every state, real or
     imaginary part and outcome, mode 2 per block of x1 rows.  Yields
-    ``(rows, amps)`` with ``amps[k, part, q, r, j]`` the real (part 0) or
-    imaginary (part 1) amplitude of state k and outcome q at
-    (x1, x2) = (x[rows][r], x[j]); each (k, part) plane is contiguous.
+    ``(rows, cols, amps)`` with ``amps[k, part, q, r, j]`` the real
+    (part 0) or imaginary (part 1) amplitude of state k and outcome q at
+    (x1, x2) = (x[rows][r], x[cols][j]).  ``amps`` is one buffer reused by
+    every block, so it is valid only until the next block is drawn.
+
+    ``window=True`` restricts rows and columns to the support window of
+    the first state, outside which its density is certified below
+    PROBABILITY_FLOOR/2 (see the module docstring); no block is yielded
+    when the window is empty.  Otherwise rows and columns span the grid.
     """
     z = np.stack([_outcome_tables(s) for s in states])       # (k, q, n1, n2)
     cutoff = z.shape[-1]
@@ -173,14 +207,35 @@ def _quadrature_blocks(states: list[CompositeState], theta: float, x: np.ndarray
         z = z * np.exp(1j * theta * (n[:, None] + n[None, :]))
     planes = np.stack((z.real, z.imag), axis=1)              # (k, part, q, n1, n2)
     lead = planes.shape[:3]
-    planes = np.moveaxis(planes.reshape(-1, cutoff, cutoff), 1, 0).reshape(cutoff, -1)
+    planes = planes.reshape(-1, cutoff, cutoff)
     h = _hermite_functions(cutoff, float(x[-1]), len(x))
-    half = (h.T @ planes).reshape(len(x), -1, cutoff)        # (x1, k*part*q, n2)
-    for start in range(0, len(x), _ROW_BLOCK):
-        block = half[start:start + _ROW_BLOCK]
-        amps = block.swapaxes(0, 1).reshape(-1, cutoff) @ h
-        yield (slice(start, start + len(block)),
-               amps.reshape(*lead, len(block), len(x)))
+    # (x1, k*part*q, n2)
+    half = (h.T @ np.moveaxis(planes, 1, 0).reshape(cutoff, -1)).reshape(len(x), -1, cutoff)
+    rows = cols = slice(0, len(x))
+    if window:
+        first = 2 * lead[2]                                  # planes of the first state
+        kmax = _hermite_kmax(cutoff, float(x[-1]), len(x))
+        # p(x1, x2) <= |half[x1, :]|^2 K(x2) <= row bound, and likewise
+        # for columns with n2 contracted first
+        row_bound = kmax * np.einsum("ipn,ipn->i", half[:, :first], half[:, :first])
+        other = h.T @ np.moveaxis(planes[:first], 2, 0).reshape(cutoff, -1)
+        col_bound = kmax * np.einsum("jm,jm->j", other, other)
+        rows, cols = _support(row_bound), _support(col_bound)
+        del row_bound, other, col_bound
+        if rows is None or cols is None:
+            return
+    h = h[:, cols]
+    # one staging and one output buffer, sized by the first (largest) block
+    size = half.shape[1] * min(_ROW_BLOCK, rows.stop - rows.start)
+    staged, out = np.empty(size * cutoff), np.empty(size * h.shape[1])
+    for start in range(rows.start, rows.stop, _ROW_BLOCK):
+        block = half[start:min(start + _ROW_BLOCK, rows.stop)].swapaxes(0, 1)
+        n = block.shape[0] * block.shape[1]                  # planes x rows
+        np.copyto(staged[:n * cutoff].reshape(block.shape), block)
+        amps = np.matmul(staged[:n * cutoff].reshape(n, cutoff), h,
+                         out=out[:n * h.shape[1]].reshape(n, h.shape[1]))
+        yield (slice(start, start + block.shape[1]), cols,
+               amps.reshape(*lead, block.shape[1], h.shape[1]))
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -208,7 +263,7 @@ def homodyne_probabilities(state: CompositeState, theta: float,
     x = grid.axis(layout.cutoff)
     outcomes = [layout.dims[i] for i in layout.qubit_indices]
     p = np.empty((math.prod(outcomes), len(x), len(x)))
-    for rows, ((re, im),) in _quadrature_blocks([state], theta, x):
+    for rows, _, ((re, im),) in _quadrature_blocks([state], theta, x):
         p[:, rows] = re * re + im * im
     p = np.moveaxis(p.reshape(*outcomes, len(x), len(x)), (-2, -1), layout.mode_indices)
     drop = _marginal_axes(state, include_emitters)
@@ -238,9 +293,13 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
     The homodyne kernel never builds a full complex table.  The angle is
     a Fock-side phase, so the state and its derivative contract with the
     real Hermite table as real GEMMs (:func:`_quadrature_blocks`), mode 2
-    in blocks of x1 rows.  Each block forms p and dp, sums the emitter
-    outcomes when they are marginalized, and adds its trapezoid-weighted
-    share of the Fisher sum and of the normalization total.
+    in blocks of x1 rows, over the support window only: the cells
+    outside it are certified by Cauchy-Schwarz to lie below
+    PROBABILITY_FLOOR/2 (see the module docstring), so they add nothing.
+    Each block forms p and dp in place in its amplitude buffer, sums the
+    emitter outcomes when they are marginalized, and adds its trapezoid-
+    weighted share of the Fisher sum and of the normalization total.  An
+    empty window leaves a total of 0, which fails the density check.
     """
     state, deriv = family.state, family.derivative
     if model.kind == "counting":
@@ -262,20 +321,26 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
     marginal = bool(_marginal_axes(state, model.include_emitters))
     theta_frame = model.theta - 0.5 * family.phi
     value = total = 0.0
-    for rows, ((a, b), (c, d)) in _quadrature_blocks([state, deriv], theta_frame, x):
-        p = a * a
-        p += b * b
-        dp = a * c
-        dp += b * d
+    for rows, cols, ((a, b), (c, d)) in _quadrature_blocks(
+            [state, deriv], theta_frame, x, window=True):
+        # p and dp overwrite the block's amplitude planes in place
+        c *= a
+        d *= b
+        dp = np.add(c, d, out=c)
+        a *= a
+        b *= b
+        p = np.add(a, b, out=a)
         dp *= 2.0
         if marginal:
-            p = p.sum(axis=0)
-            dp = dp.sum(axis=0)
+            p = np.sum(p, axis=0, out=b[0])
+            dp = np.sum(dp, axis=0, out=d[0])
         dp *= dp
-        quot = np.divide(dp, p, out=np.zeros_like(p), where=p > PROBABILITY_FLOOR)
+        kept = p > PROBABILITY_FLOOR
+        quot = np.divide(dp, p, out=dp, where=kept)
+        quot *= kept
         # trapezoid over both quadrature axes, plain sum over emitter outcomes
-        value += float(np.sum(quot @ w @ w[rows]))
-        total += float(np.sum(p @ w @ w[rows]))
+        value += float(np.sum(quot @ w[cols] @ w[rows]))
+        total += float(np.sum(p @ w[cols] @ w[rows]))
     _check_density(total)
     return FisherResult(max(value, 0.0))
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from modefisher.circuits import AnsatzParams, prepare_probe
-from modefisher.dynamics import coherent_input_state, evolve_continuous
+from modefisher.dynamics import coherent_input_state, coherent_state, evolve_continuous
 from modefisher.encoding import PhaseFamily, encoded_family
-from modefisher.hilbert import CompositeState, jc_layout, kerr_layout
+from modefisher.hilbert import (CompositeState, default_cutoff, jc_layout, kerr_layout,
+                                product_state)
 from modefisher.metrology import (
     PROBABILITY_FLOOR,
     GridError,
@@ -17,7 +18,8 @@ from modefisher.metrology import (
     qfi_fidelity,
     qfi_variance_oracle,
 )
-from modefisher.metrology import _hermite_functions
+from modefisher.metrology import _ROW_BLOCK, _hermite_functions, _quadrature_blocks
+from modefisher.optimize import jc_first_dip
 
 
 def _random_probe(layout, seed):
@@ -181,6 +183,77 @@ def test_homodyne_kernel_matches_dense_tables(points):
                 _, p = homodyne_probabilities(family.state, theta, grid, keep)
                 assert p.shape == p_ref.shape
                 np.testing.assert_allclose(p, p_ref, rtol=0, atol=1e-12 * p_ref.max())
+
+
+def _support_window(family, theta, x):
+    """Rows and columns that the windowed homodyne kernel contracts."""
+    spans = [(rows, cols) for rows, cols, _ in
+             _quadrature_blocks([family.state, family.derivative], theta, x, window=True)]
+    return slice(spans[0][0].start, spans[-1][0].stop), spans[0][1]
+
+
+def test_homodyne_window_is_certified():
+    """Cells outside the support window hold p <= floor/2, and cfi skips them.
+
+    Both probes have compact quadrature support at the default cutoff,
+    so the window lies strictly inside the grid.
+    """
+    cutoff = default_cutoff(8.0)
+    jc = evolve_continuous("jc", jc_first_dip(8.0, cutoff),
+                           coherent_input_state("jc", 8.0, cutoff))
+    kerr = coherent_input_state("kerr", 8.0, cutoff)
+    grid = QuadratureGrid()
+    x = grid.axis(cutoff)
+    phi = 0.9
+    for probe in (jc, kerr):
+        family = encoded_family(probe, phi)
+        for theta in (0.0, 1.3):
+            frame = theta - 0.5 * phi
+            rows, cols = _support_window(family, frame, x)
+            assert 0 < rows.start < rows.stop < len(x), rows
+            assert 0 < cols.start < cols.stop < len(x), cols
+            outside = np.ones((len(x), len(x)), dtype=bool)
+            outside[rows, cols] = False
+            for keep in (False, True):
+                p_ref, f_ref = _dense_homodyne(family, frame, x, keep)
+                assert p_ref[..., outside].max() <= 0.5 * PROBABILITY_FLOOR
+                model = MeasurementModel("homodyne", include_emitters=keep,
+                                         theta=theta, grid=grid)
+                f = cfi(family, model).value
+                assert abs(f - f_ref) <= 1e-12 * f_ref, (probe.layout.dims, theta, keep)
+
+
+def test_homodyne_window_edges():
+    """Asymmetric, short-block and full-grid windows against the dense kernel."""
+    cutoff = 20
+    vacuum = np.eye(cutoff)[0]
+    # at phi = 0 the interferometer swaps the modes: light in mode 1 only,
+    # displaced along the quadrature measured at theta = pi/2
+    displaced = encoded_family(
+        product_state(kerr_layout(cutoff), [vacuum, coherent_state(1.5, cutoff)]), 0.0)
+    wide = QuadratureGrid(points=403)
+    x = wide.axis(cutoff)
+    rows, cols = _support_window(displaced, np.pi / 2, x)
+    assert rows.start - (len(x) - rows.stop) > 50, rows
+    assert cols.start == len(x) - cols.stop > 50, cols
+    assert (rows.stop - rows.start) % _ROW_BLOCK != 0
+    # a random probe over the whole cutoff on the narrowest allowed grid
+    # keeps density at both ends, where the trapezoid weights are halved
+    tight = QuadratureGrid(x_max=np.sqrt(12.0) + 3.0, points=403)
+    spread = encoded_family(_random_probe(kerr_layout(6), 21), 0.9)
+    assert _support_window(spread, 0.3 - 0.45, tight.axis(6)) == (slice(0, 403),) * 2
+    for family, grid, theta in ((displaced, wide, np.pi / 2), (displaced, wide, 0.0),
+                                (spread, tight, 0.3)):
+        frame = theta - 0.5 * family.phi
+        _, f_ref = _dense_homodyne(family, frame, grid.axis(family.state.layout.cutoff), False)
+        f = cfi(family, MeasurementModel("homodyne", theta=theta, grid=grid)).value
+        assert abs(f - f_ref) <= 1e-12 * f_ref, theta
+    # no cell reaches the floor: the empty window fails the density check
+    faint = CompositeState(spread.state.layout, 1e-7 * spread.state.amplitudes,
+                           check_norm=False)
+    assert not list(_quadrature_blocks([faint], 0.0, tight.axis(6), window=True))
+    with pytest.raises(GridError):
+        cfi(PhaseFamily(faint, spread.derivative, spread.phi), MeasurementModel("homodyne"))
 
 
 def test_cfi_upper_bounded_by_qfi():
