@@ -3,11 +3,16 @@
 Every propagator exp(-i t H) is written in the structure of its local
 generator, so gates are exact at the truncation and none is held as a
 dense matrix.  :func:`apply` acts on one state or on a ``(k, *dims)``
-stack of tensors, such as a state and its phase derivative.
+stack of tensors, such as a state and its phase derivative.  The axis
+bookkeeping is done once per gate representation, layout, stack shape
+and targets: a cached plan checks the targets and holds read-only flat
+indices into the stack, so a call only gathers, multiplies and scatters.
 
 The Jaynes-Cummings generator sigma† a + sigma a† couples only |g,n> and
 |e,n-1>, with strength sqrt(n), so its propagator rotates each such pair
-by g sqrt(n); |g,0> and the truncation edge |e,c-1> stay put.
+by g sqrt(n): out = cos x + (-i sin) x[partner], the plan's partner index
+swapping the two.  |g,0> and the truncation edge |e,c-1> stay put: they
+are their own partners, at angle 0.
 
 The two-mode tunnel generator a2†a1 + a1†a2 conserves n1 + n2, so the
 tunnel gate (and the beam splitter built from it) is stored and applied
@@ -15,10 +20,12 @@ sector by sector.  Sector s = n1 + n2 of the truncated pair has
 min(s, 2c-2-s) + 1 states, so sectors b and b + c (b < c) together fill
 exactly c slots: the c² basis states are permuted into c skew blocks,
 block b holding every (n1, n2) with n1 + n2 = b mod c, slot n1 of it the
-state (n1, (b - n1) mod c).  Each block is rotated by its eigenbasis,
-which is block-diagonal over its two sectors, and the result is permuted
-back.  This is exact at the per-mode truncation, because the truncated
-generator is still block-diagonal in n1 + n2.
+state (n1, (b - n1) mod c).  One gather takes the stack into (block,
+slot, column) order, the stack axis and every spectator factor folded
+into the columns; each block is rotated by its eigenbasis, which is
+block-diagonal over its two sectors, and the inverse permutation
+scatters the result back.  This is exact at the per-mode truncation,
+because the truncated generator is still block-diagonal in n1 + n2.
 """
 
 from __future__ import annotations
@@ -60,7 +67,8 @@ class LocalGate:
 
     ``targets`` lists factor indices; ``None`` means "the two mode factors
     of whatever layout the gate is applied to", which lets mode-pair gates
-    be built without knowing the layout.
+    be built without knowing the layout.  :func:`apply` checks them once,
+    when it builds the cached index plan for a layout and stack shape.
     """
 
     label: str
@@ -89,22 +97,18 @@ class LocalGate:
 
 
 @lru_cache(maxsize=None)
-def _sector_index(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather and scatter indices between (n1, n2) and skew-block order.
+def _sector_index(cutoff: int) -> np.ndarray:
+    """Gather index from (n1, n2) into skew-block order.
 
     Block b < c holds the sectors n1 + n2 = b (slots n1 = 0..b) and
     n1 + n2 = b + c (slots n1 = b+1..c-1), so ``gather[b, n1]`` is the
-    flat index n1*c + (b - n1) mod c.  The gather is a permutation of the
-    c² basis states, and ``scatter`` is its inverse: ``scatter[n1*c + n2]``
-    is the flat position b*c + n1 in the block-major array.
+    flat index n1*c + (b - n1) mod c, a permutation of the c² basis states.
     """
     c = cutoff
     b, n1 = np.ogrid[:c, :c]
     gather = n1 * c + (b - n1) % c
-    scatter = np.argsort(gather, axis=None)
     gather.setflags(write=False)
-    scatter.setflags(write=False)
-    return gather, scatter
+    return gather
 
 
 @lru_cache(maxsize=None)
@@ -171,63 +175,80 @@ def detune_gate(delta: float, emitter: int) -> LocalGate:
                      diag=np.array([1.0, np.exp(-1j * delta)]), identity=(delta == 0.0))
 
 
-def _resolve_targets(gate: LocalGate, layout: SubsystemLayout) -> tuple[int, ...]:
-    """The gate's factor indices, checked against its representation."""
-    targets = gate.targets if gate.targets is not None else layout.mode_indices
-    if len(set(targets)) != len(targets) or not all(
+@lru_cache(maxsize=64)
+def _plan(kind: str, size: int, targets: tuple[int, ...] | None, layout: SubsystemLayout,
+          shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Read-only flat indices that apply one gate kind to a ``(k, *layout.dims)`` stack.
+
+    ``size`` is the gate's dimension; the targets are checked here, once.
+    diag: ``(index,)`` into the joint diagonal, broadcast over the stack.
+    rabi: ``(partner, angle)``, the pair swap and the rabi column, n for
+    |g,n> and |e,n-1>, 0 for the unpaired states.  basis: ``(gather,
+    scatter)``, ``gather[b, n1, col]`` in skew-block order
+    (:func:`_sector_index`) and its inverse, shaped like the stack.
+    """
+    targets = targets if targets is not None else layout.mode_indices
+    if shape[1:] != layout.dims or len(set(targets)) != len(targets) or not all(
             0 <= t < len(layout.factors) for t in targets):
-        raise LayoutError(f"gate targets {targets} are not distinct factors of {layout.factors}")
+        raise LayoutError(f"gate targets {targets} on a {shape} stack do not fit {layout.factors}")
     factors = [layout.factors[t] for t in targets]
-    if gate.rabi is not None:
-        fits = factors == [("qubit", QUBIT_DIM), ("mode", gate.rabi.shape[1])]
-    elif gate.basis is not None:
-        fits = factors == [("mode", gate.basis.shape[1])] * 2
+    if kind == "rabi":
+        fits = factors == [("qubit", QUBIT_DIM), ("mode", size)]
+    elif kind == "basis":
+        fits = factors == [("mode", size)] * 2
     else:  # a joint diagonal broadcasts over targets in increasing order
-        fits = (list(targets) == sorted(targets)
-                and math.prod(dim for _, dim in factors) == gate.diag.size)
+        fits = list(targets) == sorted(targets) and math.prod(d for _, d in factors) == size
     if not fits:
-        raise LayoutError(f"{gate.label} gate does not act on factors {factors}")
-    return targets
+        raise LayoutError(f"{kind} gate does not act on factors {factors}")
+    axes = [t + 1 for t in targets]
+    local = [shape[a] if a in axes else 1 for a in range(len(shape))]
+    flat = np.arange(math.prod(shape)).reshape(shape)
+    if kind == "diag":
+        tables = (np.arange(size).reshape(local),)
+    elif kind == "rabi":
+        partner = flat.copy()
+        swap, moved = (np.moveaxis(a, axes, (0, 1)) for a in (partner, flat))
+        swap[0, 1:], swap[1, :-1] = moved[1, :-1], moved[0, 1:]
+        n = np.arange(size)  # (qubit, mode) table, transposed if the mode axis comes first
+        angle = np.transpose(np.stack((n, (n + 1) % size)), np.argsort(axes))
+        tables = (partner, angle.reshape(local))
+    else:
+        moved = np.moveaxis(flat, axes, (0, 1)).reshape(size * size, -1)
+        gather = np.take(moved, _sector_index(size), axis=0)
+        tables = (gather, np.argsort(gather, axis=None).reshape(shape))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _apply_stack(gate: LocalGate, layout: SubsystemLayout, stack: np.ndarray) -> np.ndarray:
     """Apply a local gate to each tensor of a ``(k, *layout.dims)`` stack.
 
-    The stack axis rides along like a spectator factor.  The result is
-    C-contiguous (``stack`` itself for an identity gate).
+    The gate's cached :func:`_plan` does the axis bookkeeping.  The result
+    is C-contiguous (``stack`` itself for an identity gate).
     """
     if gate.identity:
         return stack
-    axes = tuple(t + 1 for t in _resolve_targets(gate, layout))
     if gate.diag is not None:
-        shape = [1] * stack.ndim
-        for a in axes:
-            shape[a] = stack.shape[a]
-        return stack * gate.diag.reshape(shape)
-    moved = np.moveaxis(stack, axes, (0, 1))
+        (index,) = _plan("diag", gate.diag.size, gate.targets, layout, stack.shape)
+        return stack * gate.diag[index]
     if gate.rabi is not None:
-        # rotate every pair (|g,n>, |e,n-1>), n >= 1; the two unpaired states are copied
-        out = np.empty_like(stack)
-        dst = np.moveaxis(out, axes, (0, 1))
-        shape = (-1,) + (1,) * (stack.ndim - 2)
-        cos, isin = gate.rabi[0, 1:].reshape(shape), (-1j * gate.rabi[1, 1:]).reshape(shape)
-        ground, excited = moved[0, 1:], moved[1, :-1]
-        dst[0, 1:] = cos * ground + isin * excited
-        dst[1, :-1] = cos * excited + isin * ground
-        dst[0, 0], dst[1, -1] = moved[0, 0], moved[1, -1]
+        # out = cos x + (-i sin) x[partner] over every (|g,n>, |e,n-1>) pair
+        partner, angle = _plan("rabi", gate.rabi.shape[1], gate.targets, layout, stack.shape)
+        cos, sin = gate.rabi[:, angle]
+        out = cos * stack
+        swapped = np.take(stack, partner)
+        swapped *= -1j * sin
+        out += swapped
         return out
-    # Permute the mode pair into skew-block order, rotate every block by
-    # its eigenbasis with batched real matmuls on stacked re/im, and
-    # permute back.  Every other axis rides along as extra columns.
-    cutoff = gate.basis.shape[1]
-    gather, scatter = _sector_index(cutoff)
-    cols = moved.reshape(cutoff * cutoff, -1)
-    x = np.take(cols, gather, axis=0).view(np.float64)
+    # Gather the stack into skew-block order, rotate every block by its
+    # eigenbasis with batched real matmuls on stacked re/im, scatter back.
+    gather, scatter = _plan("basis", gate.basis.shape[1], gate.targets, layout, stack.shape)
+    x = np.take(stack, gather).view(np.float64)
     y = np.matmul(gate.basis.transpose(0, 2, 1), x).view(np.complex128)
     y *= gate.phases[:, :, None]
     z = np.matmul(gate.basis, y.view(np.float64)).view(np.complex128)
-    out = np.take(z.reshape(-1, cols.shape[1]), scatter, axis=0).reshape(moved.shape)
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), axes))
+    return np.take(z, scatter)
 
 
 def apply(gate: LocalGate, state, layout: SubsystemLayout | None = None):

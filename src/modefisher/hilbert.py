@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,8 @@ class SubsystemLayout:
     Each factor is a ``(kind, dim)`` pair with ``kind`` one of
     ``"qubit"`` or ``"mode"``.  Qubits always have dimension 2; modes
     carry the Fock cutoff (dimension ``cutoff`` means occupations
-    ``0 .. cutoff-1``).
+    ``0 .. cutoff-1``).  The derived properties are computed once per
+    layout; equality and hashing depend on ``factors`` alone.
     """
 
     factors: tuple[tuple[str, int], ...]
@@ -54,23 +56,23 @@ class SubsystemLayout:
             if kind == "mode" and dim < 2:
                 raise LayoutError(f"mode cutoff must be >= 2, got {dim}")
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(dim for _, dim in self.factors)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
-    @property
+    @cached_property
     def mode_indices(self) -> tuple[int, ...]:
         return tuple(i for i, (kind, _) in enumerate(self.factors) if kind == "mode")
 
-    @property
+    @cached_property
     def qubit_indices(self) -> tuple[int, ...]:
         return tuple(i for i, (kind, _) in enumerate(self.factors) if kind == "qubit")
 
-    @property
+    @cached_property
     def cutoff(self) -> int:
         """Common Fock cutoff of the mode factors."""
         cuts = {dim for kind, dim in self.factors if kind == "mode"}

@@ -13,20 +13,23 @@ Homodyne readout has one transform path, shared by :func:`cfi` and
 :func:`homodyne_probabilities`.  The quadrature angle is applied as the
 Fock-side phase e^{i theta (n1 + n2)} on the amplitudes, so the cached
 oscillator-eigenfunction table stays real.  Both modes then contract
-with it as real GEMMs, the second one in blocks of x1 rows, and no full
+with it as real GEMMs, one block of x1 rows at a time, and no full
 complex (outcome, x1, x2) table is ever built.
 
-:func:`cfi` contracts the second mode only on a support window of the
-grid.  After the mode-1 GEMM each outcome's amplitude is
+:func:`cfi` contracts only a support window of the grid.  After the
+mode-1 GEMM each outcome's amplitude is
 a_q(x1, x2) = sum_n half_q[x1, n] psi_n(x2), so by Cauchy-Schwarz
 p(x1, x2) <= sum_q |half_q[x1, :]|^2 K(x2) <= R(x1), with
 K(x) = sum_n psi_n(x)^2, Kmax its largest value on the grid and
-R(x1) = Kmax sum_q |half_q[x1, :]|^2.  The column bound C(x2) is the same
-sum with n2 contracted first.  Every cell outside the contiguous
-rows x columns where R and C reach PROBABILITY_FLOOR/2 has p below the
-floor, so it adds exactly 0 to the Fisher sum; the factor 1/2 leaves
-room for rounding.  The window only reorders the Fisher sum and drops
-less than PROBABILITY_FLOOR/2 per cell from the normalization total.
+R(x1) = Kmax sum_q |half_q[x1, :]|^2 = Kmax h(x1)^T (sum_p P_p P_p^T) h(x1),
+P_p running over the real and imaginary (n1, n2) planes of every outcome
+and h(x) = (psi_n(x))_n; C(x2) is the same form with P_p^T P_p.  Both
+come from c x c Gram matrices, with rounding below c eps Kmax.  Every
+cell outside the contiguous rows x columns where R and C reach
+PROBABILITY_FLOOR/2 has p below the floor, so it adds exactly 0 to the
+Fisher sum; the factor 1/2 leaves room for rounding.  The window only
+reorders the Fisher sum and drops less than PROBABILITY_FLOOR/2 per cell
+from the normalization total.
 :func:`homodyne_probabilities` always returns the full grid.
 """
 
@@ -46,8 +49,8 @@ _DENSITY_NORM_ATOL = 1e-4
 # phase step of the fidelity estimator
 _FIDELITY_DELTA = 1e-2
 # x1 rows per homodyne GEMM block: at cutoff 40, 801 points and four
-# emitter outcomes the one block buffer of state and derivative planes
-# is 3.3 MB (less once cfi narrows the columns to the support window)
+# emitter outcomes the block's mode-2 buffer of state and derivative
+# planes is 3.3 MB (less once cfi narrows the columns to the window)
 _ROW_BLOCK = 32
 
 
@@ -182,14 +185,21 @@ def _support(weight: np.ndarray) -> slice | None:
     return slice(kept[0], kept[-1] + 1) if len(kept) else None
 
 
+def _aligned(size: int) -> np.ndarray:
+    """Empty float64 buffer on a 64-byte boundary (GEMMs into it ran faster)."""
+    buf = np.empty(size + 8)
+    return buf[(-buf.ctypes.data % 64) // 8:][:size]
+
+
 def _quadrature_blocks(states: list[CompositeState], theta: float, x: np.ndarray,
                        window: bool = False):
     """Quadrature amplitudes of the stacked states, one block of x1 rows at a time.
 
     The rotation to the x^(theta) basis is the Fock-side phase
     e^{i theta (n1 + n2)}, so both modes contract with the real table
-    H[n, i] = psi_n(x_i): mode 1 in one real GEMM for every state, real or
-    imaginary part and outcome, mode 2 per block of x1 rows.  Yields
+    H[n, i] = psi_n(x_i), block by block of x1 rows: mode 1 as one batched
+    real GEMM over every state, real or imaginary part and outcome, mode 2
+    as one tall GEMM.  Yields
     ``(rows, cols, amps)`` with ``amps[k, part, q, r, j]`` the real
     (part 0) or imaginary (part 1) amplitude of state k and outcome q at
     (x1, x2) = (x[rows][r], x[cols][j]).  ``amps`` is one buffer reused by
@@ -209,33 +219,30 @@ def _quadrature_blocks(states: list[CompositeState], theta: float, x: np.ndarray
     lead = planes.shape[:3]
     planes = planes.reshape(-1, cutoff, cutoff)
     h = _hermite_functions(cutoff, float(x[-1]), len(x))
-    # (x1, k*part*q, n2)
-    half = (h.T @ np.moveaxis(planes, 1, 0).reshape(cutoff, -1)).reshape(len(x), -1, cutoff)
     rows = cols = slice(0, len(x))
     if window:
-        first = 2 * lead[2]                                  # planes of the first state
+        first = planes[:2 * lead[2]]                          # planes of the first state
         kmax = _hermite_kmax(cutoff, float(x[-1]), len(x))
-        # p(x1, x2) <= |half[x1, :]|^2 K(x2) <= row bound, and likewise
-        # for columns with n2 contracted first
-        row_bound = kmax * np.einsum("ipn,ipn->i", half[:, :first], half[:, :first])
-        other = h.T @ np.moveaxis(planes[:first], 2, 0).reshape(cutoff, -1)
-        col_bound = kmax * np.einsum("jm,jm->j", other, other)
+        # p(x1, x2) <= K(x2) h_x1^T (sum_p P_p P_p^T) h_x1 <= row bound, and
+        # likewise for columns with P_p^T P_p
+        by_n1, by_n2 = (np.moveaxis(first, a, 0).reshape(cutoff, -1) for a in (1, 2))
+        row_bound = kmax * np.einsum("ni,ni->i", h, (by_n1 @ by_n1.T) @ h)
+        col_bound = kmax * np.einsum("ni,ni->i", h, (by_n2 @ by_n2.T) @ h)
         rows, cols = _support(row_bound), _support(col_bound)
-        del row_bound, other, col_bound
         if rows is None or cols is None:
             return
-    h = h[:, cols]
-    # one staging and one output buffer, sized by the first (largest) block
-    size = half.shape[1] * min(_ROW_BLOCK, rows.stop - rows.start)
-    staged, out = np.empty(size * cutoff), np.empty(size * h.shape[1])
+    h_cols = h[:, cols]
+    # one mode-1 and one mode-2 buffer, sized by the first (largest) block
+    size = planes.shape[0] * min(_ROW_BLOCK, rows.stop - rows.start)
+    half, out = _aligned(size * cutoff), _aligned(size * h_cols.shape[1])
     for start in range(rows.start, rows.stop, _ROW_BLOCK):
-        block = half[start:min(start + _ROW_BLOCK, rows.stop)].swapaxes(0, 1)
-        n = block.shape[0] * block.shape[1]                  # planes x rows
-        np.copyto(staged[:n * cutoff].reshape(block.shape), block)
-        amps = np.matmul(staged[:n * cutoff].reshape(n, cutoff), h,
-                         out=out[:n * h.shape[1]].reshape(n, h.shape[1]))
-        yield (slice(start, start + block.shape[1]), cols,
-               amps.reshape(*lead, block.shape[1], h.shape[1]))
+        stop = min(start + _ROW_BLOCK, rows.stop)
+        n = planes.shape[0] * (stop - start)                 # planes x rows
+        block = np.matmul(h[:, start:stop].T, planes,    # (planes, rows, n2)
+                          out=half[:n * cutoff].reshape(planes.shape[0], -1, cutoff))
+        amps = np.matmul(block.reshape(n, cutoff), h_cols,
+                         out=out[:n * h_cols.shape[1]].reshape(n, -1))
+        yield slice(start, stop), cols, amps.reshape(*lead, stop - start, -1)
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:

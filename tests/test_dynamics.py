@@ -11,6 +11,7 @@ import scipy.linalg
 import modefisher
 from modefisher.dynamics import (
     LocalGate,
+    _plan,
     _sector_index,
     _tunnel_sectors,
     apply,
@@ -21,10 +22,11 @@ from modefisher.dynamics import (
     kerr_gate,
     tunnel_gate,
 )
-from modefisher.encoding import beam_splitter_gate
+from modefisher.encoding import beam_splitter_gate, phase_diff_gate
 from modefisher.hilbert import (
     CompositeState,
     LayoutError,
+    SubsystemLayout,
     coherent_state,
     destroy,
     jc_layout,
@@ -171,11 +173,10 @@ def test_tunnel_gate_against_dense_expm():
 @pytest.mark.parametrize("cutoff", [*range(2, 10), 40])
 def test_skew_blocks_pack_the_sectors_without_padding(cutoff):
     c = cutoff
-    gather, scatter = _sector_index(c)
+    gather = _sector_index(c)
     w, v = _tunnel_sectors(c)
     assert gather.shape == w.shape == (c, c) and v.shape == (c, c, c)
     assert np.array_equal(np.sort(gather, axis=None), np.arange(c * c))  # a permutation
-    assert np.array_equal(scatter[gather.ravel()], np.arange(c * c))
     n1, n2 = np.divmod(gather, c)
     assert np.array_equal(n1, np.broadcast_to(np.arange(c), (c, c)))  # slot n1 holds n1
     total, block = n1 + n2, np.arange(c)[:, None]
@@ -184,8 +185,82 @@ def test_skew_blocks_pack_the_sectors_without_padding(cutoff):
     np.testing.assert_allclose(v @ v.transpose(0, 2, 1), np.broadcast_to(np.eye(c), v.shape),
                                atol=1e-12)
     assert np.all(v[total[:, :, None] != total[:, None, :]] == 0.0)
-    for table in (gather, scatter, w, v):
+    for table in (gather, w, v):
         assert not table.flags.writeable
+
+
+def _dense_apply(u, targets, layout, stack):
+    """Contract a dense joint-space matrix with the target axes of the stack."""
+    dims = [layout.dims[t] for t in targets]
+    axes = [t + 1 for t in targets]
+    out = np.tensordot(u.reshape(*dims, *dims), stack,
+                       axes=(range(len(dims), 2 * len(dims)), axes))
+    return np.moveaxis(out, range(len(dims)), axes)
+
+
+def _dense_gates(c, pairs, modes, qubits):
+    """(gate, targets, dense matrix) per gate kind, the matrices from expm."""
+    a, raise_q = destroy(c), np.array([[0.0, 0.0], [1.0, 0.0]])
+    rabi = np.kron(raise_q, a) + np.kron(raise_q.T, a.T)
+    hop = np.kron(a, a.T) + np.kron(a.T, a)
+    n = np.arange(c)
+    gates = [(jc_gate(g, c, pair), pair, scipy.linalg.expm(-1j * g * rabi))
+             for g, pair in zip((1.3, -0.6, 2.2), pairs)]
+    gates += [(tunnel_gate(-1.7, c), modes, scipy.linalg.expm(1.7j * hop)),
+              (beam_splitter_gate(c), modes, scipy.linalg.expm(-0.25j * np.pi * hop)),
+              (phase_diff_gate(0.8, c), modes,
+               np.diag(np.exp(-0.4j * (n[None, :] - n[:, None])).ravel()))]
+    gates += [(kerr_gate(k, c, m), (m,), np.diag(np.exp(-1j * k * n * n)))
+              for k, m in zip((0.9, -2.3), modes)]
+    gates += [(detune_gate(d, q), (q,), np.diag([1.0, np.exp(-1j * d)]))
+              for d, q in zip((0.7, -1.1), qubits)]
+    return gates
+
+
+@pytest.mark.parametrize("layout, pairs", [
+    (kerr_layout(5), ()),
+    (jc_layout(5), ((0, 2), (1, 3), (0, 3))),
+    # qubits after their modes: the JC angle table is transposed
+    (SubsystemLayout((("mode", 5), ("qubit", 2), ("mode", 5), ("qubit", 2))),
+     ((1, 0), (3, 2), (1, 2))),
+], ids=["kerr", "jc", "permuted"])
+def test_plans_match_the_dense_contraction(layout, pairs):
+    rng = np.random.default_rng(15)
+    gates = _dense_gates(5, pairs, layout.mode_indices, layout.qubit_indices)
+    for k in (1, 2, 3):
+        stack = rng.normal(size=(k, *layout.dims)) + 1j * rng.normal(size=(k, *layout.dims))
+        for gate, targets, u in gates:
+            out = apply(gate, stack, layout)
+            assert out.shape == stack.shape and out.flags.c_contiguous
+            np.testing.assert_allclose(out, _dense_apply(u, targets, layout, stack), atol=1e-12,
+                                       rtol=0, err_msg=f"{gate.label} {targets} k={k}")
+
+
+def test_plan_tables_are_read_only_and_built_once():
+    layout, shape = jc_layout(6), (2, 2, 2, 6, 6)
+    for args in (("diag", 2, (1,)), ("diag", 6, (3,)), ("rabi", 6, (0, 2)),
+                 ("basis", 6, None)):
+        tables = _plan(*args, layout, shape)
+        assert all(not table.flags.writeable for table in tables)
+        assert all(a is b for a, b in zip(tables, _plan(*args, layout, shape)))
+    partner, _ = _plan("rabi", 6, (0, 2), layout, shape)
+    assert np.array_equal(partner.ravel()[partner.ravel()], np.arange(partner.size))
+    gather, scatter = _plan("basis", 6, None, layout, shape)
+    assert np.array_equal(np.take(gather, scatter), np.arange(gather.size).reshape(shape))
+
+
+def test_mismatched_gates_raise_layout_error_on_every_call():
+    layout = jc_layout(5)
+    state = _random_state(layout, np.random.default_rng(16))
+    stack = state.tensor()[None]
+    for gate, on in ((tunnel_gate(0.3, 4), stack),          # cutoff 4 on cutoff-5 modes
+                     (jc_gate(0.3, 5, (2, 0)), stack),      # (mode, emitter) order
+                     (jc_gate(0.3, 5, (0, 1)), stack),      # two emitters
+                     (kerr_gate(0.3, 5, 0), stack),         # a qubit factor
+                     (detune_gate(0.3, 0), stack[..., :4])):  # stack does not fit the layout
+        for _ in range(2):  # a failed check is not cached
+            with pytest.raises(LayoutError):
+                apply(gate, on, layout)
 
 
 def test_stored_optima_do_not_depend_on_the_blas_thread_count():

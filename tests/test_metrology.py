@@ -192,11 +192,32 @@ def _support_window(family, theta, x):
     return slice(spans[0][0].start, spans[-1][0].stop), spans[0][1]
 
 
+def _mode_one_window(family, theta, x):
+    """Support window from the full mode-1 and mode-2 contractions of the state.
+
+    R(x1) = Kmax sum |sum_n1 psi_n1(x1) a[q, n1, n2]|^2 over (q, n2), and
+    C(x2) the same with n2 contracted; the kernel gets both from Gram
+    matrices instead.
+    """
+    layout = family.state.layout
+    cutoff = layout.cutoff
+    n = np.arange(cutoff)
+    amps = np.moveaxis(family.state.tensor(), layout.mode_indices, (-2, -1))
+    amps = amps.reshape(-1, cutoff, cutoff) * np.exp(1j * theta * (n[:, None] + n[None, :]))
+    h = _hermite_functions(cutoff, float(x[-1]), len(x))
+    kmax = (h * h).sum(axis=0).max()
+    row = kmax * (np.abs(np.einsum("ni,qnm->iqm", h, amps)) ** 2).sum(axis=(1, 2))
+    col = kmax * (np.abs(np.einsum("mj,qnm->jqn", h, amps)) ** 2).sum(axis=(1, 2))
+    spans = [np.nonzero(bound >= 0.5 * PROBABILITY_FLOOR)[0] for bound in (row, col)]
+    return tuple(slice(kept[0], kept[-1] + 1) for kept in spans)
+
+
 def test_homodyne_window_is_certified():
     """Cells outside the support window hold p <= floor/2, and cfi skips them.
 
     Both probes have compact quadrature support at the default cutoff,
-    so the window lies strictly inside the grid.
+    so the window lies strictly inside the grid.  The kernel's Gram-matrix
+    bounds select the same window as the fully contracted amplitudes.
     """
     cutoff = default_cutoff(8.0)
     jc = evolve_continuous("jc", jc_first_dip(8.0, cutoff),
@@ -210,6 +231,7 @@ def test_homodyne_window_is_certified():
         for theta in (0.0, 1.3):
             frame = theta - 0.5 * phi
             rows, cols = _support_window(family, frame, x)
+            assert (rows, cols) == _mode_one_window(family, frame, x)
             assert 0 < rows.start < rows.stop < len(x), rows
             assert 0 < cols.start < cols.stop < len(x), cols
             outside = np.ones((len(x), len(x)), dtype=bool)
