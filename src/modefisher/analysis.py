@@ -82,6 +82,9 @@ def sweep_continuous(kind: str, n_mean: float, time_grid=None,
     cut = cutoff if cutoff is not None else default_cutoff(n_mean)
     psi0 = coherent_input_state(kind, n_mean, cut)
     with_emitters = kind == "jc"
+    counting = MeasurementModel("counting", include_emitters=with_emitters)
+    homodyne = MeasurementModel("homodyne", include_emitters=with_emitters,
+                                theta=theta, grid=grid)
     records = []
     for t in times:
         probe = evolve_continuous(kind, float(t), psi0)
@@ -90,12 +93,9 @@ def sweep_continuous(kind: str, n_mean: float, time_grid=None,
         if include_cfi_counting or include_cfi_homodyne:
             family = encoded_family(probe, phi)
             if include_cfi_counting:
-                model = MeasurementModel("counting", include_emitters=with_emitters)
-                inv_counting = inverse_fisher(cfi(family, model).value)
+                inv_counting = inverse_fisher(cfi(family, counting).value)
             if include_cfi_homodyne:
-                model = MeasurementModel("homodyne", include_emitters=with_emitters,
-                                         theta=theta, grid=grid)
-                inv_homodyne = inverse_fisher(cfi(family, model).value)
+                inv_homodyne = inverse_fisher(cfi(family, homodyne).value)
         records.append(SweepRecord(kind, n_mean, float(t), inverse_fisher(fq),
                                    inv_counting, inv_homodyne))
     return records

@@ -111,27 +111,39 @@ def _sector_index(cutoff: int) -> np.ndarray:
     return gather
 
 
+def _sector_eigensystems(cutoff: int):
+    """Eigensystems of a2†a1 + a1†a2, one per sector s = n1 + n2.
+
+    Within sector s the generator is tridiagonal in n1, with
+    <n1+1, n2-1| a1†a2 |n1, n2> = sqrt((n1+1) n2).  It is real symmetric,
+    so each eigenbasis is real orthogonal.  Yields ``(block, slots, w, v)``
+    for s = 0 .. 2c-2: the sector fills ``slots`` (a range of n1) of skew
+    block ``s mod c`` (:func:`_sector_index`), with eigenvalues ``w`` and
+    eigenvectors the columns of ``v``.
+    """
+    c = cutoff
+    for s in range(2 * c - 1):
+        n1 = np.arange(max(0, s - c + 1), min(s, c - 1) + 1)
+        off = np.sqrt((n1[:-1] + 1.0) * (s - n1[:-1]))
+        w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        yield s % c, slice(n1[0], n1[-1] + 1), w, v
+
+
 @lru_cache(maxsize=None)
 def _tunnel_sectors(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystems of a2†a1 + a1†a2, one per skew block of two sectors.
 
-    Within sector s = n1 + n2 the generator is tridiagonal in n1, with
-    <n1+1, n2-1| a1†a2 |n1, n2> = sqrt((n1+1) n2).  It is real symmetric,
-    so each eigenbasis is real orthogonal and independent of the tunneling
-    strength; per-call gates only rescale the eigenphases.  Sector s fills
-    slots n1 of block s mod c (:func:`_sector_index`), so its eigensystem
-    is written into that diagonal sub-block.  Returns the eigenvalues
-    ``(c, c)`` and eigenbases ``(c, c, c)``; each basis is exactly zero
-    between its block's two sectors.
+    Each eigenbasis is independent of the tunneling strength; per-call
+    gates only rescale the eigenphases.  Each sector's eigensystem
+    (:func:`_sector_eigensystems`) is written into its diagonal sub-block.
+    Returns the eigenvalues ``(c, c)`` and eigenbases ``(c, c, c)``; each
+    basis is exactly zero between its block's two sectors.
     """
     c = cutoff
     w = np.zeros((c, c))
     v = np.zeros((c, c, c))
-    for s in range(2 * c - 1):
-        n1 = np.arange(max(0, s - c + 1), min(s, c - 1) + 1)
-        b, slots = s % c, slice(n1[0], n1[-1] + 1)
-        off = np.sqrt((n1[:-1] + 1.0) * (s - n1[:-1]))
-        w[b, slots], v[b, slots, slots] = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    for b, slots, ws, vs in _sector_eigensystems(cutoff):
+        w[b, slots], v[b, slots, slots] = ws, vs
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v

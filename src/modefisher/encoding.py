@@ -3,11 +3,22 @@
 The interferometer is U(phi) = BS . PD(phi) . BS with a symmetric beam
 splitter BS = exp(-i (pi/4)(a2†a1 + a1†a2)) and a differential phase
 PD(phi) = exp(-i (phi/2)(n2 - n1)).  Emitter factors, when present, ride
-along untouched.  Both beam splitters conserve n1 + n2 and are applied
-sector by sector (see :mod:`modefisher.dynamics`).  Only PD depends on
-phi, so the QFI and the encoded family of a probe share one chi = BS |psi_P>
-(:func:`beam_split`), and the family's state and tangent pass the outer
-beam splitter as one stack.
+along untouched.  Both beam splitters conserve n1 + n2, so they act on
+the skew blocks of photon-number sectors (see :mod:`modefisher.dynamics`).
+
+In that layout the beam splitter is one real rotation: with
+Q = diag(i^n1), Q (a2†a1 + a1†a2) Q† = i K with K real antisymmetric, so
+BS = Q† R Q with R = exp(pi K / 4) real orthogonal in every skew block.
+This holds exactly at the per-mode cutoff, partial sectors included,
+because the truncated generator is still tridiagonal in n1 within each
+sector.  PD is diagonal, so U(phi) = Q† R P R Q with P the phase stage in
+skew-block order.  The QFI and the encoded family of a probe read the
+rotated probe y = R Q psi_P, kept in skew-block order and never
+scattered; only PD depends on phi, so the last probe's y is memoized and
+one rotation serves both.  The family's state and tangent take the
+second rotation as one stack and are scattered back to Fock order once.
+:func:`beam_splitter_gate` and :func:`beam_split` stay as the
+independent gate route.
 """
 
 from __future__ import annotations
@@ -17,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import LocalGate, apply, tunnel_gate
+from .dynamics import (LocalGate, _plan, _sector_eigensystems, _sector_index, apply,
+                       tunnel_gate)
 from .hilbert import CompositeState, LayoutError, SubsystemLayout
 
 DEFAULT_PHI = np.pi / 3
@@ -64,36 +76,131 @@ def _diff_number(layout: SubsystemLayout) -> np.ndarray:
     return (n[None, :] - n[:, None]).reshape(shape)
 
 
-_last_split: list = []  # [(copy of the last probe's amplitudes, its chi)]
-
-
 def beam_split(state: CompositeState) -> CompositeState:
-    """chi = BS |psi_P>, the probe as the phase stage sees it (read-only).
+    """chi = BS |psi_P> through the beam-splitter gate (the independent route).
 
-    The last probe's chi is kept, so the QFI and the encoded family of one
-    probe take a single beam splitter between them.
+    The QFI and the encoded family take the rotated probe instead; this
+    gate route backs :func:`~modefisher.metrology.qfi_variance_oracle`.
     """
     if len(state.layout.mode_indices) != 2:
         raise LayoutError("phase encoding needs a layout with exactly two modes")
-    for amps, chi in _last_split:
-        if chi.layout == state.layout and np.array_equal(amps, state.amplitudes):
-            return chi
-    chi = apply(beam_splitter_gate(state.layout.cutoff), state)
-    chi.amplitudes.setflags(write=False)
-    _last_split[:] = [(state.amplitudes.copy(), chi)]
-    return chi
+    return apply(beam_splitter_gate(state.layout.cutoff), state)
+
+
+@lru_cache(maxsize=None)
+def _slot_tables(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, -(i/2)(n2 - n1), R) in skew-block order, read-only.
+
+    ``q[n1] = i^n1`` is the diagonal of Q (slot n1 of every block is mode-1
+    occupation n1), ``tangent[b, n1]`` is -(i/2)(n2 - n1) of slot n1 in
+    block b, the factor PD(phi)'s phi-derivative brings down, and
+    ``rotation[b] = Q U_b Q†`` is the real ``(c, c, c)`` table of the beam
+    splitter's skew blocks U_b, built sector by sector from the
+    eigensystems rather than from the tunnel gate's cached basis, which
+    processes that never build a tunnel gate then do not hold.
+    """
+    n1, n2 = np.divmod(_sector_index(cutoff), cutoff)
+    q = np.array([1, 1j, -1, -1j])[np.arange(cutoff) % 4]
+    rotation = np.zeros((cutoff, cutoff, cutoff))
+    for b, slots, w, v in _sector_eigensystems(cutoff):
+        u = (v * np.exp(-0.25j * np.pi * w)) @ v.T
+        rotation[b, slots, slots] = (q[slots, None] * u * q[slots].conj()).real
+    tables = (q, -0.5j * (n2 - n1), rotation)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@lru_cache(maxsize=32)
+def _phase_in_slots(phi: float, cutoff: int) -> np.ndarray:
+    """PD(phi)'s diagonal in skew-block order, ``(c, c)`` (cached, read-only)."""
+    table = phase_diff_gate(phi, cutoff).diag[_sector_index(cutoff)]
+    table.setflags(write=False)
+    return table
+
+
+def _spread(table: np.ndarray, columns: int) -> np.ndarray:
+    """``table`` with each entry repeated ``columns`` times along a new last axis.
+
+    Multiplying a ``(..., columns)`` array by the spread table runs as one
+    contiguous pass; broadcasting a short last axis runs many short ones.
+    """
+    return np.repeat(table, columns).reshape(*table.shape, columns)
+
+
+def _slot_phase(x: np.ndarray, phases: np.ndarray) -> None:
+    """x[b, n1, :] *= phases[n1] in place, for a ``(c, c, columns)`` array."""
+    c = x.shape[0]
+    flat = x.reshape(c, -1)
+    flat *= _spread(phases, flat.shape[1] // c).reshape(-1)
+
+
+def _rotate(x: np.ndarray) -> np.ndarray:
+    """R x for a complex ``(c, c, columns)`` array in skew-block order."""
+    rotation = _slot_tables(x.shape[0])[2]
+    return np.matmul(rotation, x.view(np.float64)).view(np.complex128)
+
+
+_last_split: list = []  # [(layout, bytes of the last probe's amplitudes, its y)]
+
+
+def _rotated_probe(state: CompositeState) -> np.ndarray:
+    """y = R Q psi_P in skew-block order, ``(c, c, spectators)``, read-only.
+
+    ``y[b, n1, s]`` is i^n1 times the amplitude of chi = BS |psi_P> at
+    slot n1 of block b and spectator index s (the emitter factors).  The
+    last probe's y is kept, so the QFI and the encoded family of one
+    probe take a single rotation between them; a probe whose amplitudes
+    are bit-identical to the last one's reuses it.
+    """
+    layout = state.layout
+    if len(layout.mode_indices) != 2:
+        raise LayoutError("phase encoding needs a layout with exactly two modes")
+    key = state.amplitudes.tobytes()
+    for last, amps, y in _last_split:
+        if last == layout and amps == key:
+            return y
+    gather, _ = _plan("basis", layout.cutoff, None, layout, (1, *layout.dims))
+    x = np.take(state.amplitudes, gather)
+    _slot_phase(x, _slot_tables(layout.cutoff)[0])
+    y = _rotate(x)
+    y.setflags(write=False)
+    _last_split[:] = [(layout, key, y)]
+    return y
+
+
+@lru_cache(maxsize=8)
+def _family_scatter(layout: SubsystemLayout) -> np.ndarray:
+    """Flat index of each entry of the ``(2, *dims)`` family stack in the
+    ``(block, slot, spectator, k)`` order that :func:`encoded_family`
+    rotates (read-only).
+
+    Entry p of the probe's skew-block order (the basis plan's scatter)
+    holds the state at 2p and the tangent at 2p + 1.
+    """
+    _, scatter = _plan("basis", layout.cutoff, None, layout, (1, *layout.dims))
+    table = 2 * scatter + np.arange(2).reshape(2, *[1] * len(layout.dims))
+    table.setflags(write=False)
+    return table
 
 
 def encoded_family(state: CompositeState, phi: float = DEFAULT_PHI) -> PhaseFamily:
     """|psi_E(phi)> = BS . PD(phi) . BS |psi_P> and its exact phase derivative.
 
-    Only PD depends on phi, so the derivative is BS (-i/2)(n2 - n1) PD(phi) chi
-    and the outer beam splitter takes the phased state and that tangent as
-    one stack.
+    Only PD depends on phi, so the derivative is BS (-i/2)(n2 - n1) PD(phi) chi.
+    In skew-block order, with y = R Q psi_P (:func:`_rotated_probe`), the
+    pair is Q† R [P y, -(i/2) D P y], D = n2 - n1: both are written as the
+    columns of one stack, rotated by R once and scattered back once.
     """
-    chi = beam_split(state)
-    layout = chi.layout
-    phased = apply(phase_diff_gate(phi, layout.cutoff), chi).tensor()
-    stack = np.stack((phased, phased * (-0.5j * _diff_number(layout))))
-    stack = apply(beam_splitter_gate(layout.cutoff), stack, layout)
-    return PhaseFamily.from_stack(layout, stack, phi)
+    y = _rotated_probe(state)
+    layout = state.layout
+    c, spectators = layout.cutoff, y.shape[2]
+    q, tangent, _ = _slot_tables(c)
+    # state and tangent interleaved per spectator, so both are written in
+    # one contiguous pass against tables repeated over the spectators
+    stack = np.empty((*y.shape, 2), dtype=np.complex128)
+    np.multiply(y, _spread(_phase_in_slots(phi, c), spectators), out=stack[..., 0])
+    np.multiply(stack[..., 0], _spread(tangent, spectators), out=stack[..., 1])
+    z = _rotate(stack.reshape(c, c, -1))
+    _slot_phase(z, q.conj())
+    return PhaseFamily.from_stack(layout, np.take(z, _family_scatter(layout)), phi)

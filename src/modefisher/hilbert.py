@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -142,12 +142,14 @@ def coherent_truncation_tail(alpha: complex, cutoff: int) -> float:
     return max(0.0, 1.0 - kept)
 
 
+@lru_cache(maxsize=64)
 def default_cutoff(n_mean: float) -> int:
     """Smallest cutoff that is both >= 2N and truncation-clean.
 
     The working truncation is twice the mean photon number.  For small N
     that cutoff leaves a coherent-state tail above the 1e-6 guard, so it
-    is raised to the first value the guard accepts.
+    is raised to the first value the guard accepts.  Cached: each step of
+    the search sums a Poisson tail, and sweeps ask once per call.
     """
     cutoff = max(int(math.ceil(2 * n_mean)), 4)
     alpha = math.sqrt(n_mean / 2.0)

@@ -3,8 +3,10 @@
 Quantum Fisher information is a property of the probe alone: for the
 pure unitary family it does not depend on the operating phase, so both
 QFI routes take only the probe.  The fidelity drop over a fixed small
-phase step is the estimator; an independent variance-of-generator oracle
-cross-checks it; both read the encoded family's chi = BS |psi_P>.
+phase step is the estimator, read from the rotated probe that the
+encoded family also uses (:mod:`modefisher.encoding`); an independent
+variance-of-generator oracle cross-checks it on chi = BS |psi_P> from the
+beam-splitter gate.
 Classical Fisher information is computed from analytic probability
 derivatives for photon counting and for double homodyne readout,
 optionally including projective emitter outcomes.
@@ -41,8 +43,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .encoding import PhaseFamily, _diff_number, beam_split
-from .hilbert import CompositeState, SubsystemLayout, check_unit_norm
+from .encoding import (PhaseFamily, _diff_number, _phase_in_slots, _rotated_probe, _spread,
+                       beam_split)
+from .hilbert import CompositeState, check_unit_norm
 
 PROBABILITY_FLOOR = 1e-12
 _DENSITY_NORM_ATOL = 1e-4
@@ -330,14 +333,14 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
     value = total = 0.0
     for rows, cols, ((a, b), (c, d)) in _quadrature_blocks(
             [state, deriv], theta_frame, x, window=True):
-        # p and dp overwrite the block's amplitude planes in place
+        # p and dp/2 overwrite the block's amplitude planes in place; the
+        # factor 2 of dp enters the finished sum as 4, an exact scaling
         c *= a
         d *= b
         dp = np.add(c, d, out=c)
         a *= a
         b *= b
         p = np.add(a, b, out=a)
-        dp *= 2.0
         if marginal:
             p = np.sum(p, axis=0, out=b[0])
             dp = np.sum(dp, axis=0, out=d[0])
@@ -349,15 +352,7 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
         value += float(np.sum(quot @ w[cols] @ w[rows]))
         total += float(np.sum(p @ w[cols] @ w[rows]))
     _check_density(total)
-    return FisherResult(max(value, 0.0))
-
-
-@lru_cache(maxsize=32)
-def _fidelity_phases(layout: SubsystemLayout) -> np.ndarray:
-    """exp(-i delta (n2 - n1)/2) over ``layout`` at the fidelity step, read-only."""
-    table = np.exp(-0.5j * _FIDELITY_DELTA * _diff_number(layout))
-    table.setflags(write=False)
-    return table
+    return FisherResult(max(4.0 * value, 0.0))
 
 
 def qfi_fidelity(probe: CompositeState) -> FisherResult:
@@ -367,13 +362,17 @@ def qfi_fidelity(probe: CompositeState) -> FisherResult:
     encoded family, with the fixed step delta = 1e-2.  With chi = BS |psi_P>,
     the overlap is <chi| PD(delta) |chi> = sum |chi|^2 exp(-i delta (n2 - n1)/2):
     the outer beam splitter and the phase stage at phi cancel, so the value
-    is the same at every operating phase.  It takes one beam splitter and
-    a diagonal sum against a cached phase table.
+    is the same at every operating phase.  |chi|^2 is read from the
+    rotated probe y = Q chi in skew-block order (Q is a phase, so
+    |y| = |chi|) and weighted by PD(delta) in the same order; nothing is
+    scattered back to Fock order.
+    The rotation is unitary, so the total of |y|^2 is the probe's norm
+    squared, which is checked against 1.
     """
-    check_unit_norm(probe.norm(), "probe")
-    chi = beam_split(probe)
-    p = np.abs(chi.tensor()) ** 2
-    overlap = abs(np.sum(p * _fidelity_phases(chi.layout)))
+    p = np.abs(_rotated_probe(probe)) ** 2
+    check_unit_norm(math.sqrt(p.sum()), "probe")
+    phases = _phase_in_slots(_FIDELITY_DELTA, probe.layout.cutoff)
+    overlap = abs(np.sum(p * _spread(phases, p.shape[2])))
     value = 8.0 * (1.0 - overlap) / _FIDELITY_DELTA**2
     return FisherResult(max(value, 0.0))
 

@@ -167,16 +167,24 @@ def test_sweep_values_equal_the_standalone_calls(kind, times):
 
 
 def test_sweep_point_splits_its_probe_once(monkeypatch):
-    # the QFI and the encoded family share chi: one inner and one (stacked) outer split
-    calls = []
+    # the QFI and the encoded family share the rotated probe: one rotation
+    # of the probe and one of the (state, tangent) stack per point, no gate
+    rotations, applied = [], []
+
+    def counting_rotate(x):
+        rotations.append(x.shape[2] // 4)  # 4 spectator columns per probe here
+        return rotate(x)
 
     def counting_apply(gate, state, layout=None):
-        calls.append(gate.label)
+        applied.append(gate.label)
         return apply(gate, state, layout)
 
+    rotate = modefisher.encoding._rotate
+    monkeypatch.setattr(modefisher.encoding, "_rotate", counting_rotate)
     monkeypatch.setattr(modefisher.encoding, "apply", counting_apply)
     sweep_continuous("jc", 4.0, time_grid=(0.3, 0.9, 1.4), include_cfi_counting=True)
-    assert calls.count("bs") == 2 * 3
+    assert rotations == [1, 2] * 3
+    assert applied == []
 
 
 def test_package_import_leaves_scipy_solvers_unloaded():

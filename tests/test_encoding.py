@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from modefisher.dynamics import apply, coherent_input_state
+from modefisher.dynamics import _sector_index, apply, coherent_input_state
 from modefisher.encoding import (
     DEFAULT_PHI,
+    _diff_number,
+    _rotated_probe,
+    _slot_tables,
     beam_split,
     beam_splitter_gate,
     encoded_family,
@@ -19,6 +22,7 @@ from modefisher.hilbert import (
     kerr_layout,
     product_state,
 )
+from modefisher.metrology import _FIDELITY_DELTA, qfi_fidelity
 
 
 def _random_two_mode(cutoff, seed):
@@ -108,7 +112,7 @@ def test_encode_needs_two_modes():
 
 
 def test_stacked_family_equals_unstacked_applies():
-    # the state and its tangent share one outer beam-splitter call
+    # the state and its tangent, rotated as one stack, equal the gate route
     rng = np.random.default_rng(4)
     for layout in (kerr_layout(6), jc_layout(5)):
         amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
@@ -144,14 +148,76 @@ def test_cached_beam_splitter_is_read_only():
 
 
 def test_beam_split_is_shared_by_equal_probes_only():
+    # equal probes share the rotated probe y; the gate route keeps no memo
     layout = kerr_layout(6)
     amps = coherent_input_state("kerr", 0.5, 6).amplitudes
     state = CompositeState(layout, amps.copy())
-    chi = beam_split(state)
-    assert not chi.amplitudes.flags.writeable
-    assert beam_split(CompositeState(layout, amps.copy())) is chi
+    y = _rotated_probe(state)
+    assert not y.flags.writeable
+    assert _rotated_probe(CompositeState(layout, amps.copy())) is y
     state.amplitudes[:] = apply(phase_diff_gate(0.9, 6), state).amplitudes  # changed in place
-    fresh = beam_split(state)
-    assert fresh is not chi
-    np.testing.assert_array_equal(fresh.amplitudes,
-                                  apply(beam_splitter_gate(6), state).amplitudes)
+    fresh = _rotated_probe(state)
+    assert fresh is not y
+    chi = apply(beam_splitter_gate(6), state).amplitudes
+    q = _slot_tables(6)[0]
+    np.testing.assert_allclose(fresh[:, :, 0], q * chi[_sector_index(6)], atol=1e-15, rtol=0)
+    split = beam_split(state)
+    assert beam_split(state) is not split
+    np.testing.assert_array_equal(split.amplitudes, chi)
+    assert _rotated_probe(state) is fresh
+
+
+@pytest.mark.parametrize("cutoff", [3, 12, 40])
+def test_beam_splitter_factors_into_one_real_rotation(cutoff):
+    """BS = Q† R Q per skew block, R real orthogonal, Q = diag(i^n1)."""
+    q, _, rotation = _slot_tables(cutoff)
+    assert rotation.dtype == np.float64 and rotation.shape == (cutoff,) * 3
+    assert not rotation.flags.writeable
+    np.testing.assert_allclose(rotation.transpose(0, 2, 1) @ rotation,
+                               np.broadcast_to(np.eye(cutoff), rotation.shape),
+                               atol=1e-14, rtol=0)
+    gate = beam_splitter_gate(cutoff)
+    blocks = (gate.basis * gate.phases[:, None, :]) @ gate.basis.transpose(0, 2, 1)
+    # block b < c - 1 holds the full sector b and the partial sector b + c
+    n1 = np.arange(cutoff)
+    for b in range(cutoff):
+        for sector in (n1 <= b, n1 > b):
+            got = q.conj()[sector, None] * rotation[b][np.ix_(sector, sector)] * q[sector]
+            np.testing.assert_allclose(got, blocks[b][np.ix_(sector, sector)],
+                                       atol=1e-14, rtol=0)
+        np.testing.assert_array_equal(rotation[b][np.ix_(n1 <= b, n1 > b)], 0.0)
+
+
+_ROUTE_LAYOUTS = {
+    "jc": jc_layout(5),
+    "kerr": kerr_layout(7),
+    "permuted": SubsystemLayout((("mode", 6), ("qubit", 2), ("mode", 6), ("qubit", 2))),
+}
+
+
+@pytest.mark.parametrize("name", list(_ROUTE_LAYOUTS))
+def test_rotated_route_matches_the_gate_route(name):
+    """QFI and family from y equal BS, PD, BS applied gate by gate."""
+    layout = _ROUTE_LAYOUTS[name]
+    cutoff = layout.cutoff
+    bs = beam_splitter_gate(cutoff)
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+        state = CompositeState(layout, amps / np.linalg.norm(amps))
+        phi = float(rng.uniform(-np.pi, np.pi))
+        chi = apply(bs, state)
+        phased = apply(phase_diff_gate(phi, cutoff), chi)
+        tangent = CompositeState(layout, (phased.tensor() * (-0.5j * _diff_number(layout)))
+                                 .reshape(-1), check_norm=False)
+        family = encoded_family(state, phi)
+        np.testing.assert_allclose(family.state.amplitudes, apply(bs, phased).amplitudes,
+                                   atol=1e-12, rtol=0)
+        np.testing.assert_allclose(family.derivative.amplitudes, apply(bs, tangent).amplitudes,
+                                   atol=1e-12, rtol=0)
+        # the fidelity overlap from |chi|^2 in Fock order; the estimator
+        # divides 1 - overlap by delta^2 / 8, so compare the overlap itself
+        p = np.abs(chi.tensor()) ** 2
+        overlap = abs(np.sum(p * np.exp(-0.5j * _FIDELITY_DELTA * _diff_number(layout))))
+        got = 1.0 - qfi_fidelity(state).value * _FIDELITY_DELTA**2 / 8.0
+        assert abs(got - overlap) < 1e-12
