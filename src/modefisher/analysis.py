@@ -16,16 +16,20 @@ import numpy as np
 from .dynamics import coherent_input_state, evolve_continuous
 from .encoding import DEFAULT_PHI, encoded_family
 from .hilbert import default_cutoff
-from .metrology import (
-    MeasurementModel,
-    QuadratureGrid,
-    cfi,
-    inverse_fisher,
-    qfi_fidelity,
-)
+from .metrology import MeasurementModel, cfi, inverse_fisher, qfi_fidelity
 
 # (tmax, tstep) of each kind's default sweep grid
 TIME_GRID_BOUNDS = {"jc": (30.0, 0.1), "kerr": (2 * np.pi, np.pi / 200)}
+
+# Allowance below the twin-Fock QFI, in Fisher units, that counts as
+# reaching it.  The evolved QFI approaches the twin-Fock value from below
+# without touching it (the gap closes like the squared pair coherence of
+# the single-mode state), so a strict threshold has no crossing at any
+# photon number.  One Fisher unit is 0.45% of the target at N=20 and also
+# absorbs the small negative bias of the finite-difference estimator.
+TFS_MARGIN = 1.0
+# width of the bracket at which time_to_tfs stops bisecting
+TFS_REFINE_TOL = 1e-4
 
 
 class NoCrossingError(RuntimeError):
@@ -74,7 +78,6 @@ def sweep_continuous(kind: str, n_mean: float, time_grid=None,
                      include_cfi_counting: bool = False,
                      include_cfi_homodyne: bool = False,
                      theta: float = 0.0,
-                     grid: QuadratureGrid = QuadratureGrid(),
                      phi: float = DEFAULT_PHI,
                      cutoff: int | None = None) -> list[SweepRecord]:
     """Inverse QFI (optionally CFI at phase ``phi``) of continuously evolved probes."""
@@ -83,8 +86,7 @@ def sweep_continuous(kind: str, n_mean: float, time_grid=None,
     psi0 = coherent_input_state(kind, n_mean, cut)
     with_emitters = kind == "jc"
     counting = MeasurementModel("counting", include_emitters=with_emitters)
-    homodyne = MeasurementModel("homodyne", include_emitters=with_emitters,
-                                theta=theta, grid=grid)
+    homodyne = MeasurementModel("homodyne", include_emitters=with_emitters, theta=theta)
     records = []
     for t in times:
         probe = evolve_continuous(kind, float(t), psi0)
@@ -102,7 +104,7 @@ def sweep_continuous(kind: str, n_mean: float, time_grid=None,
 
 
 def find_minima(records: list[SweepRecord],
-                min_prominence: float | None = None) -> list[tuple[float, float]]:
+                min_prominence: float = 0.01) -> list[tuple[float, float]]:
     """Interior strict local minima of inverse QFI, parabolically refined.
 
     Swept Fisher curves ripple on top of their large-scale dips, so raw
@@ -118,8 +120,6 @@ def find_minima(records: list[SweepRecord],
     """
     if len(records) < 3:
         raise ValueError("need at least 3 sweep points")
-    if min_prominence is None:
-        min_prominence = 0.01
     t = np.array([r.time for r in records])
     y = np.array([r.inv_qfi for r in records])
     span = float(y.max() - y.min())
@@ -148,25 +148,18 @@ def find_minima(records: list[SweepRecord],
 
 
 def time_to_tfs(kind: str, n_mean: float, time_grid=None,
-                cutoff: int | None = None, refine_tol: float = 1e-4,
-                margin: float = 1.0) -> float:
+                cutoff: int | None = None) -> float:
     """First interaction time whose QFI reaches the twin-Fock value.
 
-    Scans the grid for the first crossing of F_Q >= N(N+2)/2 - margin,
-    then bisects the bracketing interval down to ``refine_tol``.  The QFI
-    is a property of the evolved probe alone, so no operating phase enters.
-
-    ``margin`` is an absolute allowance in Fisher units.  The evolved
-    QFI approaches the twin-Fock value from below without touching it
-    (the gap closes like the squared pair coherence of the single-mode
-    state), so a strict threshold has no crossing at any photon number.
-    One Fisher unit is 0.45% of the target at N=20 and also absorbs the
-    small negative bias of the finite-difference estimator.
+    Scans the grid for the first crossing of F_Q >= N(N+2)/2 - TFS_MARGIN,
+    then bisects the bracketing interval down to ``TFS_REFINE_TOL``.  The
+    QFI is a property of the evolved probe alone, so no operating phase
+    enters.
     """
     times = _grid_for(kind, time_grid)
     cut = cutoff if cutoff is not None else default_cutoff(n_mean)
     psi0 = coherent_input_state(kind, n_mean, cut)
-    target = n_mean * (n_mean + 2.0) / 2.0 - margin
+    target = n_mean * (n_mean + 2.0) / 2.0 - TFS_MARGIN
     if target <= 0.0:
         raise NoCrossingError(
             f"twin-Fock target for N={n_mean:g} sits below the margin"
@@ -182,7 +175,7 @@ def time_to_tfs(kind: str, n_mean: float, time_grid=None,
         f = fisher(float(t))
         if f >= target:
             lo, hi = prev_t, float(t)
-            while hi - lo > refine_tol:
+            while hi - lo > TFS_REFINE_TOL:
                 mid = 0.5 * (lo + hi)
                 if fisher(mid) >= target:
                     hi = mid
@@ -198,8 +191,8 @@ def time_to_tfs(kind: str, n_mean: float, time_grid=None,
 def fit(model: str, xs, ys) -> FitResult:
     """Least-squares fit of a named scaling model.
 
-    Models: ``sqrt`` y = a*sqrt(x+b)+c (nonlinear), ``powerlaw``
-    y = a*x^mu (linear in log-log), ``linear`` y = a*x+b.
+    Models: ``sqrt`` y = a*sqrt(x+b)+c (nonlinear) and ``powerlaw``
+    y = a*x^mu (linear in log-log).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -225,12 +218,6 @@ def fit(model: str, xs, ys) -> FitResult:
         slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
         coeffs = (float(np.exp(intercept)), float(slope))
         resid = ys - coeffs[0] * xs ** coeffs[1]
-    elif model == "linear":
-        if len(xs) < 2:
-            raise ValueError("linear fit needs at least 2 points")
-        a, b = np.polyfit(xs, ys, 1)
-        coeffs = (float(a), float(b))
-        resid = ys - (a * xs + b)
     else:
         raise ValueError(f"unknown fit model {model!r}")
     ss_res = float(np.sum(resid**2))
@@ -240,7 +227,7 @@ def fit(model: str, xs, ys) -> FitResult:
 
 
 def sweep_theta(kind: str, n_mean: float, probe_time: float, theta_grid=None,
-                grid: QuadratureGrid = QuadratureGrid(), phi: float = DEFAULT_PHI,
+                phi: float = DEFAULT_PHI,
                 cutoff: int | None = None) -> tuple[list[tuple[float, float]], float]:
     """Homodyne inverse CFI versus quadrature angle for one fixed probe.
 
@@ -264,7 +251,7 @@ def sweep_theta(kind: str, n_mean: float, probe_time: float, theta_grid=None,
     samples = []
     for theta in thetas:
         model = MeasurementModel("homodyne", include_emitters=with_emitters,
-                                 theta=float(theta) + frame, grid=grid)
+                                 theta=float(theta) + frame)
         samples.append((float(theta), inverse_fisher(cfi(family, model).value)))
     values = np.array([v for _, v in samples])
     # symmetric profiles tie to rounding; take the first angle that

@@ -55,10 +55,6 @@ class AnsatzParams:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    @property
-    def n_params(self) -> int:
-        return self.n_layers * LAYER_WIDTH[self.kind]
-
     def to_vector(self) -> np.ndarray:
         return np.array([p for layer in self.layers for p in layer], dtype=float)
 
@@ -74,10 +70,6 @@ class AnsatzParams:
     @classmethod
     def zeros(cls, kind: str, d: int) -> "AnsatzParams":
         return cls(kind, tuple((0.0,) * LAYER_WIDTH[kind] for _ in range(d)))
-
-    def with_zero_layer(self) -> "AnsatzParams":
-        """Append one identity layer (the optimizer's warm-start move)."""
-        return AnsatzParams(self.kind, self.layers + ((0.0,) * LAYER_WIDTH[self.kind],))
 
     def interactions(self) -> np.ndarray:
         """Per-layer nonlinear interaction parameter (g or k)."""

@@ -60,31 +60,29 @@ from .optimize import (
 from .wigner import default_axes, wigner
 
 # config keys that are OptimizerConfig fields; their defaults come from there
-_OPTIMIZER_KEYS = ("max_iters", "tol", "method", "init_scale", "seeds", "d_max",
-                   "master_seed")
+_OPTIMIZER_KEYS = ("max_iters", "seeds", "d_max", "master_seed")
 
 _COMMON = {
     "kind": "kerr",
     "n_mean": 20.0,
     "cutoff": None,          # None -> default_cutoff(n_mean)
-    "phi": DEFAULT_PHI,
     "outdir": "runs/out",
 }
 _SEARCH = {
+    "phi": DEFAULT_PHI,
     "measurement": "counting",
     "theta": 0.0,
     **{key: getattr(OptimizerConfig(), key) for key in _OPTIMIZER_KEYS},
-    "workers": 1,
 }
 # every config key of each command with its default; None is "not given"
 _CONFIG = {
-    "sweep": {**_COMMON, "theta": 0.0,
+    "sweep": {**_COMMON, "phi": DEFAULT_PHI, "theta": 0.0,
               "tmax": None, "tstep": None,  # None -> TIME_GRID_BOUNDS of the kind
               "with_counting": False, "with_homodyne": False},
-    "optimize": {**_COMMON, **_SEARCH, "stage": "prepare", "prep_csv": None},
+    "optimize": {**_COMMON, **_SEARCH, "workers": 1, "stage": "prepare", "prep_csv": None},
     "wigner": {**_COMMON, "time": None, "params": None, "mode": 1, "half_width": 9.0,
                "grid_points": 201},
-    "theta-sweep": {**_COMMON, "probe_time": None, "points": 257},
+    "theta-sweep": {**_COMMON, "phi": DEFAULT_PHI, "probe_time": None, "points": 257},
     "ablate": {**_COMMON, **_SEARCH, "params": None, "paired_dir": None},
 }
 # input paths: written relative to the output directory, read relative to the config file
@@ -121,7 +119,6 @@ _FLAGS = {
     "max_iters": ("--max-iters", "objective evaluations per (seed, depth) stage",
                   {"type": int}),
     "master_seed": ("--master-seed", "top-level seed for all random streams", {"type": int}),
-    "method": ("--method", "local optimizer", {"choices": ("cobyla", "nelder-mead")}),
     "workers": ("--workers", "process pool size for independent seeds", {"type": int}),
     "measurement": ("--measurement", "readout model for measurement stages",
                     {"choices": ("counting", "homodyne")}),
@@ -329,6 +326,9 @@ def _best_prep_vector(prep_csv: Path) -> np.ndarray:
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     opt_config = _optimizer_config(config)  # rejects bad values before any file is written
+    workers = int(config["workers"])
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     stage = config["stage"]
     if stage == "measure" and config["prep_csv"] is None:
         print("--stage measure needs --prep-csv pointing at a "
@@ -339,7 +339,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     digest = _write_manifest("optimize", config)
     payload = {"kind": config["kind"], "n_mean": float(config["n_mean"]),
                "schedule": schedule, "config": config}
-    workers = int(config["workers"])
 
     prep_vector = None
     if stage in ("prepare", "both"):

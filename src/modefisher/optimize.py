@@ -3,10 +3,10 @@
 Preparation maximizes the QFI of the encoded probe; pre-measurement
 maximizes the CFI of a fixed encoded probe under a readout model.  Every
 search runs one seed/depth loop, ``_search``: draw each seed's start
-within ``init_scale`` of a base point, run a simplex-family local
-optimizer, then grow the circuit one layer at a time, warm-starting from
-the previous optimum.  Each new layer enters at zero, so growing cannot
-change the objective and the per-seed best is non-increasing in depth by
+within ``init_scale`` of a base point, run a Nelder-Mead search, then
+grow the circuit one layer at a time, warm-starting from the previous
+optimum.  Each new layer enters at zero, so growing cannot change the
+objective and the per-seed best is non-increasing in depth by
 construction.  The loop has four callers:
 
 - preparation (``optimize_preparation``), Kerr and JC;
@@ -21,7 +21,7 @@ The base point is the identity circuit, except for emitter (JC)
 preparation: there the identity is a local maximum of the QFI, so layer
 1 starts at the first dip of the continuous inverse-QFI curve instead.
 Every stage except Kerr preparation opens its simplex at
-``initial_step`` along each coordinate, so the search can leave the
+``INITIAL_STEP`` along each coordinate, so the search can leave the
 start's basin and move the layer that entered at zero.  Kerr preparation
 keeps the default simplex: a wide one only moves the Kerr strengths to
 their aliases pi - k, which have the same QFI and a larger interaction
@@ -50,6 +50,10 @@ from .metrology import MeasurementModel, QuadratureGrid, cfi, inverse_fisher, qf
 
 log = logging.getLogger(__name__)
 
+# Edge of the opened Nelder-Mead simplex, in radians: the natural scale of
+# the periodic gates.
+INITIAL_STEP = 1.0
+
 
 class OptimizationError(RuntimeError):
     """Objective returned a non-finite value or inputs were unusable."""
@@ -62,25 +66,23 @@ class OptimizerConfig:
     Every search shares one seed/depth loop, so these knobs mean the same
     in preparation, pre-measurement, the joint-angle arm and the paired
     scan.  ``max_iters`` caps objective evaluations per (seed, depth)
-    stage; ``initial_step`` is the opening trust-region radius of the
-    cobyla method and, for every stage except Kerr preparation, the edge
-    of the opening Nelder-Mead simplex (radians, the natural scale of the
-    periodic gates); Kerr preparation keeps scipy's default simplex.
-    ``seed_indices`` restricts a run to an explicit subset of the seed
-    pool; the random stream of seed k is the same whether it runs alone
-    or in the full batch, which lets a scheduler farm seeds out and merge
-    records.  A seed that aborts is dropped; a search in which every seed
-    aborts raises ``OptimizationError``.
+    stage; ``tol`` is the Nelder-Mead stopping tolerance on both the
+    simplex size and its objective spread; ``init_scale`` is the
+    half-width of each seed's random draw around its start; the CLI
+    keeps the defaults of these two.  ``seed_indices`` restricts a run
+    to an explicit subset of the seed pool; the random stream of seed k
+    is the same whether it runs alone or in the full batch, which lets a
+    scheduler farm seeds out and merge records.  A seed that aborts is
+    dropped; a search in which every seed aborts raises
+    ``OptimizationError``.
     """
 
     max_iters: int = 1000
     tol: float = 1e-10
-    method: str = "nelder-mead"
     init_scale: float = 1e-2
     seeds: int = 10
     d_max: int = 10
     master_seed: int = 11
-    initial_step: float = 1.0
     seed_indices: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -160,35 +162,24 @@ class _Tracked:
 
 def minimize(objective, x0: np.ndarray, config: OptimizerConfig,
              open_wide: bool = False) -> tuple[np.ndarray, float, int]:
-    """Local derivative-free minimization; returns (x_best, f_best, evals).
+    """Nelder-Mead minimization; returns (x_best, f_best, evals).
 
     The reported optimum is the best point ever evaluated, not the
     method's final iterate, so it can never regress below the start.
-    ``open_wide`` opens the Nelder-Mead simplex at ``config.initial_step``
-    along every coordinate; scipy's default steps 5% of each nonzero
-    coordinate and 2.5e-4 along zero ones, which cannot leave a basin
-    or move a layer that starts at zero.
+    ``open_wide`` opens the simplex at ``INITIAL_STEP`` along every
+    coordinate; scipy's default steps 5% of each nonzero coordinate and
+    2.5e-4 along zero ones, which cannot leave a basin or move a layer
+    that starts at zero.
     """
     import scipy.optimize  # deferred: importing it costs about a second
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise OptimizationError("starting point contains non-finite entries")
     tracked = _Tracked(objective)
-    method = config.method.lower().replace("_", "-")
-    if method == "cobyla":
-        scipy.optimize.minimize(
-            tracked, x0, method="COBYLA", tol=config.tol,
-            options={"maxiter": config.max_iters, "rhobeg": config.initial_step},
-        )
-    elif method == "nelder-mead":
-        options = {"maxfev": config.max_iters, "xatol": config.tol,
-                   "fatol": config.tol}
-        if open_wide:
-            options["initial_simplex"] = np.vstack(
-                [x0, x0 + config.initial_step * np.eye(x0.size)])
-        scipy.optimize.minimize(tracked, x0, method="Nelder-Mead", options=options)
-    else:
-        raise ValueError(f"unknown optimizer method {config.method!r}")
+    options = {"maxfev": config.max_iters, "xatol": config.tol, "fatol": config.tol}
+    if open_wide:
+        options["initial_simplex"] = np.vstack([x0, x0 + INITIAL_STEP * np.eye(x0.size)])
+    scipy.optimize.minimize(tracked, x0, method="Nelder-Mead", options=options)
     assert tracked.best_x is not None
     return tracked.best_x, tracked.best_f, tracked.nfev
 

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import modefisher.cli
 import modefisher.optimize
 from modefisher.analysis import TIME_GRID_BOUNDS, time_grid_from
 from modefisher.artifacts import SchemaError
@@ -122,14 +123,17 @@ def test_optimizer_defaults_come_from_optimizer_config():
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):
-    # a typo, and the QFI step that is no longer a knob
-    for config in ({"n_men": 4.0}, {"delta": 0.01}):
+    # a typo, and keys that are no longer knobs or that the command never read
+    for command, config in (("sweep", {"n_men": 4.0}), ("sweep", {"delta": 0.01}),
+                            ("optimize", {"method": "nelder-mead"}),
+                            ("optimize", {"tol": 1e-10}), ("optimize", {"init_scale": 0.01}),
+                            ("ablate", {"workers": 1}), ("wigner", {"phi": 1.0})):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        rc = main(["sweep", "--config", str(cfg), "--tmax", "0.3", "--tstep", "0.1",
-                   "--outdir", str(tmp_path / "run")])
-        assert rc == 1
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--n", "2", "--outdir", str(out)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, config", [
@@ -178,6 +182,7 @@ def test_optimize_then_measure_round_trip(tmp_path):
 @pytest.mark.parametrize("flags, config", [
     (["--seeds", "0"], None), (["--dmax", "0"], None),
     ([], {"seeds": 0}), ([], {"d_max": 0}),
+    (["--workers", "-2"], None), ([], {"workers": 0}),
 ])
 def test_optimize_rejects_empty_search_before_writing(tmp_path, capsys, flags, config):
     args = ["optimize", "--kind", "kerr", "--n", "2", "--max-iters", "5", *flags]
@@ -465,6 +470,35 @@ def test_rerun_from_manifest_alone_reproduces_every_table(tmp_path, prep_run, ca
         assert _numeric_lines(first / name) == _numeric_lines(again / name)
     old, new = (json.loads((d / "manifest.json").read_text()) for d in (first, again))
     assert new["sha256"] == old["sha256"]
+
+
+class _ReadKeys(dict):
+    """A resolved config that adds each key its command reads to ``read``."""
+
+    def __init__(self, config, read):
+        super().__init__(config)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_config_key_is_read_by_its_command(tmp_path, prep_run, monkeypatch):
+    # the round trips, plus the two source branches they leave out; one worker each
+    runs = [*_ROUND_TRIPS.values(),
+            ["optimize", *_SEARCH_FLAGS, "--dmax", "1", "--stage", "both"],
+            ["wigner", "--kind", "kerr", "--n", "2", "--grid-points", "21",
+             "--params", "{prep}/params/kerr_N2_d1_seed0.json"]]
+    read = {command: set() for command in _CONFIG}
+    resolve = modefisher.cli._resolve_config
+    monkeypatch.setattr(modefisher.cli, "_resolve_config",
+                        lambda args: _ReadKeys(resolve(args), read[args.command]))
+    for i, run in enumerate(runs):
+        args = [arg.format(prep=prep_run) for arg in run]
+        assert main(args + ["--outdir", str(tmp_path / str(i))]) == 0
+    unread = {command: sorted(set(keys) - read[command]) for command, keys in _CONFIG.items()}
+    assert unread == dict.fromkeys(_CONFIG, [])
 
 
 @pytest.mark.parametrize("kind, tmax, tstep", [
