@@ -4,6 +4,14 @@ A layer is tunneling, then (emitter ansatz only) a shared detuning phase
 on both emitters, then the nonlinearity on both emitter-mode pairs or
 both modes.  The same structure serves preparation and pre-measurement;
 only the parameter vector differs.
+
+The Kerr ansatz (one tunneling strength, one Kerr strength on both
+modes) commutes with exchanging the two modes.  On an input that is
+exactly symmetric under the exchange, such as |alpha, alpha>, it runs on
+one amplitude per exchange orbit, in skew-block order from start to end:
+a layer is a half-size rotation into the even tunnel eigenvectors, their
+eigenphases, the rotation back, and the Kerr phases t[n1] t[n2].  Every
+other input, and the emitter ansatz, applies the gates one by one.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import numpy as np
 
 from .dynamics import (
     LocalGate,
+    _exchange_sectors,
     apply,
     coherent_input_state,
     detune_gate,
@@ -113,8 +122,44 @@ def build_circuit(params: AnsatzParams, layout: SubsystemLayout) -> list[LocalGa
     return gates
 
 
+def _run_exchange_symmetric(params: AnsatzParams, state: CompositeState) -> CompositeState:
+    """Kerr ansatz on an exchange-symmetric state, on one representative per orbit.
+
+    The state stays in skew-block order (:func:`~modefisher.dynamics._exchange_sectors`):
+    a tunnel layer is one half-size rotation into the even eigenvectors,
+    their eigenphases and one rotation back, and a Kerr layer is
+    t[n1] t[n2] with t = exp(-i k n^2).  One take returns to Fock order.
+    """
+    c = state.layout.cutoff
+    w, basis, weight, gather, scatter, (n1, n2) = _exchange_sectors(c)
+    x = np.take(state.amplitudes, gather)
+    n = np.arange(c)
+    for j, k in params.layers:
+        if j != 0.0:
+            y = np.matmul(basis.transpose(0, 2, 1), (x * weight)[..., None].view(np.float64))
+            y = y.view(np.complex128)[..., 0]
+            y *= np.exp(-1j * j * w)
+            x = np.matmul(basis, y[..., None].view(np.float64)).view(np.complex128)[..., 0]
+        if k != 0.0:
+            t = np.exp(-1j * k * n * n)
+            x *= t[n1]
+            x *= t[n2]
+    return CompositeState(state.layout, np.take(x, scatter), check_norm=False)
+
+
 def run_circuit(params: AnsatzParams, state: CompositeState) -> CompositeState:
-    """Apply the ansatz to a state (zero-parameter gates are skipped)."""
+    """Apply the ansatz to a state (zero-parameter gates are skipped).
+
+    Every Kerr gate commutes with exchanging the two modes, so a Kerr
+    ansatz on a state that is exactly symmetric under exchange runs on
+    the symmetric half of the space (:func:`_run_exchange_symmetric`);
+    every other case applies the gates of :func:`build_circuit`.
+    """
+    if params.kind == "kerr":
+        _check_layout(params, state.layout)
+        modes = state.tensor()
+        if modes.tobytes() == modes.T.tobytes():  # bit for bit, -0.0 included
+            return _run_exchange_symmetric(params, state)
     for gate in build_circuit(params, state.layout):
         state = apply(gate, state)
     return state

@@ -428,6 +428,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         print(f"paired scan over d=1..{max(plain)} -> {outdir}")
         return 0
 
+    # the three arms score homodyne at their own angles; only the paired scan reads these
+    for key in ("measurement", "theta"):
+        if config[key] != _CONFIG["ablate"][key]:
+            raise ValueError(f"ablate --params never reads {key}; got {config[key]!r}")
     params = load_params(config["params"])
     digest = _write_manifest("ablate", config)
     result = ablation_theta(kind, params, n_mean, opt_config,

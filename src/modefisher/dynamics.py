@@ -26,6 +26,15 @@ into the columns; each block is rotated by its eigenbasis, which is
 block-diagonal over its two sectors, and the inverse permutation
 scatters the result back.  This is exact at the per-mode truncation,
 because the truncated generator is still block-diagonal in n1 + n2.
+
+Exchanging the two modes maps slot n1 of block b to slot (b - n1) mod c
+of the same block, reversing each sector.  A Kerr ansatz on a symmetric
+input stays symmetric, so it needs one amplitude per orbit of the
+exchange: c(c+1)/2 of the c² (820 of 1,600 at c = 40).  The tunnel
+spectrum of a sector has no repeated eigenvalue, so every eigenvector is
+even or odd under the reversal, and the even ones rotate that half
+(:func:`_exchange_sectors`); :func:`~modefisher.circuits.run_circuit`
+chooses the route.
 """
 
 from __future__ import annotations
@@ -147,6 +156,64 @@ def _tunnel_sectors(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
+
+
+@lru_cache(maxsize=None)
+def _exchange_sectors(cutoff: int) -> tuple[np.ndarray, ...]:
+    """Tunnel eigensystems on the exchange-symmetric half of each skew block.
+
+    Exchange maps slot n1 of block b to slot (b - n1) mod c, so it reverses
+    the slots of each sector.  Each orbit is kept once, by its smaller slot:
+    a sector of L states keeps its first ceil(L/2) slots, and block b keeps
+    m_b = c/2 + 1 (c and b even), c/2 (c even, b odd) or (c + 1)/2 (c odd),
+    padded to m = c//2 + 1.  A sector's spectrum has no repeated eigenvalue,
+    so each eigenvector is even or odd under the reversal, and the
+    ceil(L/2) even ones span the sector's symmetric states.  Built from
+    :func:`_sector_eigensystems`, the eigensystems :func:`_tunnel_sectors`
+    holds, so that a process that never builds a tunnel gate never holds
+    the full basis either.  Returns, all read-only:
+
+    - ``w`` ``(c, m)``: the even eigenvectors' eigenvalues, the same
+      numbers as in :func:`_tunnel_sectors`;
+    - ``basis`` ``(c, m, m)``: ``basis[b, r, k]`` is even eigenvector k of
+      block b at representative r, the mean of its two entries on the orbit;
+    - ``weight`` ``(c, m)``: orbit size, 2 or 1 (a sector's middle slot),
+      0 on padding.  For a symmetric x the even eigenvector coefficients
+      are ``basis[b]^T (weight x)``;
+    - ``gather`` ``(c, m)``: flat Fock index of each representative;
+    - ``scatter`` ``(c*c,)``: for each Fock state, the flat ``(c, m)`` index
+      of its orbit's representative;
+    - ``occupation`` ``(2, c, m)``: (n1, n2) of each representative.
+    """
+    c, m = cutoff, cutoff // 2 + 1
+    w, weight = np.zeros((c, m)), np.zeros((c, m))
+    basis = np.zeros((c, m, m))
+    reps = np.zeros((c, m), dtype=np.intp)
+    scatter = np.empty((c, c), dtype=np.intp)  # skew-block order
+    kept = [0] * c  # representatives placed in each block so far
+    for b, slots, ws, vs in _sector_eigensystems(c):
+        size = len(ws)
+        half, mirror = (size + 1) // 2, vs[::-1]
+        (even,) = np.nonzero(np.einsum("sk,sk->k", mirror, vs) > 0)
+        at = slice(kept[b], kept[b] + half)
+        # an even eigenvector is symmetric only to rounding; the mean over
+        # each orbit keeps the weighted rotation norm-preserving to second order
+        basis[b, at, at] = 0.5 * (vs[:half, even] + mirror[:half, even])
+        w[b, at] = ws[even]
+        weight[b, at] = 2.0
+        weight[b, at.stop - 1] = 2.0 - size % 2  # an odd sector's middle slot is fixed
+        reps[b, at] = np.arange(slots.start, slots.start + half)
+        i = np.arange(size)
+        scatter[b, slots] = b * m + kept[b] + np.minimum(i, size - 1 - i)
+        kept[b] += half
+    index = _sector_index(c)
+    gather = np.take_along_axis(index, reps, axis=1)
+    fock_scatter = np.empty(c * c, dtype=np.intp)
+    fock_scatter[index] = scatter
+    tables = (w, basis, weight, gather, fock_scatter, np.stack(np.divmod(gather, c)))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def jc_gate(g: float, cutoff: int, pair: tuple[int, int] = (0, 2)) -> LocalGate:

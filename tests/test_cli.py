@@ -472,6 +472,26 @@ def test_rerun_from_manifest_alone_reproduces_every_table(tmp_path, prep_run, ca
     assert new["sha256"] == old["sha256"]
 
 
+@pytest.mark.parametrize("flags, config, key", [
+    (["--measurement", "homodyne"], None, "measurement"), (["--theta", "0.5"], None, "theta"),
+    ([], {"measurement": "homodyne"}, "measurement"), ([], {"theta": -0.25}, "theta"),
+])
+def test_ablate_params_rejects_the_keys_it_never_reads(tmp_path, capsys, prep_run, flags,
+                                                       config, key):
+    # the three arms score homodyne at their own angles, so a readout or an
+    # angle given with --params would only change the manifest's digest
+    args = ["ablate", *_SEARCH_FLAGS, "--dmax", "1",
+            "--params", str(prep_run / "params" / "kerr_N2_d2_seed0.json"), *flags]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", str(cfg)]
+    out = tmp_path / "run"
+    assert main(args + ["--outdir", str(out)]) == 1
+    assert f"never reads {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class _ReadKeys(dict):
     """A resolved config that adds each key its command reads to ``read``."""
 

@@ -11,6 +11,7 @@ import scipy.linalg
 import modefisher
 from modefisher.dynamics import (
     LocalGate,
+    _exchange_sectors,
     _plan,
     _sector_index,
     _tunnel_sectors,
@@ -186,6 +187,35 @@ def test_skew_blocks_pack_the_sectors_without_padding(cutoff):
                                atol=1e-12)
     assert np.all(v[total[:, :, None] != total[:, None, :]] == 0.0)
     for table in (gather, w, v):
+        assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("cutoff", [*range(2, 10), 40, 41])
+def test_exchange_tables_hold_one_slot_per_orbit(cutoff):
+    c, m = cutoff, cutoff // 2 + 1
+    w, basis, weight, gather, scatter, (n1, n2) = _exchange_sectors(c)
+    assert w.shape == weight.shape == gather.shape == n1.shape == (c, m)
+    assert basis.shape == (c, m, m) and scatter.shape == (c * c,)
+    kept = weight > 0
+    assert kept.sum() == c * (c + 1) // 2 and weight.sum() == c * c
+    # a representative's orbit is itself and its exchange image
+    fock = np.arange(c * c)
+    image = (fock % c) * c + fock // c
+    rep = gather.ravel()[scatter]
+    assert np.all((rep == fock) | (rep == image))
+    assert np.array_equal(np.bincount(scatter, minlength=c * m).reshape(c, m), weight)
+    assert np.array_equal(np.divmod(gather, c), (n1, n2))
+    # the even eigenvectors are orthonormal under the orbit weights
+    gram = basis.transpose(0, 2, 1) @ (weight[..., None] * basis)
+    np.testing.assert_allclose(gram, kept[:, None, :] * np.eye(m), atol=1e-13)
+    # eigenphase arguments are the full tables' entries, bit for bit
+    w_full, v_full = _tunnel_sectors(c)
+    slot_image = (np.arange(c)[:, None] - np.arange(c)) % c
+    for b in range(c):
+        parity = np.einsum("sk,sk->k", v_full[b, slot_image[b]], v_full[b])
+        assert np.allclose(np.abs(parity), 1.0)
+        assert w[b, kept[b]].tobytes() == w_full[b, parity > 0].tobytes()
+    for table in (w, basis, weight, gather, scatter, n1):
         assert not table.flags.writeable
 
 

@@ -8,6 +8,7 @@ minutes on one core.
 import numpy as np
 import pytest
 
+import modefisher.circuits
 from modefisher.circuits import AnsatzParams, build_circuit, run_circuit
 from modefisher.dynamics import (
     apply,
@@ -21,6 +22,7 @@ from modefisher.dynamics import (
 from modefisher.encoding import beam_splitter_gate, encoded_family
 from modefisher.hilbert import (
     CompositeState,
+    destroy,
     jc_layout,
     kerr_layout,
     reduce_to_mode,
@@ -335,3 +337,85 @@ def test_find_minima_outputs_bracket_grid_dips():
             # the bracketing sample is a strict discrete minimum
             assert y[i] < y[i - 1] and y[i] < y[i + 1]
             assert y_min <= y[i] + 1e-12
+
+
+def _gate_route(params, state):
+    for gate in build_circuit(params, state.layout):
+        state = apply(gate, state)
+    return state
+
+
+def _exchanged(state):
+    """The state with the two arms exchanged: the modes and, for JC, the emitters."""
+    axes = list(range(len(state.layout.dims)))
+    for pair in (state.layout.mode_indices, state.layout.qubit_indices):
+        if pair:
+            axes[pair[0]], axes[pair[1]] = pair[1], pair[0]
+    return state.tensor().transpose(axes)
+
+
+def _mean_jy(state):
+    """<J_y> = Im <a1† a2>, with J_y = (a1† a2 - a2† a1)/2i."""
+    t = np.moveaxis(state.tensor(), state.layout.mode_indices, (-2, -1))
+    a = destroy(state.layout.cutoff)
+    return float(np.vdot(t, a.T @ t @ a.T).imag)
+
+
+def test_preparation_circuits_are_exchange_symmetric():
+    # |alpha, alpha> (emitters in |g, g>) and every ansatz gate commute with
+    # exchanging the arms, so every probe is symmetric and <J_y> = 0
+    rng = np.random.default_rng(117)
+    cases = [("kerr", 20.0, 6, 40), ("jc", 20.0, 8, 40), ("kerr", 8.0, 4, 18)]
+    for kind, n_mean, d, cutoff in cases:
+        psi0 = coherent_input_state(kind, n_mean, cutoff)
+        for _ in range(34):
+            params = AnsatzParams.from_vector(
+                kind, rng.uniform(-2, 2, size=(3 if kind == "jc" else 2) * d))
+            probes = [_gate_route(params, psi0)]
+            if kind == "kerr":
+                probes.append(run_circuit(params, psi0))
+            for probe in probes:
+                assert np.abs(_exchanged(probe) - probe.tensor()).max() < 1e-13
+                assert abs(_mean_jy(probe)) < 1e-13
+
+
+def test_symmetric_kerr_route_matches_the_gate_route(monkeypatch):
+    def no_gates(gate, state, layout=None):
+        raise AssertionError("the symmetric route applied a gate")
+
+    rng = np.random.default_rng(118)
+    for case in range(100):
+        cutoff = 40 + case % 2
+        psi0 = coherent_input_state("kerr", 20.0, cutoff)
+        x = rng.uniform(-2, 2, size=2 * int(rng.integers(1, 7)))
+        x[rng.uniform(size=x.size) < 0.1] = 0.0   # skipped gates
+        if case % 3 == 0:
+            x[0] = 1.0e6                            # where stored searches drifted
+        params = AnsatzParams.from_vector("kerr", x)
+        want = _gate_route(params, psi0)
+        with monkeypatch.context() as patch:
+            patch.setattr(modefisher.circuits, "apply", no_gates)
+            got = run_circuit(params, psi0)
+        np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-13)
+        fq = qfi_fidelity(want).value
+        assert abs(qfi_fidelity(got).value - fq) <= 1e-12 * fq
+
+
+def test_asymmetric_inputs_take_the_gate_route(monkeypatch):
+    def no_symmetric_route(params, state):
+        raise AssertionError("the symmetric route ran on an asymmetric state")
+
+    monkeypatch.setattr(modefisher.circuits, "_run_exchange_symmetric", no_symmetric_route)
+    rng = np.random.default_rng(119)
+    for case in range(100):
+        cutoff = int(rng.integers(8, 14))
+        if case % 2:
+            state = _random_state(kerr_layout(cutoff), rng)
+        else:  # a symmetric input, one amplitude off by one ulp
+            psi0 = coherent_input_state("kerr", 1.0, cutoff)
+            amps = psi0.amplitudes.copy()
+            amps[1] = np.nextafter(amps[1].real, 1.0) + 1j * amps[1].imag
+            state = CompositeState(psi0.layout, amps)
+        params = AnsatzParams.from_vector("kerr", rng.uniform(-2, 2, size=4))
+        np.testing.assert_array_equal(run_circuit(params, state).amplitudes,
+                                      _gate_route(params, state).amplitudes)
