@@ -103,16 +103,29 @@ def sweep_continuous(kind: str, n_mean: float, time_grid=None,
     return records
 
 
+def _dip_prominence(y: np.ndarray, i: int) -> float:
+    """Prominence of the strict minimum ``y[i]``, as scipy.signal defines it for -y.
+
+    Walk out on each side while the series stays at or above ``y[i]``;
+    the prominence is the lower of the two highest values met, less ``y[i]``.
+    """
+    def highest(side: np.ndarray) -> float:  # side runs outwards from i
+        below = np.flatnonzero(side < y[i])
+        return side[: below[0] if below.size else side.size].max()
+
+    return float(min(highest(y[i - 1::-1]), highest(y[i + 1:])) - y[i])
+
+
 def find_minima(records: list[SweepRecord],
                 min_prominence: float = 0.01) -> list[tuple[float, float]]:
     """Interior strict local minima of inverse QFI, parabolically refined.
 
     Swept Fisher curves ripple on top of their large-scale dips, so raw
     strict minima include grid-scale noise.  ``min_prominence`` keeps
-    only dips whose prominence (in the sense of scipy.signal) exceeds
-    the given fraction of the series range; the default 0.01 separates
-    the physical dips from ripple on the default grids.  Pass 0.0 for
-    every strict local minimum.
+    only dips whose prominence (see ``_dip_prominence``) reaches the
+    given fraction of the series range; the default 0.01 separates the
+    physical dips from ripple on the default grids.  Pass 0.0 for every
+    strict local minimum.
 
     Each surviving minimum is sharpened by fitting a parabola through
     the three bracketing samples, giving sub-grid-step locations
@@ -123,17 +136,12 @@ def find_minima(records: list[SweepRecord],
     t = np.array([r.time for r in records])
     y = np.array([r.inv_qfi for r in records])
     span = float(y.max() - y.min())
-    keep: set[int] = set()
-    if span > 0 and min_prominence > 0:
-        import scipy.signal  # deferred: importing it costs about a second
-        idx, props = scipy.signal.find_peaks(
-            -y, prominence=min_prominence * span)
-        keep.update(int(i) for i in idx)
+    floor = min_prominence * span if span > 0 and min_prominence > 0 else None
     out = []
     for i in range(1, len(records) - 1):
         if not (y[i] < y[i - 1] and y[i] < y[i + 1]):
             continue
-        if min_prominence > 0 and span > 0 and i not in keep:
+        if floor is not None and _dip_prominence(y, i) < floor:
             continue
         denom = (y[i + 1] - 2 * y[i] + y[i - 1])
         if denom <= 0:

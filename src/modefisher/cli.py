@@ -57,7 +57,6 @@ from .optimize import (
     optimize_preparation,
     paired_depth_scan,
 )
-from .wigner import default_axes, wigner
 
 # config keys that are OptimizerConfig fields; their defaults come from there
 _OPTIMIZER_KEYS = ("max_iters", "seeds", "d_max", "master_seed")
@@ -363,6 +362,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_wigner(args: argparse.Namespace) -> int:
+    from .wigner import default_axes, wigner  # deferred: it loads scipy.special
     config = _resolve_config(args)
     kind, n_mean, cut = config["kind"], float(config["n_mean"]), int(config["cutoff"])
     if config["params"] is not None:

@@ -29,6 +29,10 @@ budget.
 
 A seed whose objective turns non-finite is logged and dropped; when no
 seed finishes, the search raises ``OptimizationError``.
+
+The search itself, ``minimize``, is a port of scipy.optimize's
+Nelder-Mead that visits the same points, so no search process imports
+scipy.optimize.
 """
 
 from __future__ import annotations
@@ -138,50 +142,100 @@ def seed_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-class _Tracked:
-    """Best-seen wrapper: guarantees f_best <= f(x0) and finite values."""
+# Nelder-Mead coefficients (reflection, expansion, contraction, shrink) and
+# the default simplex's steps (relative along nonzero coordinates, absolute
+# along zero ones), as in scipy.optimize.
+_RHO, _CHI, _PSI, _SIGMA = 1.0, 2.0, 0.5, 0.5
+_NONZERO_STEP, _ZERO_STEP = 0.05, 0.00025
 
-    def __init__(self, fn):
-        self.fn = fn
-        self.nfev = 0
-        self.best_f = np.inf
-        self.best_x: np.ndarray | None = None
 
-    def __call__(self, x: np.ndarray) -> float:
-        value = float(self.fn(np.asarray(x, dtype=float)))
-        self.nfev += 1
-        if not np.isfinite(value):
-            raise OptimizationError(
-                f"objective returned {value!r} at evaluation {self.nfev}"
-            )
-        if value < self.best_f:
-            self.best_f = value
-            self.best_x = np.array(x, dtype=float, copy=True)
-        return value
+class _BudgetSpent(Exception):
+    """The next objective evaluation would exceed ``max_iters``."""
 
 
 def minimize(objective, x0: np.ndarray, config: OptimizerConfig,
              open_wide: bool = False) -> tuple[np.ndarray, float, int]:
     """Nelder-Mead minimization; returns (x_best, f_best, evals).
 
-    The reported optimum is the best point ever evaluated, not the
-    method's final iterate, so it can never regress below the start.
-    ``open_wide`` opens the simplex at ``INITIAL_STEP`` along every
-    coordinate; scipy's default steps 5% of each nonzero coordinate and
-    2.5e-4 along zero ones, which cannot leave a basin or move a layer
-    that starts at zero.
+    A port of scipy.optimize's Nelder-Mead, checked against scipy 1.17.1:
+    the same coefficients, simplex, centroid, ordering and
+    ``xatol``/``fatol`` test (both at ``tol``), so the objective sees the
+    same points bit for bit.  The search stops before the evaluation that
+    would exceed ``max_iters``, also inside the initial simplex, an
+    expansion or a shrink.  The reported optimum is the best point ever
+    evaluated, not the method's final iterate, so it can never regress
+    below the start.  A non-finite objective value raises
+    ``OptimizationError``.  ``open_wide`` opens the simplex at
+    ``INITIAL_STEP`` along every coordinate; the default steps 5% of each
+    nonzero coordinate and 2.5e-4 along zero ones, which cannot leave a
+    basin or move a layer that starts at zero.
     """
-    import scipy.optimize  # deferred: importing it costs about a second
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise OptimizationError("starting point contains non-finite entries")
-    tracked = _Tracked(objective)
-    options = {"maxfev": config.max_iters, "xatol": config.tol, "fatol": config.tol}
+    n = x0.size
+    best_x, best_f, nfev = x0, np.inf, 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal best_x, best_f, nfev
+        if nfev >= config.max_iters:
+            raise _BudgetSpent
+        nfev += 1
+        point = x.copy()
+        value = float(objective(point))
+        if not np.isfinite(value):
+            raise OptimizationError(f"objective returned {value!r} at evaluation {nfev}")
+        if value < best_f:
+            best_x, best_f = point, value
+        return value
+
+    def ordered(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
     if open_wide:
-        options["initial_simplex"] = np.vstack([x0, x0 + INITIAL_STEP * np.eye(x0.size)])
-    scipy.optimize.minimize(tracked, x0, method="Nelder-Mead", options=options)
-    assert tracked.best_x is not None
-    return tracked.best_x, tracked.best_f, tracked.nfev
+        sim = np.vstack([x0, x0 + INITIAL_STEP * np.eye(n)])
+    else:
+        sim = np.tile(x0, (n + 1, 1))
+        sim[1:][np.diag_indices(n)] = np.where(x0 != 0, (1 + _NONZERO_STEP) * x0, _ZERO_STEP)
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+        # scipy orders the first simplex twice, and argsort need not keep ties
+        sim, fsim = ordered(sim, fsim)
+        while True:
+            sim, fsim = ordered(sim, fsim)
+            if (np.max(np.abs(sim[1:] - sim[0])) <= config.tol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= config.tol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + _RHO) * xbar - _RHO * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = (1 - _PSI) * xbar + _PSI * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+    except _BudgetSpent:
+        pass
+    return best_x, best_f, nfev
 
 
 def _search(kind: str, n_mean: float, objective_at, d_schedule, config: OptimizerConfig,

@@ -186,8 +186,42 @@ def test_sweep_point_splits_its_probe_once(monkeypatch):
 
 
 def test_package_import_leaves_scipy_solvers_unloaded():
-    code = ("import sys, modefisher; "
+    # the CLI and one tiny Kerr and JC preparation stage need neither solver
+    code = ("import sys, modefisher, modefisher.cli; "
+            "from modefisher.optimize import OptimizerConfig, optimize_preparation; "
+            "[optimize_preparation(kind, 2.0, [1], OptimizerConfig(seeds=1, max_iters=5)) "
+            "for kind in ('kerr', 'jc')]; "
             "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          cwd=Path(modefisher.__file__).parents[1], check=True).stdout
     assert out.strip() == "[]"
+
+
+def _minima_kept_by_find_peaks(y, min_prominence):
+    """find_minima's output, filtered by scipy.signal.find_peaks as the reference."""
+    import scipy.signal  # the reference only: the package never imports it
+
+    records = _records(np.arange(len(y), dtype=float), y)
+    strict = [i for i in range(1, len(y) - 1) if y[i] < y[i - 1] and y[i] < y[i + 1]]
+    every = find_minima(records, min_prominence=0.0)
+    assert len(every) == len(strict)
+    span = float(y.max() - y.min())
+    if span == 0:
+        return every
+    peaks = set(scipy.signal.find_peaks(-y, prominence=min_prominence * span)[0].tolist())
+    return [m for i, m in zip(strict, every) if i in peaks]
+
+
+@pytest.mark.parametrize("min_prominence", [0.01, 0.1, 0.3])
+def test_find_minima_prominence_matches_scipy_signal(min_prominence):
+    rng = np.random.default_rng(5)
+    # rounded random walks: plateaus, ties and dips of every depth
+    series = [np.round(np.cumsum(rng.normal(size=rng.integers(3, 120))) * 3)
+              for _ in range(300)]
+    series += [np.cumsum(rng.normal(size=200)) for _ in range(100)]
+    series += [np.array([r.inv_qfi for r in sweep_continuous("jc", float(n))])
+               for n in (4, 8, 12, 16, 20)]
+    for y in series:
+        records = _records(np.arange(len(y), dtype=float), y)
+        assert find_minima(records, min_prominence) == \
+            _minima_kept_by_find_peaks(y, min_prominence)

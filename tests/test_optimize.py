@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import modefisher.optimize
+from modefisher.analysis import default_cutoff
 from modefisher.artifacts import load_params, write_records
 from modefisher.circuits import AnsatzParams, interaction_budget, run_circuit
 from modefisher.dynamics import coherent_input_state
@@ -18,6 +19,7 @@ from modefisher.metrology import (
 )
 from modefisher.circuits import prepare_probe
 from modefisher.optimize import (
+    INITIAL_STEP,
     OptimizationError,
     OptimizerConfig,
     ablation_theta,
@@ -285,3 +287,89 @@ def test_paired_scan_raises_when_every_seed_aborts(monkeypatch):
     with pytest.raises(OptimizationError, match="every seed aborted"):
         paired_depth_scan("kerr", _PAIRED_PREP, MeasurementModel("counting"), 4.0,
                           OptimizerConfig(seeds=2, max_iters=5))
+
+
+def _rosen(v):
+    return float(np.sum(100.0 * (v[1:] - v[:-1] ** 2) ** 2 + (1.0 - v[:-1]) ** 2))
+
+
+def _preparation_objective(kind, n_mean):
+    psi0 = coherent_input_state(kind, n_mean, default_cutoff(n_mean))
+    return lambda x: -qfi_fidelity(run_circuit(AnsatzParams.from_vector(kind, x), psi0)).value
+
+
+def _kerr_start(d, seed):
+    return seed_stream(11, seed).uniform(-1e-2, 1e-2, size=2 * d)
+
+
+def _jc_start(d):
+    x = seed_stream(11, 0).uniform(-1e-2, 1e-2, size=3 * d)
+    x[:3] += (0.0, 0.0, modefisher.optimize.jc_first_dip(4.0, default_cutoff(4.0)))
+    return x
+
+
+def _points_seen(search, objective, x0, config, open_wide):
+    seen = []
+
+    def recorded(x):
+        seen.append(np.array(x, copy=True))
+        return objective(x)
+
+    out = search(recorded, x0.copy(), config, open_wide)
+    return seen, out
+
+
+def _scipy_search(objective, x0, config, open_wide):
+    import scipy.optimize  # the reference only: the package never imports it
+
+    options = {"maxfev": config.max_iters, "xatol": config.tol, "fatol": config.tol}
+    if open_wide:
+        options["initial_simplex"] = np.vstack([x0, x0 + INITIAL_STEP * np.eye(x0.size)])
+    scipy.optimize.minimize(objective, x0, method="Nelder-Mead", options=options)
+
+
+# case: () -> (objective, start, config, open_wide, stopped by the tolerance test),
+# built when the test runs
+_PORT_CASES = {
+    "rosenbrock": lambda: (
+        _rosen, np.array([-1.2, 1.0, 0.5]), OptimizerConfig(), False, True),
+    "kerr_n20_capped": lambda: (
+        _preparation_objective("kerr", 20.0), _kerr_start(2, 7),
+        OptimizerConfig(max_iters=30), False, False),
+    "kerr_n8_converged": lambda: (
+        _preparation_objective("kerr", 8.0), _kerr_start(2, 1),
+        OptimizerConfig(max_iters=5000), False, True),
+    "jc_n4_opened": lambda: (
+        _preparation_objective("jc", 4.0), _jc_start(2),
+        OptimizerConfig(max_iters=300), True, False),
+    "one_parameter": lambda: (
+        lambda v: float((v[0] - 2.0) ** 2), np.zeros(1), OptimizerConfig(), True, True),
+    "budget_inside_simplex": lambda: (
+        _rosen, np.array([0.3, -0.7, 0.0]), OptimizerConfig(max_iters=1), False, False),
+    # three simplex points, a reflection that beats the best, then the
+    # expansion the budget refuses
+    "budget_inside_expansion": lambda: (
+        lambda v: float(v[0] + 2.0 * v[1]), np.array([0.3, -0.7]),
+        OptimizerConfig(max_iters=4), False, False),
+    # only the start scores 0: reflection and contraction fail, and the
+    # budget ends after the first of the two shrink points
+    "budget_inside_shrink": lambda: (
+        lambda v: 0.0 if np.all(v == 0.5) else 1.0, np.full(2, 0.5),
+        OptimizerConfig(max_iters=6), False, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PORT_CASES))
+def test_port_visits_scipys_points_bit_for_bit(case):
+    objective, x0, config, open_wide, converges = _PORT_CASES[case]()
+    ours, (x, f, nfev) = _points_seen(minimize, objective, x0, config, open_wide)
+    theirs, _ = _points_seen(_scipy_search, objective, x0, config, open_wide)
+    assert [p.tobytes() for p in ours] == [p.tobytes() for p in theirs]
+    assert nfev == len(ours)
+    assert (nfev < config.max_iters) == converges
+    # the reported optimum is the first point that reached the lowest value
+    values = [objective(p) for p in theirs]
+    first_best = int(np.argmin(values))
+    assert f == values[first_best]
+    assert x.tobytes() == theirs[first_best].tobytes()
+
