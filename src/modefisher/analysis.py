@@ -20,6 +20,8 @@ from .metrology import MeasurementModel, cfi, inverse_fisher, qfi_fidelity
 
 # (tmax, tstep) of each kind's default sweep grid
 TIME_GRID_BOUNDS = {"jc": (30.0, 0.1), "kerr": (2 * np.pi, np.pi / 200)}
+# angles of the default quadrature-angle grid on [0, 2 pi]
+THETA_POINTS = 257
 
 # Allowance below the twin-Fock QFI, in Fisher units, that counts as
 # reaching it.  The evolved QFI approaches the twin-Fock value from below
@@ -249,7 +251,7 @@ def sweep_theta(kind: str, n_mean: float, probe_time: float, theta_grid=None,
     the first global minimum on the grid.
     """
     thetas = (np.asarray(theta_grid, dtype=float) if theta_grid is not None
-              else np.linspace(0, 2 * np.pi, 257))
+              else np.linspace(0, 2 * np.pi, THETA_POINTS))
     cut = cutoff if cutoff is not None else default_cutoff(n_mean)
     psi0 = coherent_input_state(kind, n_mean, cut)
     probe = evolve_continuous(kind, probe_time, psi0)

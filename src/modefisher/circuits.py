@@ -91,14 +91,8 @@ def interaction_budget(params: AnsatzParams) -> float:
 
 
 def _check_layout(params: AnsatzParams, layout: SubsystemLayout) -> None:
-    n_qubits = len(layout.qubit_indices)
-    n_modes = len(layout.mode_indices)
-    if n_modes != 2:
-        raise LayoutError("ansatz circuits need a layout with exactly two modes")
-    if params.kind == "jc" and n_qubits != 2:
-        raise LayoutError("emitter ansatz needs a layout with two qubit factors")
-    if params.kind == "kerr" and n_qubits != 0:
-        raise LayoutError("kerr ansatz runs on the bare two-mode layout")
+    if layout.emitters != (params.kind == "jc"):
+        raise LayoutError(f"{params.kind} ansatz does not run on {layout}")
 
 
 def build_circuit(params: AnsatzParams, layout: SubsystemLayout) -> list[LocalGate]:

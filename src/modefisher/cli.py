@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    THETA_POINTS,
     TIME_GRID_BOUNDS,
     default_cutoff,
     find_minima,
@@ -59,7 +60,7 @@ from .optimize import (
 )
 
 # config keys that are OptimizerConfig fields; their defaults come from there
-_OPTIMIZER_KEYS = ("max_iters", "seeds", "d_max", "master_seed")
+_OPTIMIZER_KEYS = ("max_iters", "seeds", "master_seed")
 
 _COMMON = {
     "kind": "kerr",
@@ -71,7 +72,10 @@ _SEARCH = {
     "phi": DEFAULT_PHI,
     "measurement": "counting",
     "theta": 0.0,
-    **{key: getattr(OptimizerConfig(), key) for key in _OPTIMIZER_KEYS},
+    "max_iters": OptimizerConfig.max_iters,
+    "seeds": OptimizerConfig.seeds,
+    "d_max": 10,             # the growth schedule is depths 1..d_max
+    "master_seed": OptimizerConfig.master_seed,
 }
 # every config key of each command with its default; None is "not given"
 _CONFIG = {
@@ -81,7 +85,7 @@ _CONFIG = {
     "optimize": {**_COMMON, **_SEARCH, "workers": 1, "stage": "prepare", "prep_csv": None},
     "wigner": {**_COMMON, "time": None, "params": None, "mode": 1, "half_width": 9.0,
                "grid_points": 201},
-    "theta-sweep": {**_COMMON, "phi": DEFAULT_PHI, "probe_time": None, "points": 257},
+    "theta-sweep": {**_COMMON, "phi": DEFAULT_PHI, "probe_time": None, "points": THETA_POINTS},
     "ablate": {**_COMMON, **_SEARCH, "params": None, "paired_dir": None},
 }
 # input paths: written relative to the output directory, read relative to the config file
@@ -141,6 +145,38 @@ _FLAGS = {
 }
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what a config-file value must be, by its flag's type or action
+_VALUE_CHECKS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", _number),
+    _nonnegative_float: ("a non-negative number", lambda v: _number(v) and v >= 0),
+    "store_true": ("true or false", lambda v: isinstance(v, bool)),
+    None: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _check_value(command: str, key: str, value) -> None:
+    """Reject a config-file value that the key's flag would not accept.
+
+    Values are checked, never coerced, so a manifest's numbers stay the
+    JSON numbers they were.  null is "not given", allowed where the
+    table default is None.
+    """
+    if value is None and _CONFIG[command][key] is None:
+        return
+    options = _FLAGS[key][2]
+    what, fits = _VALUE_CHECKS[options.get("type", options.get("action"))]
+    if not fits(value):
+        raise ValueError(f"config {key} = {value!r} is not {what}")
+    choices = options.get("choices")
+    if choices is not None and value not in choices:
+        raise ValueError(f"config {key} = {value!r} is not one of {list(choices)}")
+
+
 def _load_config_file(path: str, command: str) -> dict:
     """Config of a JSON file: a plain key/value object or a manifest of ``command``."""
     payload = json.loads(Path(path).read_text())
@@ -155,10 +191,8 @@ def _load_config_file(path: str, command: str) -> dict:
     unknown = set(payload) - set(_CONFIG[command])
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in payload.items():  # argparse checks only typed choices
-        choices = _FLAGS[key][2].get("choices") if key in _FLAGS else None
-        if choices is not None and value not in choices:
-            raise ValueError(f"config {key} = {value!r} is not one of {list(choices)}")
+    for key, value in payload.items():  # argparse checks only typed flags
+        _check_value(command, key, value)
     return {key:os.path.normpath(Path(path).parent / value)
             if key in _PATHS and value is not None else value
             for key, value in payload.items()}
@@ -217,10 +251,15 @@ def _write_manifest(command: str, config: dict) -> str:
 
 
 def _optimizer_config(config: dict) -> OptimizerConfig:
-    """OptimizerConfig from a resolved config; each value takes its default's type."""
-    defaults = OptimizerConfig()
-    return OptimizerConfig(**{key: type(getattr(defaults, key))(config[key])
-                              for key in _OPTIMIZER_KEYS})
+    """OptimizerConfig from a resolved config."""
+    return OptimizerConfig(**{key: config[key] for key in _OPTIMIZER_KEYS})
+
+
+def _schedule(config: dict) -> list[int]:
+    """The growth schedule, depths 1..d_max."""
+    if config["d_max"] < 1:
+        raise ValueError(f"d_max must be >= 1, got {config['d_max']}")
+    return list(range(1, config["d_max"] + 1))
 
 
 def _measurement_model(config: dict) -> MeasurementModel:
@@ -324,7 +363,8 @@ def _best_prep_vector(prep_csv: Path) -> np.ndarray:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    opt_config = _optimizer_config(config)  # rejects bad values before any file is written
+    # bad values are rejected before any file is written
+    opt_config, schedule = _optimizer_config(config), _schedule(config)
     workers = int(config["workers"])
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -334,7 +374,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
               "prepare run", file=sys.stderr)
         return 1
     outdir = Path(config["outdir"])
-    schedule = list(range(1, opt_config.d_max + 1))
     digest = _write_manifest("optimize", config)
     payload = {"kind": config["kind"], "n_mean": float(config["n_mean"]),
                "schedule": schedule, "config": config}
@@ -364,6 +403,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_wigner(args: argparse.Namespace) -> int:
     from .wigner import default_axes, wigner  # deferred: it loads scipy.special
     config = _resolve_config(args)
+    if config["grid_points"] < 2:
+        raise ValueError(f"grid_points must be >= 2, got {config['grid_points']}")
     kind, n_mean, cut = config["kind"], float(config["n_mean"]), int(config["cutoff"])
     if config["params"] is not None:
         params = load_params(config["params"])
@@ -374,8 +415,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
         state = evolve_continuous(kind, float(config["time"]),
                                   coherent_input_state(kind, n_mean, cut))
     rho = reduce_to_mode(state, int(config["mode"]) - 1)
-    x_axis, p_axis = default_axes(half_width=float(config["half_width"]),
-                                  points=int(config["grid_points"]))
+    x_axis, p_axis = default_axes(float(config["half_width"]), int(config["grid_points"]))
     grid = wigner(rho, x_axis, p_axis)
     outdir = Path(config["outdir"])
     digest = _write_manifest("wigner", config)
@@ -407,12 +447,12 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     outdir = Path(config["outdir"])
     kind, n_mean = config["kind"], float(config["n_mean"])
-    opt_config = _optimizer_config(config)
+    opt_config, schedule = _optimizer_config(config), _schedule(config)
 
     if config["paired_dir"] is not None:
         paired_dir = Path(config["paired_dir"])
         prep_by_d = {}
-        for d in range(1, int(config["d_max"]) + 1):
+        for d in schedule:
             candidates = sorted(paired_dir.glob(sidecar_name(kind, n_mean, d, "*")))
             if not candidates:
                 raise FileNotFoundError(f"no stored parameters for d={d} under {paired_dir}")
@@ -434,7 +474,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             raise ValueError(f"ablate --params never reads {key}; got {config[key]!r}")
     params = load_params(config["params"])
     digest = _write_manifest("ablate", config)
-    result = ablation_theta(kind, params, n_mean, opt_config,
+    result = ablation_theta(kind, params, n_mean, schedule, opt_config,
                             phi=float(config["phi"]), cutoff=int(config["cutoff"]))
     write_records(result.fixed_theta, outdir / "fixed_theta.csv", digest,
                   params_dir=outdir / "params_measure")

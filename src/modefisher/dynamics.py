@@ -92,17 +92,21 @@ class LocalGate:
         """Dense joint-space matrix (test and inspection use only).
 
         Column j is the gate applied to basis state j of its target factors.
+        A rabi gate is applied to emitter 0 and mode 0 of the emitter
+        layout, the other pair held in |g, 0>.
         """
         if self.diag is not None:
             return np.diag(self.diag)
-        if self.rabi is not None:
-            factors = (("qubit", QUBIT_DIM), ("mode", self.rabi.shape[1]))
+        if self.rabi is None:
+            c = self.basis.shape[1]
+            eye = np.eye(c * c, dtype=complex).reshape(-1, c, c)
+            out = _apply_stack(replace(self, targets=None), kerr_layout(c), eye)
         else:
-            factors = (("mode", self.basis.shape[1]),) * 2
-        layout = SubsystemLayout(factors)
-        eye = np.eye(layout.total_dim, dtype=complex).reshape(-1, *layout.dims)
-        out = _apply_stack(replace(self, targets=(0, 1)), layout, eye)
-        return out.reshape(layout.total_dim, -1).T
+            c = self.rabi.shape[1]
+            eye = np.zeros((2 * c, *jc_layout(c).dims), dtype=complex)
+            eye[:, :, 0, :, 0] = np.eye(2 * c).reshape(-1, QUBIT_DIM, c)
+            out = _apply_stack(replace(self, targets=(0, 2)), jc_layout(c), eye)[:, :, 0, :, 0]
+        return out.reshape(len(out), -1).T
 
 
 @lru_cache(maxsize=None)
@@ -267,18 +271,19 @@ def _plan(kind: str, size: int, targets: tuple[int, ...] | None, layout: Subsyst
     (:func:`_sector_index`) and its inverse, shaped like the stack.
     """
     targets = targets if targets is not None else layout.mode_indices
-    if shape[1:] != layout.dims or len(set(targets)) != len(targets) or not all(
-            0 <= t < len(layout.factors) for t in targets):
-        raise LayoutError(f"gate targets {targets} on a {shape} stack do not fit {layout.factors}")
-    factors = [layout.factors[t] for t in targets]
-    if kind == "rabi":
-        fits = factors == [("qubit", QUBIT_DIM), ("mode", size)]
+    if shape[1:] != layout.dims or not all(0 <= t < len(layout.dims) for t in targets):
+        raise LayoutError(f"gate targets {targets} on a {shape} stack do not fit {layout}")
+    if kind == "rabi":  # an emitter, then a mode: the angle table is (qubit, mode)
+        fits = (len(targets) == 2 and targets[0] in layout.qubit_indices
+                and targets[1] in layout.mode_indices and size == layout.cutoff)
     elif kind == "basis":
-        fits = factors == [("mode", size)] * 2
+        fits = targets == layout.mode_indices and size == layout.cutoff
     else:  # a joint diagonal broadcasts over targets in increasing order
-        fits = list(targets) == sorted(targets) and math.prod(d for _, d in factors) == size
+        fits = (all(a < b for a, b in zip(targets, targets[1:]))
+                and math.prod(layout.dims[t] for t in targets) == size)
     if not fits:
-        raise LayoutError(f"{kind} gate does not act on factors {factors}")
+        raise LayoutError(f"{kind} gate of size {size} does not act on factors {targets} "
+                          f"of {layout}")
     axes = [t + 1 for t in targets]
     local = [shape[a] if a in axes else 1 for a in range(len(shape))]
     flat = np.arange(math.prod(shape)).reshape(shape)
@@ -288,12 +293,10 @@ def _plan(kind: str, size: int, targets: tuple[int, ...] | None, layout: Subsyst
         partner = flat.copy()
         swap, moved = (np.moveaxis(a, axes, (0, 1)) for a in (partner, flat))
         swap[0, 1:], swap[1, :-1] = moved[1, :-1], moved[0, 1:]
-        n = np.arange(size)  # (qubit, mode) table, transposed if the mode axis comes first
-        angle = np.transpose(np.stack((n, (n + 1) % size)), np.argsort(axes))
-        tables = (partner, angle.reshape(local))
-    else:
-        moved = np.moveaxis(flat, axes, (0, 1)).reshape(size * size, -1)
-        gather = np.take(moved, _sector_index(size), axis=0)
+        n = np.arange(size)
+        tables = (partner, np.stack((n, (n + 1) % size)).reshape(local))
+    else:  # the modes are the last two axes
+        gather = np.take(flat.reshape(-1, size * size).T, _sector_index(size), axis=0)
         tables = (gather, np.argsort(gather, axis=None).reshape(shape))
     for table in tables:
         table.setflags(write=False)
@@ -354,17 +357,15 @@ def evolve_continuous(kind: str, time: float, psi0: CompositeState) -> Composite
     compose to the exact joint propagator.
     """
     layout = psi0.layout
-    modes, qubits = layout.mode_indices, layout.qubit_indices
-    if kind == "jc":
-        if len(qubits) != 2 or len(modes) != 2:
-            raise LayoutError("jc evolution needs the (qubit, qubit, mode, mode) layout")
-        gates = [jc_gate(time, layout.cutoff, pair) for pair in zip(qubits, modes)]
-    elif kind == "kerr":
-        if len(modes) != 2 or qubits:
-            raise LayoutError("kerr evolution needs the (mode, mode) layout")
-        gates = [kerr_gate(time, layout.cutoff, m) for m in modes]
-    else:
+    if kind not in ("jc", "kerr"):
         raise ValueError(f"unknown evolution kind {kind!r}")
+    if layout.emitters != (kind == "jc"):
+        raise LayoutError(f"{kind} evolution does not run on {layout}")
+    if kind == "jc":
+        gates = [jc_gate(time, layout.cutoff, pair)
+                 for pair in zip(layout.qubit_indices, layout.mode_indices)]
+    else:
+        gates = [kerr_gate(time, layout.cutoff, m) for m in layout.mode_indices]
     for gate in gates:
         psi0 = apply(gate, psi0)
     return psi0

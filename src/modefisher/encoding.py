@@ -1,10 +1,12 @@
-"""Mach-Zehnder phase encoding on the two mode factors.
+"""Mach-Zehnder phase encoding on the two modes.
 
 The interferometer is U(phi) = BS . PD(phi) . BS with a symmetric beam
 splitter BS = exp(-i (pi/4)(a2†a1 + a1†a2)) and a differential phase
-PD(phi) = exp(-i (phi/2)(n2 - n1)).  Emitter factors, when present, ride
-along untouched.  Both beam splitters conserve n1 + n2, so they act on
-the skew blocks of photon-number sectors (see :mod:`modefisher.dynamics`).
+PD(phi) = exp(-i (phi/2)(n2 - n1)).  Emitters, when present, ride along
+untouched.  The modes are the last two axes of every state, so n2 - n1
+is one ``(c, c)`` table that broadcasts over the emitters.  Both beam
+splitters conserve n1 + n2, so they act on the skew blocks of
+photon-number sectors (see :mod:`modefisher.dynamics`).
 
 In that layout the beam splitter is one real rotation: with
 Q = diag(i^n1), Q (a2†a1 + a1†a2) Q† = i K with K real antisymmetric, so
@@ -30,7 +32,7 @@ import numpy as np
 
 from .dynamics import (LocalGate, _plan, _sector_eigensystems, _sector_index, apply,
                        tunnel_gate)
-from .hilbert import CompositeState, LayoutError, SubsystemLayout
+from .hilbert import CompositeState, SubsystemLayout
 
 DEFAULT_PHI = np.pi / 3
 
@@ -61,19 +63,16 @@ def beam_splitter_gate(cutoff: int) -> LocalGate:
 @lru_cache(maxsize=32)
 def phase_diff_gate(phi: float, cutoff: int) -> LocalGate:
     """Differential phase exp(-i (phi/2)(n2 - n1)) on the mode pair (cached, read-only)."""
-    n = np.arange(cutoff)
-    diag = np.exp(-0.5j * phi * (n[None, :] - n[:, None])).ravel()
+    diag = np.exp(-0.5j * phi * _diff_number(cutoff)).ravel()
     diag.setflags(write=False)
     return LocalGate("phase_diff", None, diag=diag, identity=(phi == 0.0))
 
 
-def _diff_number(layout: SubsystemLayout) -> np.ndarray:
-    """n2 - n1 shaped to broadcast against a tensor of ``layout``."""
-    m1, m2 = layout.mode_indices
-    n = np.arange(layout.cutoff)
-    shape = [1] * len(layout.dims)
-    shape[m1], shape[m2] = layout.cutoff, layout.cutoff
-    return (n[None, :] - n[:, None]).reshape(shape)
+def _diff_number(cutoff: int) -> np.ndarray:
+    """The ``(c, c)`` table n2 - n1; it broadcasts against any state tensor,
+    whose last two axes are the modes."""
+    n = np.arange(cutoff)
+    return n[None, :] - n[:, None]
 
 
 def beam_split(state: CompositeState) -> CompositeState:
@@ -82,8 +81,6 @@ def beam_split(state: CompositeState) -> CompositeState:
     The QFI and the encoded family take the rotated probe instead; this
     gate route backs :func:`~modefisher.metrology.qfi_variance_oracle`.
     """
-    if len(state.layout.mode_indices) != 2:
-        raise LayoutError("phase encoding needs a layout with exactly two modes")
     return apply(beam_splitter_gate(state.layout.cutoff), state)
 
 
@@ -154,8 +151,6 @@ def _rotated_probe(state: CompositeState) -> np.ndarray:
     are bit-identical to the last one's reuses it.
     """
     layout = state.layout
-    if len(layout.mode_indices) != 2:
-        raise LayoutError("phase encoding needs a layout with exactly two modes")
     key = state.amplitudes.tobytes()
     for last, amps, y in _last_split:
         if last == layout and amps == key:

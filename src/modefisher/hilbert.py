@@ -1,9 +1,11 @@
-"""Truncated composite Hilbert spaces for qubit and oscillator factors.
+"""Truncated composite Hilbert spaces of two modes, with or without two emitters.
 
-States are dense complex amplitude vectors over an ordered factor list,
-row-major with the leftmost factor slowest.  Two layouts cover the
-protocols in this package: two emitters followed by two modes, and two
-modes alone.
+States are dense complex amplitude vectors, row-major with the leftmost
+factor slowest.  Two layouts cover the protocols in this package: two
+modes alone (Kerr), and two emitters followed by two modes
+(Jaynes-Cummings), emitter i coupling to mode i.  Both modes share one
+Fock cutoff and are always the last two factors, so a tensor reshapes
+to (spectators, n1, n2) with no axis bookkeeping.
 """
 
 from __future__ import annotations
@@ -36,29 +38,23 @@ def check_unit_norm(norm: float, what: str = "state") -> None:
 
 @dataclass(frozen=True)
 class SubsystemLayout:
-    """Ordered factor list defining a composite space.
+    """Two modes at Fock cutoff ``cutoff``, behind two emitters when ``emitters``.
 
-    Each factor is a ``(kind, dim)`` pair with ``kind`` one of
-    ``"qubit"`` or ``"mode"``.  Qubits always have dimension 2; modes
-    carry the Fock cutoff (dimension ``cutoff`` means occupations
-    ``0 .. cutoff-1``).  The derived properties are computed once per
-    layout; equality and hashing depend on ``factors`` alone.
+    The factors are (mode, mode), or (qubit, qubit, mode, mode) with
+    ``emitters``; dimension ``cutoff`` means occupations ``0 .. cutoff-1``.
+    The derived properties are computed once per layout.
     """
 
-    factors: tuple[tuple[str, int], ...]
+    cutoff: int
+    emitters: bool
 
     def __post_init__(self) -> None:
-        for kind, dim in self.factors:
-            if kind not in ("qubit", "mode"):
-                raise LayoutError(f"unknown factor kind {kind!r}")
-            if kind == "qubit" and dim != QUBIT_DIM:
-                raise LayoutError(f"qubit factor must have dim 2, got {dim}")
-            if kind == "mode" and dim < 2:
-                raise LayoutError(f"mode cutoff must be >= 2, got {dim}")
+        if self.cutoff < 2:
+            raise LayoutError(f"mode cutoff must be >= 2, got {self.cutoff}")
 
     @cached_property
     def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.factors)
+        return (QUBIT_DIM,) * len(self.qubit_indices) + (self.cutoff, self.cutoff)
 
     @cached_property
     def total_dim(self) -> int:
@@ -66,31 +62,21 @@ class SubsystemLayout:
 
     @cached_property
     def mode_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, (kind, _) in enumerate(self.factors) if kind == "mode")
+        return (len(self.qubit_indices), len(self.qubit_indices) + 1)
 
     @cached_property
     def qubit_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, (kind, _) in enumerate(self.factors) if kind == "qubit")
-
-    @cached_property
-    def cutoff(self) -> int:
-        """Common Fock cutoff of the mode factors."""
-        cuts = {dim for kind, dim in self.factors if kind == "mode"}
-        if len(cuts) != 1:
-            raise LayoutError("layout has no single mode cutoff")
-        return cuts.pop()
+        return (0, 1) if self.emitters else ()
 
 
 def jc_layout(cutoff: int) -> SubsystemLayout:
     """Two emitters and two modes: (qubit, qubit, mode, mode)."""
-    return SubsystemLayout(
-        (("qubit", QUBIT_DIM), ("qubit", QUBIT_DIM), ("mode", cutoff), ("mode", cutoff))
-    )
+    return SubsystemLayout(cutoff, emitters=True)
 
 
 def kerr_layout(cutoff: int) -> SubsystemLayout:
     """Two modes: (mode, mode)."""
-    return SubsystemLayout((("mode", cutoff), ("mode", cutoff)))
+    return SubsystemLayout(cutoff, emitters=False)
 
 
 @dataclass
@@ -186,16 +172,14 @@ def coherent_state(alpha: complex, cutoff: int, tail_tol: float = 1e-6) -> np.nd
 
 def product_state(layout: SubsystemLayout, factor_vectors: list[np.ndarray]) -> CompositeState:
     """Tensor product of one unit-norm vector per layout factor."""
-    if len(factor_vectors) != len(layout.factors):
-        raise LayoutError(
-            f"{len(factor_vectors)} factor vectors for {len(layout.factors)} factors"
-        )
+    if len(factor_vectors) != len(layout.dims):
+        raise LayoutError(f"{len(factor_vectors)} factor vectors for {len(layout.dims)} factors")
     out = np.ones(1, dtype=np.complex128)
-    for vec, (kind, dim) in zip(factor_vectors, layout.factors):
+    for i, (vec, dim) in enumerate(zip(factor_vectors, layout.dims)):
         v = np.asarray(vec, dtype=np.complex128).ravel()
         if v.shape != (dim,):
-            raise LayoutError(f"{kind} factor needs dim {dim}, got {v.shape}")
-        check_unit_norm(float(np.linalg.norm(v)), f"{kind} factor vector")
+            raise LayoutError(f"factor {i} needs dim {dim}, got {v.shape}")
+        check_unit_norm(float(np.linalg.norm(v)), f"factor {i} vector")
         out = np.kron(out, v)
     return CompositeState(layout, out)
 
@@ -210,17 +194,14 @@ def inner_product(a: CompositeState, b: CompositeState) -> complex:
 def reduce_to_mode(state: CompositeState, mode_index: int) -> np.ndarray:
     """Reduced density matrix of one mode, tracing out everything else.
 
-    ``mode_index`` counts mode factors only (0 is the first mode in the
-    layout).  The result is validated: Hermitian, unit trace, and free of
-    negative eigenvalues beyond numerical noise.
+    ``mode_index`` is 0 for the first mode and 1 for the second.  The
+    result is validated: Hermitian, unit trace, and free of negative
+    eigenvalues beyond numerical noise.
     """
-    modes = state.layout.mode_indices
-    if not 0 <= mode_index < len(modes):
-        raise LayoutError(f"mode index {mode_index} out of range for {len(modes)} modes")
-    axis = modes[mode_index]
-    psi = state.tensor()
+    if mode_index not in (0, 1):
+        raise LayoutError(f"mode index {mode_index} is not 0 or 1")
     # rho = Tr_rest |psi><psi|: move the kept axis first, flatten the rest.
-    psi = np.moveaxis(psi, axis, 0)
+    psi = np.moveaxis(state.tensor(), state.layout.mode_indices[mode_index], 0)
     d = psi.shape[0]
     mat = psi.reshape(d, -1)
     rho = mat @ mat.conj().T

@@ -9,7 +9,10 @@ variance-of-generator oracle cross-checks it on chi = BS |psi_P> from the
 beam-splitter gate.
 Classical Fisher information is computed from analytic probability
 derivatives for photon counting and for double homodyne readout,
-optionally including projective emitter outcomes.
+optionally including projective emitter outcomes.  The modes are the
+last two axes of every state (:mod:`modefisher.hilbert`), so amplitudes
+reshape to (emitter outcome, n1, n2) and every probability table keeps
+that order: emitter axes first, then the two modes or quadratures.
 
 Homodyne readout has one transform path, shared by :func:`cfi` and
 :func:`homodyne_probabilities`.  The quadrature angle is applied as the
@@ -149,10 +152,9 @@ def _hermite_functions(cutoff: int, x_max: float, points: int) -> np.ndarray:
 
 
 def _outcome_tables(state: CompositeState) -> np.ndarray:
-    """Amplitudes as (outcomes, n1, n2): mode axes last, other factors flattened."""
+    """Amplitudes as (outcomes, n1, n2), the emitter factors flattened."""
     cutoff = state.layout.cutoff
-    amps = np.moveaxis(state.tensor(), state.layout.mode_indices, (-2, -1))
-    return amps.reshape(-1, cutoff, cutoff)
+    return state.amplitudes.reshape(-1, cutoff, cutoff)
 
 
 def _marginal_axes(state: CompositeState, include_emitters: bool) -> tuple[int, ...]:
@@ -271,11 +273,11 @@ def homodyne_probabilities(state: CompositeState, theta: float,
     """
     layout = state.layout
     x = grid.axis(layout.cutoff)
-    outcomes = [layout.dims[i] for i in layout.qubit_indices]
-    p = np.empty((math.prod(outcomes), len(x), len(x)))
+    emitters = layout.dims[:-2]
+    p = np.empty((math.prod(emitters), len(x), len(x)))
     for rows, _, ((re, im),) in _quadrature_blocks([state], theta, x):
         p[:, rows] = re * re + im * im
-    p = np.moveaxis(p.reshape(*outcomes, len(x), len(x)), (-2, -1), layout.mode_indices)
+    p = p.reshape(*emitters, len(x), len(x))
     drop = _marginal_axes(state, include_emitters)
     if drop:
         p = p.sum(axis=drop)
@@ -313,15 +315,11 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
     """
     state, deriv = family.state, family.derivative
     if model.kind == "counting":
-        amp = state.tensor()
-        damp = deriv.tensor()
-        p = np.abs(amp) ** 2
-        dp = 2.0 * (amp.conj() * damp).real
+        p = counting_probabilities(state, model.include_emitters)
+        dp = 2.0 * (state.tensor().conj() * deriv.tensor()).real
         drop = _marginal_axes(state, model.include_emitters)
         if drop:
-            p = p.sum(axis=drop)
             dp = dp.sum(axis=drop)
-        check_unit_norm(math.sqrt(p.sum()), "counting table")
         mask = p > PROBABILITY_FLOOR
         value = float((dp[mask] ** 2 / p[mask]).sum())
         return FisherResult(max(value, 0.0))
@@ -385,7 +383,7 @@ def qfi_variance_oracle(probe: CompositeState) -> FisherResult:
     4 (<G^2> - <G>^2); no finite difference is involved.
     """
     chi = beam_split(probe)
-    g = 0.5 * _diff_number(chi.layout)
+    g = 0.5 * _diff_number(chi.layout.cutoff)
     p = np.abs(chi.tensor()) ** 2
     mean = float((g * p).sum())
     second = float((g * g * p).sum())

@@ -3,7 +3,7 @@
 Preparation maximizes the QFI of the encoded probe; pre-measurement
 maximizes the CFI of a fixed encoded probe under a readout model.  Every
 search runs one seed/depth loop, ``_search``: draw each seed's start
-within ``init_scale`` of a base point, run a Nelder-Mead search, then
+within ``INIT_SCALE`` of a base point, run a Nelder-Mead search, then
 grow the circuit one layer at a time, warm-starting from the previous
 optimum.  Each new layer enters at zero, so growing cannot change the
 objective and the per-seed best is non-increasing in depth by
@@ -57,6 +57,8 @@ log = logging.getLogger(__name__)
 # Edge of the opened Nelder-Mead simplex, in radians: the natural scale of
 # the periodic gates.
 INITIAL_STEP = 1.0
+# Half-width of each seed's uniform draw around its start, in radians.
+INIT_SCALE = 1e-2
 
 
 class OptimizationError(RuntimeError):
@@ -71,9 +73,8 @@ class OptimizerConfig:
     in preparation, pre-measurement, the joint-angle arm and the paired
     scan.  ``max_iters`` caps objective evaluations per (seed, depth)
     stage; ``tol`` is the Nelder-Mead stopping tolerance on both the
-    simplex size and its objective spread; ``init_scale`` is the
-    half-width of each seed's random draw around its start; the CLI
-    keeps the defaults of these two.  ``seed_indices`` restricts a run
+    simplex size and its objective spread, which the CLI keeps at its
+    default.  ``seed_indices`` restricts a run
     to an explicit subset of the seed pool; the random stream of seed k
     is the same whether it runs alone or in the full batch, which lets a
     scheduler farm seeds out and merge records.  A seed that aborts is
@@ -83,9 +84,7 @@ class OptimizerConfig:
 
     max_iters: int = 1000
     tol: float = 1e-10
-    init_scale: float = 1e-2
     seeds: int = 10
-    d_max: int = 10
     master_seed: int = 11
     seed_indices: tuple[int, ...] | None = None
 
@@ -98,8 +97,6 @@ class OptimizerConfig:
             raise ValueError("seed indices must be non-negative")
         if not self.seed_pool:
             raise ValueError("the seed pool is empty")
-        if self.d_max < 1:
-            raise ValueError("d_max must be >= 1")
 
     @property
     def seed_pool(self) -> tuple[int, ...]:
@@ -244,7 +241,7 @@ def _search(kind: str, n_mean: float, objective_at, d_schedule, config: Optimize
     """The seed/depth loop. ``objective_at(d)`` returns the stage objective.
 
     Each seed starts at the identity, with ``first_layer`` (if given) as
-    layer 1, plus its own uniform draw of half-width ``init_scale`` over
+    layer 1, plus its own uniform draw of half-width ``INIT_SCALE`` over
     the layers and ``tail`` trailing non-layer parameters.  Growing pads
     zero layers in front of the tail.  ``floor_at(d)``, if given, is the
     objective of the all-zero vector at depth d; a stage that ends above
@@ -257,8 +254,7 @@ def _search(kind: str, n_mean: float, objective_at, d_schedule, config: Optimize
     records: list[OptRecord] = []
     for seed in config.seed_pool:
         rng = seed_stream(config.master_seed, seed)
-        x = rng.uniform(-config.init_scale, config.init_scale,
-                        size=width * d_schedule[0] + tail)
+        x = rng.uniform(-INIT_SCALE, INIT_SCALE, size=width * d_schedule[0] + tail)
         if first_layer is not None:
             x[:width] += first_layer
         try:
@@ -361,7 +357,7 @@ class ThetaAblation:
     joint: list[OptRecord]                   # theta and circuit optimized together
 
 
-def ablation_theta(kind: str, prepared_params: AnsatzParams, n_mean: float,
+def ablation_theta(kind: str, prepared_params: AnsatzParams, n_mean: float, d_schedule,
                    config: OptimizerConfig, phi: float = DEFAULT_PHI,
                    cutoff: int | None = None,
                    grid: QuadratureGrid = QuadratureGrid()) -> ThetaAblation:
@@ -369,6 +365,7 @@ def ablation_theta(kind: str, prepared_params: AnsatzParams, n_mean: float,
 
     Arms: (a) optimize the quadrature angle with no measurement circuit,
     (b) fix theta=0 and optimize the circuit, (c) optimize both jointly.
+    Arms (b) and (c) grow their circuits over ``d_schedule``.
     """
     family = encoded_family(prepare_probe(prepared_params, n_mean, cutoff), phi)
 
@@ -378,15 +375,14 @@ def ablation_theta(kind: str, prepared_params: AnsatzParams, n_mean: float,
         return -cfi(family, model).value
 
     rng = seed_stream(config.master_seed, 0)
-    x0 = rng.uniform(-config.init_scale, config.init_scale, size=1)
+    x0 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=1)
     x_best, f_best, _ = minimize(theta_objective, x0, config, open_wide=True)
     theta_arm = (float(x_best[0]), -f_best)
 
     model0 = MeasurementModel("homodyne", include_emitters=(kind == "jc"),
                               theta=0.0, grid=grid)
-    schedule = list(range(1, config.d_max + 1))
     fixed = optimize_measurement(kind, prepared_params, model0, n_mean,
-                                 schedule, config, phi=phi, cutoff=cutoff)
+                                 d_schedule, config, phi=phi, cutoff=cutoff)
 
     def joint_objective(x: np.ndarray) -> float:
         model = MeasurementModel("homodyne", include_emitters=(kind == "jc"),
@@ -394,7 +390,7 @@ def ablation_theta(kind: str, prepared_params: AnsatzParams, n_mean: float,
         measured = _measured_family(AnsatzParams.from_vector(kind, x[:-1]), family)
         return -cfi(measured, model).value
 
-    joint = _search(kind, n_mean, lambda _d: joint_objective, schedule, config, tail=1)
+    joint = _search(kind, n_mean, lambda _d: joint_objective, d_schedule, config, tail=1)
     return ThetaAblation(theta_arm, fixed, joint)
 
 

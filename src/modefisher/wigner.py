@@ -30,7 +30,8 @@ class WignerGrid:
         return float(np.trapezoid(np.trapezoid(self.values, dx=dx, axis=1), dx=dp))
 
 
-def default_axes(half_width: float = 9.0, points: int = 201) -> tuple[np.ndarray, np.ndarray]:
+def default_axes(half_width: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The same ``points`` samples of [-half_width, half_width] for x and p."""
     axis = np.linspace(-half_width, half_width, points)
     return axis, axis.copy()
 

@@ -65,6 +65,14 @@ def kerr_sweeps():
     return {n: sweep_continuous("kerr", float(n)) for n in (8, 20)}
 
 
+@pytest.fixture(scope="module")
+def theta_minima():
+    """theta_min of the default theta sweep: jc probe g=5, kerr probe K=pi/4."""
+    probes = {"jc": 5.0, "kerr": np.pi / 4}
+    return {kind: {n: sweep_theta(kind, float(n), t)[1] for n in (8, 12, 16, 20)}
+            for kind, t in probes.items()}
+
+
 # ------------------------------------------------------ stored artifacts
 
 
@@ -422,9 +430,8 @@ def test_homodyne_with_circuit_between_bounds(report, kerr_n20_family):
     assert ok
 
 
-def test_quadrature_angle_minima(report):
-    _, theta_jc = sweep_theta("jc", 20.0, 5.0)
-    _, theta_kerr = sweep_theta("kerr", 20.0, np.pi / 4)
+def test_quadrature_angle_minima(report, theta_minima):
+    theta_jc, theta_kerr = theta_minima["jc"][20], theta_minima["kerr"][20]
     ok_jc = abs(theta_jc - 2 * np.pi / 3) <= 0.1
     ok_kerr = abs(theta_kerr - 0.17 * np.pi) <= 0.05 * np.pi
     ok = ok_jc and ok_kerr
@@ -435,15 +442,11 @@ def test_quadrature_angle_minima(report):
     assert ok
 
 
-def test_quadrature_angle_stability(report):
+def test_quadrature_angle_stability(report, theta_minima):
     step = 2 * np.pi / 256
-    mins = {"jc": {}, "kerr": {}}
-    for n in (8, 12, 16, 20):
-        _, mins["jc"][n] = sweep_theta("jc", float(n), 5.0)
-        _, mins["kerr"][n] = sweep_theta("kerr", float(n), np.pi / 4)
     drift = {
         kind: max(abs(v - vals[20]) for v in vals.values())
-        for kind, vals in mins.items()
+        for kind, vals in theta_minima.items()
     }
     ok = all(v <= step + 1e-12 for v in drift.values())
     _verdict(report, ok, "quadrature angle stability",

@@ -138,13 +138,31 @@ def test_unknown_config_key_fails(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, config", [
     ("sweep", {"kind": "foo"}), ("optimize", {"stage": "frobnicate"}),
-    ("wigner", {"mode": 3, "time": 0.5})])
+    ("wigner", {"mode": 3, "time": 0.5}),
+    # a value of the wrong JSON type or range is rejected, never converted
+    ("sweep", {"n_mean": "4"}), ("sweep", {"tstep": "0.1"}), ("sweep", {"n_mean": -1.0}),
+    ("sweep", {"with_counting": 1}), ("sweep", {"outdir": 3}), ("optimize", {"seeds": 2.0}),
+    ("optimize", {"d_max": True}), ("optimize", {"max_iters": None}),
+    ("wigner", {"grid_points": 1, "time": 0.5})])
 def test_config_file_values_meet_the_flag_choices(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "run"
     assert main([command, "--config", str(cfg), "--n", "2", "--outdir", str(out)]) == 1
-    assert "is not one of" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    key = next(iter(config))
+    assert err.startswith("error:") and key in err
+    if key in ("kind", "stage", "mode"):
+        assert "is not one of" in err
+    assert not out.exists()
+
+
+def test_wigner_rejects_a_one_point_grid(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["wigner", "--kind", "kerr", "--n", "2", "--time", "0.5",
+                 "--grid-points", "1", "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "grid_points" in err
     assert not out.exists()
 
 

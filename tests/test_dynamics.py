@@ -27,7 +27,6 @@ from modefisher.encoding import beam_splitter_gate, phase_diff_gate
 from modefisher.hilbert import (
     CompositeState,
     LayoutError,
-    SubsystemLayout,
     coherent_state,
     destroy,
     jc_layout,
@@ -250,10 +249,7 @@ def _dense_gates(c, pairs, modes, qubits):
 @pytest.mark.parametrize("layout, pairs", [
     (kerr_layout(5), ()),
     (jc_layout(5), ((0, 2), (1, 3), (0, 3))),
-    # qubits after their modes: the JC angle table is transposed
-    (SubsystemLayout((("mode", 5), ("qubit", 2), ("mode", 5), ("qubit", 2))),
-     ((1, 0), (3, 2), (1, 2))),
-], ids=["kerr", "jc", "permuted"])
+], ids=["kerr", "jc"])
 def test_plans_match_the_dense_contraction(layout, pairs):
     rng = np.random.default_rng(15)
     gates = _dense_gates(5, pairs, layout.mode_indices, layout.qubit_indices)

@@ -31,19 +31,15 @@ def test_layout_shapes():
     kerr = kerr_layout(7)
     assert kerr.dims == (7, 7)
     assert kerr.qubit_indices == ()
+    assert kerr.mode_indices == (0, 1)
     assert kerr.cutoff == 7
 
 
 def test_layout_rejects_bad_factors():
-    with pytest.raises(LayoutError):
-        SubsystemLayout((("qubit", 3),))
-    with pytest.raises(LayoutError):
-        SubsystemLayout((("mode", 1),))
-    with pytest.raises(LayoutError):
-        SubsystemLayout((("spin", 2),))
-    mixed = SubsystemLayout((("mode", 4), ("mode", 5)))
-    with pytest.raises(LayoutError):
-        mixed.cutoff
+    for emitters in (False, True):
+        with pytest.raises(LayoutError):
+            SubsystemLayout(1, emitters)
+    assert SubsystemLayout(12, True) == jc_layout(12) != kerr_layout(12)
 
 
 def test_state_norm_guard():

@@ -241,10 +241,11 @@ _PAIRED_PREP = {1: AnsatzParams("kerr", ((0.4, 0.3),)),
                 2: AnsatzParams("kerr", ((0.4, 0.3), (0.2, 0.25)))}
 
 
-def test_paired_scan_never_reports_worse_than_identity():
+def test_paired_scan_never_reports_worse_than_identity(monkeypatch):
     # One evaluation from a wide start: the random circuit is usually worse
     # than no circuit, and the stage must then report the identity.
-    cfg = OptimizerConfig(seeds=3, max_iters=1, init_scale=2.0)
+    monkeypatch.setattr(modefisher.optimize, "INIT_SCALE", 2.0)
+    cfg = OptimizerConfig(seeds=3, max_iters=1)
     plain, records = paired_depth_scan("kerr", _PAIRED_PREP,
                                        MeasurementModel("counting"), 4.0, cfg)
     assert sorted(plain) == [1, 2]
@@ -261,9 +262,9 @@ def test_paired_scan_never_reports_worse_than_identity():
 
 def test_joint_theta_arm_carries_the_angle_last():
     grid = QuadratureGrid(points=201)
-    cfg = OptimizerConfig(seeds=2, max_iters=6, d_max=2)
+    cfg = OptimizerConfig(seeds=2, max_iters=6)
     prepared = AnsatzParams("kerr", ((0.4, 0.3),))
-    result = ablation_theta("kerr", prepared, 4.0, cfg, grid=grid)
+    result = ablation_theta("kerr", prepared, 4.0, [1, 2], cfg, grid=grid)
     assert len(result.joint) == 4
     family = encoded_family(run_circuit(prepared, coherent_input_state("kerr", 4.0, 13)))
     by_seed = {}

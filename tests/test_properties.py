@@ -191,7 +191,7 @@ def test_wigner_normalization_purity_and_range():
         assert grid.values.max() <= 1.0 / np.pi + 1e-6
 
 
-_PROP_OPT = dict(max_iters=25, init_scale=1e-2, master_seed=23)
+_PROP_OPT = dict(max_iters=25, master_seed=23)
 
 
 def test_warm_start_never_regresses():

@@ -73,7 +73,7 @@ def test_mixed_state_purity_below_one():
 def test_reduced_mode_of_evolved_state():
     state = evolve_continuous("kerr", 0.5, coherent_input_state("kerr", 4.0, 14))
     rho = reduce_to_mode(state, 0)
-    x, p = default_axes()
+    x, p = default_axes(9.0, 201)
     grid = wigner(rho, x, p)
     assert abs(grid.integral() - 1.0) < 1e-6
     assert grid.values.min() < -1e-4  # Kerr evolution is non-Gaussian
@@ -86,7 +86,7 @@ def test_small_grid_rejected():
     with pytest.raises(GridError):
         wigner(rho, x, p)
     with pytest.raises(ValueError):
-        wigner(np.zeros((3, 4)), *default_axes())
+        wigner(np.zeros((3, 4)), *default_axes(9.0, 201))
 
 
 def test_wigner_csv_layout(tmp_path):
