@@ -373,6 +373,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         print("--stage measure needs --prep-csv pointing at a "
               "prepare run", file=sys.stderr)
         return 1
+    # the coherent input must fit the cutoff (CutoffError otherwise)
+    coherent_input_state(config["kind"], float(config["n_mean"]), int(config["cutoff"]))
     outdir = Path(config["outdir"])
     digest = _write_manifest("optimize", config)
     payload = {"kind": config["kind"], "n_mean": float(config["n_mean"]),
@@ -405,6 +407,8 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     if config["grid_points"] < 2:
         raise ValueError(f"grid_points must be >= 2, got {config['grid_points']}")
+    if not config["half_width"] > 0:
+        raise ValueError(f"half_width must be positive, got {config['half_width']}")
     kind, n_mean, cut = config["kind"], float(config["n_mean"]), int(config["cutoff"])
     if config["params"] is not None:
         params = load_params(config["params"])
@@ -429,6 +433,8 @@ def cmd_wigner(args: argparse.Namespace) -> int:
 
 def cmd_theta_sweep(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    if config["points"] < 1:
+        raise ValueError(f"points must be >= 1, got {config['points']}")
     kind, n_mean, probe_time = config["kind"], float(config["n_mean"]), float(config["probe_time"])
     samples, theta_min = sweep_theta(
         kind, n_mean, probe_time,

@@ -33,8 +33,11 @@ input stays symmetric, so it needs one amplitude per orbit of the
 exchange: c(c+1)/2 of the c² (820 of 1,600 at c = 40).  The tunnel
 spectrum of a sector has no repeated eigenvalue, so every eigenvector is
 even or odd under the reversal, and the even ones rotate that half
-(:func:`_exchange_sectors`); :func:`~modefisher.circuits.run_circuit`
-chooses the route.
+(:func:`_exchange_sectors`, :func:`_exchange_tunnel`).
+:func:`~modefisher.circuits.run_circuit` and
+:func:`~modefisher.metrology.qfi_fidelity` take that route for a Kerr
+state whose mode table is bit for bit its transpose
+(:func:`_is_exchange_symmetric`).
 """
 
 from __future__ import annotations
@@ -218,6 +221,29 @@ def _exchange_sectors(cutoff: int) -> tuple[np.ndarray, ...]:
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+def _is_exchange_symmetric(state: CompositeState) -> bool:
+    """Whether ``state`` is on the two-mode layout and its ``(n1, n2)`` table
+    equals its transpose bit for bit, -0.0 included."""
+    if state.layout.emitters:
+        return False
+    modes = state.tensor()
+    return modes.tobytes() == modes.T.tobytes()
+
+
+def _exchange_tunnel(x: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """A tunnel-type gate on the representatives ``x`` ``(c, m)`` of a symmetric state.
+
+    ``phases`` ``(c, m)`` are the gate's eigenphases on the even
+    eigenvectors of :func:`_exchange_sectors`; the result is
+    basis diag(phases) basis^T (weight x), zero on the padding.
+    """
+    _, basis, weight, *_ = _exchange_sectors(x.shape[0])
+    y = np.matmul(basis.transpose(0, 2, 1), (x * weight)[..., None].view(np.float64))
+    y = y.view(np.complex128)[..., 0]
+    y *= phases
+    return np.matmul(basis, y[..., None].view(np.float64)).view(np.complex128)[..., 0]
 
 
 def jc_gate(g: float, cutoff: int, pair: tuple[int, int] = (0, 2)) -> LocalGate:

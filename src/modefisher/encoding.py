@@ -14,13 +14,16 @@ BS = Q† R Q with R = exp(pi K / 4) real orthogonal in every skew block.
 This holds exactly at the per-mode cutoff, partial sectors included,
 because the truncated generator is still tridiagonal in n1 within each
 sector.  PD is diagonal, so U(phi) = Q† R P R Q with P the phase stage in
-skew-block order.  The QFI and the encoded family of a probe read the
-rotated probe y = R Q psi_P, kept in skew-block order and never
-scattered; only PD depends on phi, so the last probe's y is memoized and
-one rotation serves both.  The family's state and tangent take the
-second rotation as one stack and are scattered back to Fock order once.
-:func:`beam_splitter_gate` and :func:`beam_split` stay as the
-independent gate route.
+skew-block order.  The encoded family of a probe reads the rotated probe
+y = R Q psi_P, kept in skew-block order and never scattered; only PD
+depends on phi, so the last probe's y is memoized, and the QFI of the
+same probe reuses it.  The family's state and tangent take the second
+rotation as one stack and are scattered back to Fock order once.
+The QFI of an exchange-symmetric Kerr probe, such as every Kerr
+preparation probe, takes neither R nor y: it applies BS on the symmetric
+half of the space (:func:`~modefisher.metrology.qfi_fidelity`), so a Kerr
+preparation search never builds R.  :func:`beam_splitter_gate` and
+:func:`beam_split` stay as the independent gate route.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
 Quantum Fisher information is a property of the probe alone: for the
 pure unitary family it does not depend on the operating phase, so both
 QFI routes take only the probe.  The fidelity drop over a fixed small
-phase step is the estimator, read from the rotated probe that the
-encoded family also uses (:mod:`modefisher.encoding`); an independent
-variance-of-generator oracle cross-checks it on chi = BS |psi_P> from the
-beam-splitter gate.
+phase step is the estimator.  It reads an exchange-symmetric Kerr probe,
+such as every Kerr preparation probe, on one amplitude per exchange orbit
+(:mod:`modefisher.dynamics`), and every other probe from the rotated
+probe that the encoded family also uses (:mod:`modefisher.encoding`).
+An independent variance-of-generator oracle cross-checks it on
+chi = BS |psi_P> from the beam-splitter gate.
 Classical Fisher information is computed from analytic probability
 derivatives for photon counting and for double homodyne readout,
 optionally including projective emitter outcomes.  The modes are the
@@ -46,6 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dynamics import _exchange_sectors, _exchange_tunnel, _is_exchange_symmetric
 from .encoding import (PhaseFamily, _diff_number, _phase_in_slots, _rotated_probe, _spread,
                        beam_split)
 from .hilbert import CompositeState, check_unit_norm
@@ -353,6 +356,26 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
     return FisherResult(max(4.0 * value, 0.0))
 
 
+@lru_cache(maxsize=None)
+def _symmetric_tables(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """(split, drop) at the exchange representatives of
+    :func:`~modefisher.dynamics._exchange_sectors` (cached, read-only).
+
+    ``split`` ``(c, m)`` holds the beam splitter's eigenphases
+    exp(-i (pi/4) w) on the even tunnel eigenvectors.  ``drop`` ``(c, m, 2)``
+    holds weight (1 - cos(delta (n2 - n1)/2)), written as 2 sin^2 so that no
+    digits cancel, once for the real and once for the imaginary part, and
+    0 on the padding.
+    """
+    w, _, weight, _, _, (n1, n2) = _exchange_sectors(cutoff)
+    split = np.exp(-1j * (np.pi / 4) * w)
+    drop = 2.0 * weight * np.sin(0.25 * _FIDELITY_DELTA * (n2 - n1)) ** 2
+    tables = (split, np.repeat(drop, 2).reshape(*drop.shape, 2))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def qfi_fidelity(probe: CompositeState) -> FisherResult:
     """QFI of the probe from the fidelity drop between nearby encoded states.
 
@@ -360,18 +383,40 @@ def qfi_fidelity(probe: CompositeState) -> FisherResult:
     encoded family, with the fixed step delta = 1e-2.  With chi = BS |psi_P>,
     the overlap is <chi| PD(delta) |chi> = sum |chi|^2 exp(-i delta (n2 - n1)/2):
     the outer beam splitter and the phase stage at phi cancel, so the value
-    is the same at every operating phase.  |chi|^2 is read from the
-    rotated probe y = Q chi in skew-block order (Q is a phase, so
-    |y| = |chi|) and weighted by PD(delta) in the same order; nothing is
-    scattered back to Fock order.
-    The rotation is unitary, so the total of |y|^2 is the probe's norm
-    squared, which is checked against 1.
+    is the same at every operating phase.  Nothing is scattered back to
+    Fock order, and the probe's norm squared is checked against 1.
+
+    - A Kerr probe whose mode table is bit for bit its transpose (every
+      Kerr preparation probe) is read at one representative per exchange
+      orbit.  BS is the tunnel gate at j = pi/4, which commutes with the
+      exchange, so it runs as a half-size rotation there
+      (:func:`~modefisher.dynamics._exchange_tunnel`) and chi is symmetric.
+      The two members of an orbit share |chi|^2, and their phases add to
+      cos(delta (n2 - n1)/2), so the overlap is real and
+      1 - overlap = (1 - |psi_P|^2) + sum |chi|^2 (1 - cos(...)), each orbit
+      counted by its size.  The norm is read from the probe itself and the
+      sum from a table without cancellation, so the rotation's rounding
+      enters only that sum, of order F delta^2 / 8.
+    - Every other probe reads |chi|^2 from the rotated probe y = Q chi in
+      skew-block order (:func:`_rotated_probe`; Q is a phase, so
+      |y| = |chi|), weighted by PD(delta) in the same order.  The rotation
+      is unitary, so the total of |y|^2 is the probe's norm squared.
     """
-    p = np.abs(_rotated_probe(probe)) ** 2
-    check_unit_norm(math.sqrt(p.sum()), "probe")
-    phases = _phase_in_slots(_FIDELITY_DELTA, probe.layout.cutoff)
-    overlap = abs(np.sum(p * _spread(phases, p.shape[2])))
-    value = 8.0 * (1.0 - overlap) / _FIDELITY_DELTA**2
+    cutoff = probe.layout.cutoff
+    if _is_exchange_symmetric(probe):
+        split, drop = _symmetric_tables(cutoff)
+        amps = np.ascontiguousarray(probe.amplitudes).view(np.float64)
+        norm2 = (amps * amps).sum()
+        x = np.take(probe.amplitudes, _exchange_sectors(cutoff)[3])
+        chi = _exchange_tunnel(x, split).view(np.float64)
+        deficit = (1.0 - norm2) + np.vdot(chi * chi, drop)
+    else:
+        p = np.abs(_rotated_probe(probe)) ** 2
+        norm2 = p.sum()
+        phases = _phase_in_slots(_FIDELITY_DELTA, cutoff)
+        deficit = 1.0 - abs(np.sum(p * _spread(phases, p.shape[2])))
+    check_unit_norm(math.sqrt(norm2), "probe")
+    value = 8.0 * deficit / _FIDELITY_DELTA**2
     return FisherResult(max(value, 0.0))
 
 

@@ -143,7 +143,8 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     ("sweep", {"n_mean": "4"}), ("sweep", {"tstep": "0.1"}), ("sweep", {"n_mean": -1.0}),
     ("sweep", {"with_counting": 1}), ("sweep", {"outdir": 3}), ("optimize", {"seeds": 2.0}),
     ("optimize", {"d_max": True}), ("optimize", {"max_iters": None}),
-    ("wigner", {"grid_points": 1, "time": 0.5})])
+    ("wigner", {"grid_points": 1, "time": 0.5}),
+    ("wigner", {"half_width": -6.0, "time": 0.5}), ("theta-sweep", {"points": 0, "probe_time": 0.4})])
 def test_config_file_values_meet_the_flag_choices(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -163,6 +164,19 @@ def test_wigner_rejects_a_one_point_grid(tmp_path, capsys):
                  "--grid-points", "1", "--outdir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "grid_points" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, key", [
+    (["wigner", "--time", "0.5", "--half-width", "-6"], "half_width"),
+    (["wigner", "--time", "0.5", "--half-width", "0"], "half_width"),
+    (["theta-sweep", "--probe-time", "0.4", "--points", "0"], "points"),
+    (["theta-sweep", "--probe-time", "0.4", "--points", "-3"], "points")])
+def test_grid_axes_must_be_nonempty_and_ascending(tmp_path, capsys, args, key):
+    out = tmp_path / "run"
+    assert main([*args, "--kind", "kerr", "--n", "2", "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
     assert not out.exists()
 
 
@@ -212,6 +226,22 @@ def test_optimize_rejects_empty_search_before_writing(tmp_path, capsys, flags, c
     assert main(args + ["--outdir", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()  # no manifest, no CSV
+
+
+@pytest.mark.parametrize("flags, config", [(["--cutoff", "3"], None), ([], {"cutoff": 3})])
+def test_optimize_rejects_a_cutoff_below_the_input_before_writing(tmp_path, capsys, flags,
+                                                                  config):
+    args = ["optimize", "--kind", "kerr", "--n", "2", "--dmax", "1", "--seeds", "1",
+            "--max-iters", "3", *flags]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", str(cfg)]
+    out = tmp_path / "run"
+    assert main(args + ["--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cutoff 3" in err
+    assert not out.exists()  # no manifest
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -234,6 +237,20 @@ def test_preparation_calls_the_qfi_once_per_evaluation(monkeypatch, kind):
     assert per_stage == [r.iters_used for r in records]
     assert all(0 < r.iters_used <= 12 for r in records)
     assert len(calls) == sum(per_stage)
+
+
+def test_kerr_preparation_builds_no_full_size_rotation():
+    # Kerr probes are scored on the exchange-symmetric half, so a fresh
+    # process never builds the (c, c, c) beam-splitter table or the tunnel
+    # gate's full basis
+    code = ("from modefisher import dynamics, encoding; "
+            "from modefisher.optimize import OptimizerConfig, optimize_preparation; "
+            "optimize_preparation('kerr', 20.0, [1, 2], OptimizerConfig(seeds=1, max_iters=10)); "
+            "print(encoding._slot_tables.cache_info().currsize, "
+            "dynamics._tunnel_sectors.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=Path(modefisher.optimize.__file__).parents[1], check=True).stdout
+    assert out.split() == ["0", "0"]
 
 
 # Two consecutive Kerr probes at N=4 for the depth-paired scan.

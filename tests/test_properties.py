@@ -5,12 +5,16 @@ reproduce exactly.  The whole file is budgeted to stay well under ten
 minutes on one core.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import modefisher.circuits
+import modefisher.metrology
 from modefisher.circuits import AnsatzParams, build_circuit, run_circuit
 from modefisher.dynamics import (
+    _is_exchange_symmetric,
     apply,
     coherent_input_state,
     detune_gate,
@@ -19,7 +23,8 @@ from modefisher.dynamics import (
     kerr_gate,
     tunnel_gate,
 )
-from modefisher.encoding import beam_splitter_gate, encoded_family
+from modefisher.encoding import (_phase_in_slots, _rotated_probe, _spread, beam_split,
+                                 beam_splitter_gate, encoded_family)
 from modefisher.hilbert import (
     CompositeState,
     destroy,
@@ -29,6 +34,7 @@ from modefisher.hilbert import (
 )
 from modefisher.analysis import SweepRecord, find_minima, sweep_continuous
 from modefisher.metrology import (
+    _FIDELITY_DELTA,
     MeasurementModel,
     QuadratureGrid,
     cfi,
@@ -419,3 +425,78 @@ def test_asymmetric_inputs_take_the_gate_route(monkeypatch):
         params = AnsatzParams.from_vector("kerr", rng.uniform(-2, 2, size=4))
         np.testing.assert_array_equal(run_circuit(params, state).amplitudes,
                                       _gate_route(params, state).amplitudes)
+
+
+# 1 - overlap is scaled by 8/delta^2, so one rounding step of an overlap
+# just below 1 (eps/2) is 8.9e-12 of F: 1.1e-12 relative at F = 8
+_OVERLAP_STEP = 8.0 / _FIDELITY_DELTA**2 * np.finfo(float).eps / 2
+
+
+def _full_route_qfi(probe):
+    """qfi_fidelity's skew-block route, written out: |R Q psi|^2 against PD(delta)."""
+    p = np.abs(_rotated_probe(probe)) ** 2
+    phases = _phase_in_slots(_FIDELITY_DELTA, probe.layout.cutoff)
+    overlap = abs(np.sum(p * _spread(phases, p.shape[2])))
+    return max(8.0 * (1.0 - overlap) / _FIDELITY_DELTA**2, 0.0)
+
+
+def _exactly_summed_qfi(probe):
+    """8 ((1 - |psi|^2) + sum |chi|^2 (1 - cos(delta (n2 - n1)/2))) / delta^2,
+    with chi from the beam-splitter gate and both sums rounded once."""
+    n = np.arange(probe.layout.cutoff)
+    drop = 2.0 * np.sin(0.25 * _FIDELITY_DELTA * (n[None, :] - n[:, None])) ** 2
+    chi = beam_split(probe).tensor()
+    deficit = ((1.0 - math.fsum(np.abs(probe.amplitudes) ** 2))
+               + math.fsum((np.abs(chi) ** 2 * drop).ravel()))
+    return 8.0 * deficit / _FIDELITY_DELTA**2
+
+
+def test_symmetric_kerr_probes_take_the_half_size_qfi_route():
+    # The full route's rotation keeps the norm only to a few ulps, and each
+    # ulp of the norm moves F by one or two overlap steps; the symmetric route
+    # reads the norm from the probe and the drop without cancellation.
+    rng = np.random.default_rng(120)
+    for cutoff, n_mean in ((18, 8.0), (40, 20.0), (41, 20.0)):
+        psi0 = coherent_input_state("kerr", n_mean, cutoff)
+        for case in range(30):
+            x = rng.uniform(-2, 2, size=2 * int(rng.integers(1, 7)))
+            x[rng.uniform(size=x.size) < 0.2] = 0.0   # skipped gates
+            if case % 3 == 0:
+                x[0] = 1.0e6                            # where stored searches drifted
+            probe = run_circuit(AnsatzParams.from_vector("kerr", x), psi0)
+            assert _is_exchange_symmetric(probe)
+            fq = qfi_fidelity(probe).value
+            assert fq == pytest.approx(_full_route_qfi(probe), rel=1e-12,
+                                       abs=8 * _OVERLAP_STEP)
+            assert fq == pytest.approx(_exactly_summed_qfi(probe), rel=1e-13,
+                                       abs=4 * _OVERLAP_STEP)
+
+
+def test_asymmetric_and_jc_probes_keep_the_full_qfi_route(monkeypatch):
+    def no_symmetric_route(x, phases):
+        raise AssertionError("the symmetric QFI route ran")
+
+    monkeypatch.setattr(modefisher.metrology, "_exchange_tunnel", no_symmetric_route)
+    rng = np.random.default_rng(121)
+    kerr_probe = run_circuit(AnsatzParams.from_vector("kerr", rng.uniform(-2, 2, size=6)),
+                             coherent_input_state("kerr", 8.0, 18))
+    jc_input = coherent_input_state("jc", 8.0, 18)
+    for case in range(100):
+        cutoff = int(rng.integers(8, 14))
+        which = case % 5
+        if which == 0:
+            state = _random_state(kerr_layout(cutoff), rng)
+        elif which == 1:  # a symmetric input, one amplitude off by one ulp
+            psi0 = coherent_input_state("kerr", 1.0, cutoff)
+            amps = psi0.amplitudes.copy()
+            amps[1] = np.nextafter(amps[1].real, 1.0) + 1j * amps[1].imag
+            state = CompositeState(psi0.layout, amps)
+        elif which == 2:
+            state = encoded_family(kerr_probe, float(rng.uniform(0.1, 3.0))).state
+        elif which == 3:
+            state = _random_state(jc_layout(cutoff), rng)
+        else:  # a JC preparation probe: symmetric under exchanging the arms
+            state = run_circuit(AnsatzParams.from_vector("jc", rng.uniform(-2, 2, size=6)),
+                                jc_input)
+        assert not _is_exchange_symmetric(state)
+        assert qfi_fidelity(state).value == _full_route_qfi(state)
