@@ -43,13 +43,12 @@ state whose mode table is bit for bit its transpose
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .hilbert import (
-    QUBIT_DIM,
     CompositeState,
     LayoutError,
     SubsystemLayout,
@@ -90,26 +89,6 @@ class LocalGate:
     basis: np.ndarray | None = None
     phases: np.ndarray | None = None
     identity: bool = field(default=False)
-
-    def as_matrix(self) -> np.ndarray:
-        """Dense joint-space matrix (test and inspection use only).
-
-        Column j is the gate applied to basis state j of its target factors.
-        A rabi gate is applied to emitter 0 and mode 0 of the emitter
-        layout, the other pair held in |g, 0>.
-        """
-        if self.diag is not None:
-            return np.diag(self.diag)
-        if self.rabi is None:
-            c = self.basis.shape[1]
-            eye = np.eye(c * c, dtype=complex).reshape(-1, c, c)
-            out = _apply_stack(replace(self, targets=None), kerr_layout(c), eye)
-        else:
-            c = self.rabi.shape[1]
-            eye = np.zeros((2 * c, *jc_layout(c).dims), dtype=complex)
-            eye[:, :, 0, :, 0] = np.eye(2 * c).reshape(-1, QUBIT_DIM, c)
-            out = _apply_stack(replace(self, targets=(0, 2)), jc_layout(c), eye)[:, :, 0, :, 0]
-        return out.reshape(len(out), -1).T
 
 
 @lru_cache(maxsize=None)

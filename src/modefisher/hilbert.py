@@ -184,13 +184,6 @@ def product_state(layout: SubsystemLayout, factor_vectors: list[np.ndarray]) -> 
     return CompositeState(layout, out)
 
 
-def inner_product(a: CompositeState, b: CompositeState) -> complex:
-    """<a|b> with the conjugate on the first argument."""
-    if a.layout != b.layout:
-        raise LayoutError("inner product between different layouts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def reduce_to_mode(state: CompositeState, mode_index: int) -> np.ndarray:
     """Reduced density matrix of one mode, tracing out everything else.
 
@@ -212,15 +205,3 @@ def reduce_to_mode(state: CompositeState, mode_index: int) -> np.ndarray:
     if np.linalg.eigvalsh(rho).min() < -1e-9:
         raise ValueError("reduced density matrix has a negative eigenvalue")
     return rho
-
-
-def destroy(cutoff: int) -> np.ndarray:
-    """Single-mode annihilation operator at the given cutoff."""
-    a = np.zeros((cutoff, cutoff))
-    idx = np.arange(1, cutoff)
-    a[idx - 1, idx] = np.sqrt(idx)
-    return a
-
-
-def number_op(cutoff: int) -> np.ndarray:
-    return np.diag(np.arange(cutoff, dtype=float))

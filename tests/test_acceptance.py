@@ -378,12 +378,21 @@ def _measured(params, family):
                        run_circuit(params, family.derivative), family.phi)
 
 
+def _stale(run_dir, which, stored, fresh):
+    """Failure message of a stored measurement-stage value that no longer re-evaluates."""
+    return (f"runs/{run_dir} {which}: stored {stored!r}, fresh {fresh!r}, beyond "
+            f"{REEVAL_RTOL:g} relative; a change to the quadrature grid or the "
+            f"homodyne kernel needs this run regenerated (delete runs/{run_dir} "
+            f"and rerun runs/bench_queue.sh)")
+
+
 def _stored_measurement_best(run_dir, model, family):
     rows = _load_rows(run_dir, csv_name="measure.csv", params_sub="params_measure")
     for row in rows:
         fam = _measured(AnsatzParams.from_vector("kerr", row.params), family)
         fresh = -cfi(fam, model).value
-        assert abs(fresh - row.objective) <= REEVAL_RTOL * abs(row.objective)
+        assert abs(fresh - row.objective) <= REEVAL_RTOL * abs(row.objective), (
+            _stale(run_dir, f"seed {row.seed} d {row.d}", row.objective, fresh))
     return rows
 
 
@@ -479,20 +488,22 @@ def test_homodyne_identity_floor_scan(report, bench_mode):
     families = {}
     for d, stored in plain.items():
         candidates = sorted(prep_dir.glob(f"kerr_N20_d{d}_seed*.json"))
-        best_val, best_family = None, None
+        best_val, best_family, best_path = None, None, None
         for path in candidates:
             probe = run_circuit(load_params(path), psi0)
             value = qfi_fidelity(probe).value
             if best_val is None or value > best_val:
-                best_val, best_family = value, encoded_family(probe)
+                best_val, best_family, best_path = value, encoded_family(probe), path
         families[d] = best_family
         fresh = 1.0 / cfi(best_family, model).value
-        assert abs(fresh - stored) <= REEVAL_RTOL * abs(stored), d
+        assert abs(fresh - stored) <= REEVAL_RTOL * abs(stored), _stale(
+            "paired_kerr_n20", f"plain arm on probe {best_path.stem} (d {d})", stored, fresh)
     for row in rows:
         fam = _measured(AnsatzParams.from_vector("kerr", row.params),
                         families[row.d])
         fresh = -cfi(fam, model).value
-        assert abs(fresh - row.objective) <= REEVAL_RTOL * abs(row.objective)
+        assert abs(fresh - row.objective) <= REEVAL_RTOL * abs(row.objective), (
+            _stale("paired_kerr_n20", f"seed {row.seed} d {row.d}", row.objective, fresh))
 
     floor_ok = all(plain[d] >= with_pqc[d] * (1 - 1e-12) for d in plain)
     d_top = max(plain)

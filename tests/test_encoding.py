@@ -14,12 +14,13 @@ from modefisher.encoding import (
 )
 from modefisher.hilbert import (
     CompositeState,
-    inner_product,
     jc_layout,
     kerr_layout,
     product_state,
 )
 from modefisher.metrology import _FIDELITY_DELTA, qfi_fidelity
+
+from dense_reference import inner_product
 
 
 def _random_two_mode(cutoff, seed):

@@ -119,6 +119,41 @@ def test_homodyne_density_normalized_and_grid_guards():
         QuadratureGrid(x_max=2.0).axis(8)
 
 
+# the default grid's stated accuracy: within GRID_RTOL of a REFERENCE_POINTS grid
+GRID_RTOL = 3e-3
+REFERENCE_POINTS = 2401
+# best-by-QFI d=5 probe of runs/prep_kerr_n20 (seed 4), the state whose
+# homodyne CFI moves most with the grid count
+KERR_N20_D5 = [571729.8032784504, -0.0895766535526332, -1.1897872178301796,
+               0.5102796684275328, 0.005759276123320912, -0.2738412904194,
+               -0.03119250087944472, -0.16562701989343967, -0.18233232495705295,
+               -0.06762566005373925]
+
+
+def test_default_grid_meets_its_stated_tolerance():
+    """The theta-sweep probes at N=20, cutoff 40: the JC probe g=5 with
+    emitter outcomes kept, and the Kerr probe K=pi/4 in its carrier frame."""
+    for kind, t, keep, frame in (("jc", 5.0, True, 0.0),
+                                 ("kerr", np.pi / 4, False, -np.pi / 4)):
+        family = encoded_family(evolve_continuous(kind, t, coherent_input_state(kind, 20.0, 40)))
+        for theta in (0.0, np.pi / 2, 2 * np.pi / 3):
+            f, ref = (cfi(family, MeasurementModel("homodyne", include_emitters=keep,
+                                                   theta=theta + frame, grid=grid)).value
+                      for grid in (QuadratureGrid(), QuadratureGrid(points=REFERENCE_POINTS)))
+            assert abs(f / ref - 1.0) <= GRID_RTOL, (kind, theta, f, ref)
+
+
+def test_every_grid_count_above_the_default_meets_the_tolerance():
+    """The error oscillates with the count, so a count that passes can sit
+    among counts that fail; every odd count from the default up to 801 must pass."""
+    family = encoded_family(prepare_probe(AnsatzParams.from_vector("kerr", KERR_N20_D5),
+                                          20.0, cutoff=40))
+    f = {points: cfi(family, MeasurementModel("homodyne", grid=QuadratureGrid(points=points))).value
+         for points in (REFERENCE_POINTS, *range(QuadratureGrid().points, 801 + 2, 2))}
+    for points, value in f.items():
+        assert abs(value / f[REFERENCE_POINTS] - 1.0) <= GRID_RTOL, (points, value)
+
+
 def test_homodyne_vacuum_marginal_is_gaussian():
     layout = kerr_layout(6)
     amps = np.zeros(36)
