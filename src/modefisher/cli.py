@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import multiprocessing
 import os
 import sys
@@ -97,8 +98,8 @@ _ONE_OF = {"wigner": ("time", "params"), "theta-sweep": ("probe_time",),
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
     return value
 
 
@@ -209,6 +210,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     if typed.keys() & set(group):
         config.update(dict.fromkeys(group))
     config.update(typed)
+    for key, value in config.items():
+        # flags and JSON both parse NaN and inf; NaN passes every range check,
+        # and inf overflows the grids built from it
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} = {value!r} is not finite")
     if group and sum(config[key] is not None for key in group) != 1:
         raise ValueError(f"{command} needs one input: "
                          + " or ".join(_FLAGS[key][0] for key in group))

@@ -18,7 +18,10 @@ skew-block order.  The encoded family of a probe reads the rotated probe
 y = R Q psi_P, kept in skew-block order and never scattered; only PD
 depends on phi, so the last probe's y is memoized, and the QFI of the
 same probe reuses it.  The family's state and tangent take the second
-rotation as one stack and are scattered back to Fock order once.
+rotation as one stack z = R [P y, tangent], which the family keeps in
+skew-block order.  Q† multiplies both members of slot n1 by (-i)^n1,
+so photon counting reads z as it is; Q† and the scatter back to Fock
+order run only when the family's state or derivative is first read.
 The QFI of an exchange-symmetric Kerr probe, such as every Kerr
 preparation probe, takes neither R nor y: it applies BS on the symmetric
 half of the space (:func:`~modefisher.metrology.qfi_fidelity`), so a Kerr
@@ -28,7 +31,6 @@ preparation search never builds R.  :func:`beam_splitter_gate` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,19 +42,56 @@ from .hilbert import CompositeState, SubsystemLayout
 DEFAULT_PHI = np.pi / 3
 
 
-@dataclass(frozen=True)
 class PhaseFamily:
-    """Encoded state and its exact phase derivative at one phase point."""
+    """Encoded state and its exact phase derivative at one phase point.
 
-    state: CompositeState
-    derivative: CompositeState
-    phi: float
+    ``PhaseFamily(state, derivative, phi)`` holds the two in Fock order.
+    The family :func:`encoded_family` returns holds ``skew`` instead: the
+    read-only ``(c, c, spectators, 2)`` stack z in skew-block order, state
+    at ``[..., 0]`` and derivative at ``[..., 1]``, before the Q† phase
+    (slot n1 times (-i)^n1).  Its ``state`` and ``derivative`` are built
+    from z on first access, once per family.  ``skew`` is None for a
+    family built from Fock-order states.
+    """
+
+    def __init__(self, state: CompositeState, derivative: CompositeState, phi: float) -> None:
+        self.layout, self.phi, self.skew = state.layout, phi, None
+        self._fock = (state, derivative)
 
     @classmethod
     def from_stack(cls, layout: SubsystemLayout, stack: np.ndarray, phi: float) -> "PhaseFamily":
         """Family from a ``(2, *dims)`` stack of state and derivative tensors."""
-        state, deriv = (CompositeState(layout, s.reshape(-1), check_norm=False) for s in stack)
-        return cls(state, deriv, phi)
+        return cls(*_fock_pair(layout, stack), phi)
+
+    @classmethod
+    def from_skew(cls, layout: SubsystemLayout, skew: np.ndarray, phi: float) -> "PhaseFamily":
+        """Family held as the stack z in skew-block order (see the class docstring)."""
+        family = cls.__new__(cls)
+        family.layout, family.phi, family.skew, family._fock = layout, phi, skew, None
+        return family
+
+    @property
+    def state(self) -> CompositeState:
+        return self._fock_order()[0]
+
+    @property
+    def derivative(self) -> CompositeState:
+        return self._fock_order()[1]
+
+    def _fock_order(self) -> tuple[CompositeState, CompositeState]:
+        """Q† z scattered to Fock order: one phase pass and one ``take``, cached."""
+        if self._fock is None:
+            c = self.layout.cutoff
+            flat = self.skew.reshape(c, -1)
+            phased = flat * _spread(_slot_tables(c)[0].conj(), flat.shape[1] // c).reshape(-1)
+            self._fock = _fock_pair(self.layout, np.take(phased, _family_scatter(self.layout)))
+        return self._fock
+
+
+def _fock_pair(layout: SubsystemLayout, stack: np.ndarray) -> tuple[CompositeState, CompositeState]:
+    """State and derivative from a ``(2, *dims)`` stack; neither is norm-checked."""
+    state, deriv = (CompositeState(layout, s.reshape(-1), check_norm=False) for s in stack)
+    return state, deriv
 
 
 @lru_cache(maxsize=None)
@@ -117,6 +156,18 @@ def _phase_in_slots(phi: float, cutoff: int) -> np.ndarray:
     table = phase_diff_gate(phi, cutoff).diag[_sector_index(cutoff)]
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=4)
+def _family_tables(phi: float, cutoff: int, spectators: int) -> tuple[np.ndarray, np.ndarray]:
+    """PD(phi)'s diagonal and the tangent factor -(i/2)(n2 - n1), each in
+    skew-block order and spread over ``spectators`` columns,
+    ``(c, c, spectators)`` (cached, read-only)."""
+    tables = (_spread(_phase_in_slots(phi, cutoff), spectators),
+              _spread(_slot_tables(cutoff)[1], spectators))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _spread(table: np.ndarray, columns: int) -> np.ndarray:
@@ -187,18 +238,23 @@ def encoded_family(state: CompositeState, phi: float = DEFAULT_PHI) -> PhaseFami
 
     Only PD depends on phi, so the derivative is BS (-i/2)(n2 - n1) PD(phi) chi.
     In skew-block order, with y = R Q psi_P (:func:`_rotated_probe`), the
-    pair is Q† R [P y, -(i/2) D P y], D = n2 - n1: both are written as the
-    columns of one stack, rotated by R once and scattered back once.
+    pair is Q† z with z = R [P y, -(i/2) D P y], D = n2 - n1: both are
+    written as the columns of one stack and rotated by R once.  The family
+    keeps z as its ``skew`` stack, ``(c, c, spectators, 2)`` in
+    ``(block, slot n1, spectator, state or derivative)`` order.  Q† is a
+    phase per slot, the same on both members, so photon counting reads z
+    as it is; the Fock-order ``state`` and ``derivative`` are built only
+    when something asks for them (:class:`PhaseFamily`).
     """
     y = _rotated_probe(state)
     layout = state.layout
     c, spectators = layout.cutoff, y.shape[2]
-    q, tangent, _ = _slot_tables(c)
+    phase, tangent = _family_tables(phi, c, spectators)
     # state and tangent interleaved per spectator, so both are written in
     # one contiguous pass against tables repeated over the spectators
     stack = np.empty((*y.shape, 2), dtype=np.complex128)
-    np.multiply(y, _spread(_phase_in_slots(phi, c), spectators), out=stack[..., 0])
-    np.multiply(stack[..., 0], _spread(tangent, spectators), out=stack[..., 1])
-    z = _rotate(stack.reshape(c, c, -1))
-    _slot_phase(z, q.conj())
-    return PhaseFamily.from_stack(layout, np.take(z, _family_scatter(layout)), phi)
+    np.multiply(y, phase, out=stack[..., 0])
+    np.multiply(stack[..., 0], tangent, out=stack[..., 1])
+    z = _rotate(stack.reshape(c, c, -1)).reshape(stack.shape)
+    z.setflags(write=False)
+    return PhaseFamily.from_skew(layout, z, phi)

@@ -31,8 +31,8 @@ class CutoffError(ValueError):
 
 
 def check_unit_norm(norm: float, what: str = "state") -> None:
-    """Raise ValueError unless ``norm`` is 1 within :data:`NORM_ATOL`."""
-    if abs(norm - 1.0) > NORM_ATOL:
+    """Raise ValueError unless ``norm`` is 1 within :data:`NORM_ATOL`; NaN never is."""
+    if not abs(norm - 1.0) <= NORM_ATOL:
         raise ValueError(f"{what} norm {norm:.9f} is not 1 within {NORM_ATOL:g}")
 
 

@@ -183,8 +183,12 @@ def counting_probabilities(state: CompositeState, include_emitters: bool = False
     Axes follow the layout order; emitter axes are summed out unless
     ``include_emitters`` is set.
     """
-    p = np.abs(state.tensor()) ** 2
-    drop = _marginal_axes(state, include_emitters)
+    return _counting_table(state.tensor(), _marginal_axes(state, include_emitters))
+
+
+def _counting_table(amps: np.ndarray, drop: tuple[int, ...]) -> np.ndarray:
+    """|amps|^2 summed over the axes ``drop``, checked to total 1."""
+    p = np.abs(amps) ** 2
     if drop:
         p = p.sum(axis=drop)
     check_unit_norm(math.sqrt(p.sum()), "counting table")
@@ -272,7 +276,7 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 
 
 def _check_density(total: float) -> None:
-    if abs(total - 1.0) > _DENSITY_NORM_ATOL:
+    if not abs(total - 1.0) <= _DENSITY_NORM_ATOL:
         raise GridError(f"density integrates to {total:.6f}; grid too small")
 
 
@@ -308,6 +312,15 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
     independent) measurement transform.  Outcomes below the probability
     floor are skipped.
 
+    Photon counting sums over every cell, so it reads the cells in any
+    order.  A family from :func:`~modefisher.encoding.encoded_family` is
+    read from its skew-block stack z, emitter outcomes on axis 2: z lacks
+    only the phase Q†, which is the same on a cell's amplitude and its
+    derivative, so |amp|^2 and Re[conj(amp) damp] are those of Fock order
+    and no Fock-order state is built.  Any other family is read in Fock
+    order, emitter outcomes on the leading axes.  The one kernel checks
+    that the probabilities total 1 and applies the floor either way.
+
     Homodyne angles are referenced to the local-oscillator frame locked
     to the carrier leaving the phase stage: a physical plate shifts one
     arm by the full phi, so the carrier picks up the common-mode half
@@ -327,17 +340,23 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
     weighted share of the Fisher sum and of the normalization total.  An
     empty window leaves a total of 0, which fails the density check.
     """
-    state, deriv = family.state, family.derivative
     if model.kind == "counting":
-        p = counting_probabilities(state, model.include_emitters)
-        dp = 2.0 * (state.tensor().conj() * deriv.tensor()).real
-        drop = _marginal_axes(state, model.include_emitters)
+        if family.skew is not None:
+            amp, damp = family.skew[..., 0], family.skew[..., 1]
+            emitter_axes = (2,) if family.layout.emitters else ()
+        else:
+            amp, damp = family.state.tensor(), family.derivative.tensor()
+            emitter_axes = family.layout.qubit_indices
+        drop = () if model.include_emitters else emitter_axes
+        p = _counting_table(amp, drop)
+        dp = 2.0 * (amp.conj() * damp).real
         if drop:
             dp = dp.sum(axis=drop)
         mask = p > PROBABILITY_FLOOR
         value = float((dp[mask] ** 2 / p[mask]).sum())
         return FisherResult(max(value, 0.0))
 
+    state, deriv = family.state, family.derivative
     x = model.grid.axis(state.layout.cutoff)
     w = _trapezoid_weights(x)
     marginal = bool(_marginal_axes(state, model.include_emitters))

@@ -158,6 +158,49 @@ def test_config_file_values_meet_the_flag_choices(tmp_path, capsys, command, con
     assert not out.exists()
 
 
+_NON_FINITE = [
+    ("sweep", "phi", "nan", ["--with-counting"]), ("sweep", "n_mean", "inf", []),
+    ("sweep", "tmax", "inf", []), ("sweep", "tstep", "nan", []),
+    ("sweep", "theta", "-inf", ["--with-homodyne"]),
+    ("optimize", "phi", "nan", ["--stage", "both"]), ("optimize", "theta", "inf", []),
+    ("optimize", "n_mean", "nan", []),
+    ("wigner", "time", "nan", []), ("wigner", "half_width", "inf", ["--time", "0.5"]),
+    ("theta-sweep", "probe_time", "nan", []), ("theta-sweep", "phi", "inf",
+                                               ["--probe-time", "0.4"]),
+    ("ablate", "phi", "nan", ["--params", "circuit.json"])]
+
+
+@pytest.mark.parametrize("command, key, text, extra", _NON_FINITE)
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_non_finite_values_are_rejected_before_writing(tmp_path, capsys, command, key, text,
+                                                       extra, form):
+    # NaN slips past every range check: it would be written to the manifest
+    # and the tables, or end in an unrelated error deep in a sweep
+    args = [command, "--kind", "kerr", *extra]
+    if command in ("optimize", "ablate"):
+        args += ["--max-iters", "3", "--dmax", "1", "--seeds", "1"]
+    if key != "n_mean":
+        args += ["--n", "2"]
+    if form == "flag":
+        args.append(f"{_FLAGS[key][0]}={text}")  # "-inf" alone reads as a flag
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: float(text)}))  # JSON NaN, Infinity
+        args += ["--config", str(cfg)]
+    out = tmp_path / "run"
+    assert main(args + ["--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+def test_bench_rejects_a_non_finite_photon_number():
+    for text in ("nan", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", text])
+        assert exc.value.code == 2
+
+
 def test_wigner_rejects_a_one_point_grid(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["wigner", "--kind", "kerr", "--n", "2", "--time", "0.5",

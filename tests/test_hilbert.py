@@ -8,6 +8,7 @@ from modefisher.hilbert import (
     CutoffError,
     LayoutError,
     SubsystemLayout,
+    check_unit_norm,
     coherent_state,
     coherent_truncation_tail,
     jc_layout,
@@ -52,6 +53,20 @@ def test_state_norm_guard():
         CompositeState(layout, np.ones(4) / 2.0)
     # derivative vectors skip the norm check on request
     CompositeState(layout, 2.0 * good, check_norm=False)
+
+
+@pytest.mark.parametrize("norm", [math.nan, math.inf, -math.inf])
+def test_norm_guard_rejects_non_finite_norms(norm):
+    # abs(nan - 1) > tol is False, so a guard written that way lets NaN through
+    with pytest.raises(ValueError, match="is not 1"):
+        check_unit_norm(norm)
+    layout = kerr_layout(3)
+    amps = np.zeros(9, dtype=complex)
+    amps[0] = norm
+    with pytest.raises(ValueError):
+        CompositeState(layout, amps)
+    with pytest.raises(ValueError):
+        product_state(layout, [np.array([norm, 0, 0]), np.array([1.0, 0, 0])])
 
 
 def test_tensor_ordering_row_major():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from modefisher.analysis import sweep_continuous
 from modefisher.circuits import AnsatzParams, prepare_probe
 from modefisher.dynamics import coherent_input_state, coherent_state, evolve_continuous
-from modefisher.encoding import PhaseFamily, encoded_family
+from modefisher.encoding import (PhaseFamily, _family_scatter, _phase_in_slots, _rotate,
+                                 _rotated_probe, _slot_phase, _slot_tables, _spread,
+                                 encoded_family)
 from modefisher.hilbert import (CompositeState, default_cutoff, jc_layout, kerr_layout,
                                 product_state)
 from modefisher.metrology import (
@@ -98,6 +101,81 @@ def test_one_unit_norm_tolerance():
                     check()
 
 
+def _fock_stack(probe, phi):
+    """The encoded (state, derivative) pair built straight to Fock order: the
+    rotated stack with Q† applied in place, then one scatter."""
+    y = _rotated_probe(probe)
+    c, spectators = probe.layout.cutoff, y.shape[2]
+    q, tangent, _ = _slot_tables(c)
+    stack = np.empty((*y.shape, 2), dtype=np.complex128)
+    np.multiply(y, _spread(_phase_in_slots(phi, c), spectators), out=stack[..., 0])
+    np.multiply(stack[..., 0], _spread(tangent, spectators), out=stack[..., 1])
+    z = _rotate(stack.reshape(c, c, -1))
+    _slot_phase(z, q.conj())
+    return np.take(z, _family_scatter(probe.layout))
+
+
+def _skew_probes(cutoff):
+    """Evolved JC and Kerr probes and random asymmetric states at one cutoff."""
+    n_mean = {13: 4.0, 18: 6.0, 40: 20.0}[cutoff]
+    probes = [evolve_continuous(kind, t, coherent_input_state(kind, n_mean, cutoff))
+              for kind, t in (("jc", 0.9), ("jc", 2.6), ("kerr", 0.3))]
+    return probes + [_random_probe(layout(cutoff), cutoff) for layout in (jc_layout, kerr_layout)]
+
+
+@pytest.mark.parametrize("cutoff", [13, 18, 40])
+def test_counting_reads_the_skew_stack_as_it_reads_fock_order(cutoff):
+    """Q† is one phase per slot on both members and counting sums over every
+    cell, so the skew-block stack gives the Fock-order value up to the order
+    of the sum."""
+    for probe in _skew_probes(cutoff):
+        for phi in (0.4, np.pi / 3):
+            family = encoded_family(probe, phi)
+            assert family.skew is not None
+            models = [MeasurementModel("counting", include_emitters=keep)
+                      for keep in (False, True)]
+            skew = [cfi(family, model).value for model in models]
+            fock = PhaseFamily(family.state, family.derivative, family.phi)
+            assert fock.skew is None
+            for model, value in zip(models, skew):
+                ref = cfi(fock, model).value
+                assert abs(value - ref) <= 1e-14 * ref, (probe.layout, phi, model)
+                # building the Fock order leaves the family's own value alone
+                assert cfi(family, model).value == value
+
+
+@pytest.mark.parametrize("cutoff", [13, 18, 40])
+def test_encoded_family_builds_the_fock_order_bit_for_bit(cutoff):
+    for probe in _skew_probes(cutoff):
+        family = encoded_family(probe, 0.7)
+        ref = _fock_stack(probe, 0.7)
+        assert family.state.layout == family.derivative.layout == probe.layout
+        assert np.array_equal(family.state.tensor(), ref[0])
+        assert np.array_equal(family.derivative.tensor(), ref[1])
+        assert family.state is family.state  # built once per family
+
+
+def test_counting_on_the_skew_stack_keeps_the_norm_check():
+    probe = _random_probe(jc_layout(13), 2)
+    scaled = CompositeState(probe.layout, (1 + 1.1e-6) * probe.amplitudes, check_norm=False)
+    with pytest.raises(ValueError, match="counting table"):
+        cfi(encoded_family(scaled), MeasurementModel("counting"))
+
+
+def _fock_orders_built() -> int:
+    info = _family_scatter.cache_info()
+    return info.hits + info.misses
+
+
+def test_counting_sweep_never_builds_the_fock_order():
+    before = _fock_orders_built()
+    sweep_continuous("jc", 4.0, time_grid=(0.3, 0.9, 1.4), include_cfi_counting=True)
+    assert _fock_orders_built() == before
+    # the count is live: homodyne readout builds it once per point
+    sweep_continuous("jc", 4.0, time_grid=(0.3, 0.9, 1.4), include_cfi_homodyne=True)
+    assert _fock_orders_built() == before + 3
+
+
 def test_counting_probabilities_normalized():
     state = _random_probe(jc_layout(6), 9)
     p = counting_probabilities(state)
@@ -117,6 +195,10 @@ def test_homodyne_density_normalized_and_grid_guards():
         QuadratureGrid(points=100).axis(8)
     with pytest.raises(GridError):
         QuadratureGrid(x_max=2.0).axis(8)
+    # a NaN total is no total: abs(nan - 1) > tol is False
+    nan_state = CompositeState(state.layout, np.full(64, np.nan, complex), check_norm=False)
+    with pytest.raises(GridError, match="nan"):
+        homodyne_probabilities(nan_state, 0.4)
 
 
 # the default grid's stated accuracy: within GRID_RTOL of a REFERENCE_POINTS grid
