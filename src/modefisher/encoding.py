@@ -18,10 +18,10 @@ skew-block order.  The encoded family of a probe reads the rotated probe
 y = R Q psi_P, kept in skew-block order and never scattered; only PD
 depends on phi, so the last probe's y is memoized, and the QFI of the
 same probe reuses it.  The family's state and tangent take the second
-rotation as one stack z = R [P y, tangent], which the family keeps in
-skew-block order.  Q† multiplies both members of slot n1 by (-i)^n1,
-so photon counting reads z as it is; Q† and the scatter back to Fock
-order run only when the family's state or derivative is first read.
+rotation as one stack z = R [P y, tangent], and the family is z alone,
+in skew-block order.  Q† multiplies both members of slot n1 by
+(-i)^n1, so photon counting reads z as it is; homodyne readout and the
+Fock-order views take z back to Fock order with one ``take`` and Q†.
 The QFI of an exchange-symmetric Kerr probe, such as every Kerr
 preparation probe, takes neither R nor y: it applies BS on the symmetric
 half of the space (:func:`~modefisher.metrology.qfi_fidelity`), so a Kerr
@@ -31,7 +31,7 @@ preparation search never builds R.  :func:`beam_splitter_gate` and
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,53 +45,52 @@ DEFAULT_PHI = np.pi / 3
 class PhaseFamily:
     """Encoded state and its exact phase derivative at one phase point.
 
-    ``PhaseFamily(state, derivative, phi)`` holds the two in Fock order.
-    The family :func:`encoded_family` returns holds ``skew`` instead: the
-    read-only ``(c, c, spectators, 2)`` stack z in skew-block order, state
-    at ``[..., 0]`` and derivative at ``[..., 1]``, before the Q† phase
-    (slot n1 times (-i)^n1).  Its ``state`` and ``derivative`` are built
-    from z on first access, once per family.  ``skew`` is None for a
-    family built from Fock-order states.
+    The family holds one array, ``skew``: the read-only
+    ``(c, c, spectators, 2)`` stack z in skew-block order, state at
+    ``[..., 0]`` and derivative at ``[..., 1]``, before the Q† phase
+    (slot n1 times (-i)^n1).  :func:`encoded_family` builds z directly;
+    a family given in Fock order enters through :meth:`from_fock`.
+    ``state`` and ``derivative`` are read-only Fock-order views, each
+    built on its first read.
     """
 
-    def __init__(self, state: CompositeState, derivative: CompositeState, phi: float) -> None:
-        self.layout, self.phi, self.skew = state.layout, phi, None
-        self._fock = (state, derivative)
+    def __init__(self, layout: SubsystemLayout, skew: np.ndarray, phi: float) -> None:
+        self.layout, self.skew, self.phi = layout, skew, phi
 
     @classmethod
-    def from_stack(cls, layout: SubsystemLayout, stack: np.ndarray, phi: float) -> "PhaseFamily":
-        """Family from a ``(2, *dims)`` stack of state and derivative tensors."""
-        return cls(*_fock_pair(layout, stack), phi)
+    def from_fock(cls, layout: SubsystemLayout, stack: np.ndarray, phi: float) -> "PhaseFamily":
+        """Family from a Fock-order ``(2, *dims)`` stack of state and derivative.
 
-    @classmethod
-    def from_skew(cls, layout: SubsystemLayout, skew: np.ndarray, phi: float) -> "PhaseFamily":
-        """Family held as the stack z in skew-block order (see the class docstring)."""
-        family = cls.__new__(cls)
-        family.layout, family.phi, family.skew, family._fock = layout, phi, skew, None
-        return family
+        The stack is put into skew-block order and multiplied by Q, a power
+        of i per slot, so ``fock()`` gives it back bit for bit.
+        """
+        c = layout.cutoff
+        z = np.empty((c, c, layout.total_dim // (c * c), 2), dtype=np.complex128)
+        np.put(z, _family_scatter(layout), stack)
+        _slot_phase(z, _slot_tables(c)[0])
+        z.setflags(write=False)
+        return cls(layout, z, phi)
 
-    @property
+    def fock(self, member=...) -> np.ndarray:
+        """Q† z in Fock order, a fresh array: the ``(2, *dims)`` stack, or
+        one member's ``dims`` tensor (0 state, 1 derivative).  One ``take``,
+        then the Q† phase along n1."""
+        out = np.take(self.skew, _family_scatter(self.layout)[member])
+        out *= _slot_tables(self.layout.cutoff)[0].conj()[:, None]
+        return out
+
+    @cached_property
     def state(self) -> CompositeState:
-        return self._fock_order()[0]
+        return self._view(0)
 
-    @property
+    @cached_property
     def derivative(self) -> CompositeState:
-        return self._fock_order()[1]
+        return self._view(1)
 
-    def _fock_order(self) -> tuple[CompositeState, CompositeState]:
-        """Q† z scattered to Fock order: one phase pass and one ``take``, cached."""
-        if self._fock is None:
-            c = self.layout.cutoff
-            flat = self.skew.reshape(c, -1)
-            phased = flat * _spread(_slot_tables(c)[0].conj(), flat.shape[1] // c).reshape(-1)
-            self._fock = _fock_pair(self.layout, np.take(phased, _family_scatter(self.layout)))
-        return self._fock
-
-
-def _fock_pair(layout: SubsystemLayout, stack: np.ndarray) -> tuple[CompositeState, CompositeState]:
-    """State and derivative from a ``(2, *dims)`` stack; neither is norm-checked."""
-    state, deriv = (CompositeState(layout, s.reshape(-1), check_norm=False) for s in stack)
-    return state, deriv
+    def _view(self, member: int) -> CompositeState:
+        amps = self.fock(member).reshape(-1)
+        amps.setflags(write=False)
+        return CompositeState(self.layout, amps, check_norm=False)
 
 
 @lru_cache(maxsize=None)
@@ -240,11 +239,9 @@ def encoded_family(state: CompositeState, phi: float = DEFAULT_PHI) -> PhaseFami
     In skew-block order, with y = R Q psi_P (:func:`_rotated_probe`), the
     pair is Q† z with z = R [P y, -(i/2) D P y], D = n2 - n1: both are
     written as the columns of one stack and rotated by R once.  The family
-    keeps z as its ``skew`` stack, ``(c, c, spectators, 2)`` in
-    ``(block, slot n1, spectator, state or derivative)`` order.  Q† is a
-    phase per slot, the same on both members, so photon counting reads z
-    as it is; the Fock-order ``state`` and ``derivative`` are built only
-    when something asks for them (:class:`PhaseFamily`).
+    is z, ``(c, c, spectators, 2)`` in
+    ``(block, slot n1, spectator, state or derivative)`` order
+    (:class:`PhaseFamily`).
     """
     y = _rotated_probe(state)
     layout = state.layout
@@ -257,4 +254,4 @@ def encoded_family(state: CompositeState, phi: float = DEFAULT_PHI) -> PhaseFami
     np.multiply(stack[..., 0], tangent, out=stack[..., 1])
     z = _rotate(stack.reshape(c, c, -1)).reshape(stack.shape)
     z.setflags(write=False)
-    return PhaseFamily.from_skew(layout, z, phi)
+    return PhaseFamily(layout, z, phi)

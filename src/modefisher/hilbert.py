@@ -198,10 +198,11 @@ def reduce_to_mode(state: CompositeState, mode_index: int) -> np.ndarray:
     d = psi.shape[0]
     mat = psi.reshape(d, -1)
     rho = mat @ mat.conj().T
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+    # each guard is written so that NaN fails it
+    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-10:
         raise ValueError("reduced density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
+    if not abs(np.trace(rho).real - 1.0) <= 1e-9:
         raise ValueError("reduced density matrix trace is not 1")
-    if np.linalg.eigvalsh(rho).min() < -1e-9:
+    if not np.linalg.eigvalsh(rho).min() >= -1e-9:
         raise ValueError("reduced density matrix has a negative eigenvalue")
     return rho

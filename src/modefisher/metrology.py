@@ -51,7 +51,7 @@ import numpy as np
 from .dynamics import _exchange_sectors, _exchange_tunnel, _is_exchange_symmetric
 from .encoding import (PhaseFamily, _diff_number, _phase_in_slots, _rotated_probe, _spread,
                        beam_split)
-from .hilbert import CompositeState, check_unit_norm
+from .hilbert import CompositeState, SubsystemLayout, check_unit_norm
 
 PROBABILITY_FLOOR = 1e-12
 _DENSITY_NORM_ATOL = 1e-4
@@ -93,9 +93,10 @@ class QuadratureGrid:
         x_max = self.x_max if self.x_max is not None else float(np.sqrt(2 * cutoff) + 4)
         if self.points < 201 or self.points % 2 == 0:
             raise GridError(f"grid needs >= 201 odd points, got {self.points}")
-        if x_max < np.sqrt(2 * cutoff) + 3:
+        if not math.isfinite(x_max) or x_max < np.sqrt(2 * cutoff) + 3:
             raise GridError(
-                f"x_max {x_max:.2f} below sqrt(2*cutoff)+3 = {np.sqrt(2*cutoff)+3:.2f}"
+                f"x_max {x_max:.2f} must be finite and >= sqrt(2*cutoff)+3 = "
+                f"{np.sqrt(2*cutoff)+3:.2f}"
             )
         return np.linspace(-x_max, x_max, self.points)
 
@@ -136,8 +137,8 @@ class FisherBounds:
 
 def bounds(n_mean: float) -> FisherBounds:
     """Shot-noise (1/N), twin-Fock (2/(N(N+2))), and Heisenberg (1/N^2) levels."""
-    if n_mean <= 0:
-        raise ValueError("n_mean must be positive")
+    if not (math.isfinite(n_mean) and n_mean > 0):
+        raise ValueError(f"n_mean must be positive and finite, got {n_mean}")
     n = float(n_mean)
     return FisherBounds(n, 1.0 / n, 2.0 / (n * (n + 2.0)), 1.0 / n**2)
 
@@ -165,16 +166,16 @@ def _hermite_functions(cutoff: int, x_max: float, points: int) -> np.ndarray:
     return h
 
 
-def _outcome_tables(state: CompositeState) -> np.ndarray:
-    """Amplitudes as (outcomes, n1, n2), the emitter factors flattened."""
-    cutoff = state.layout.cutoff
-    return state.amplitudes.reshape(-1, cutoff, cutoff)
+def _angle_phase(cutoff: int, theta: float) -> np.ndarray:
+    """The ``(c, c)`` Fock-side phase e^{i theta (n1 + n2)} of the x^(theta) basis."""
+    n = np.arange(cutoff)
+    return np.exp(1j * theta * (n[:, None] + n[None, :]))
 
 
-def _marginal_axes(state: CompositeState, include_emitters: bool) -> tuple[int, ...]:
+def _marginal_axes(layout: SubsystemLayout, include_emitters: bool) -> tuple[int, ...]:
     if include_emitters:
         return ()
-    return state.layout.qubit_indices
+    return layout.qubit_indices
 
 
 def counting_probabilities(state: CompositeState, include_emitters: bool = False) -> np.ndarray:
@@ -183,7 +184,7 @@ def counting_probabilities(state: CompositeState, include_emitters: bool = False
     Axes follow the layout order; emitter axes are summed out unless
     ``include_emitters`` is set.
     """
-    return _counting_table(state.tensor(), _marginal_axes(state, include_emitters))
+    return _counting_table(state.tensor(), _marginal_axes(state.layout, include_emitters))
 
 
 def _counting_table(amps: np.ndarray, drop: tuple[int, ...]) -> np.ndarray:
@@ -214,31 +215,27 @@ def _aligned(size: int) -> np.ndarray:
     return buf[(-buf.ctypes.data % 64) // 8:][:size]
 
 
-def _quadrature_blocks(states: list[CompositeState], theta: float, x: np.ndarray,
-                       window: bool = False):
-    """Quadrature amplitudes of the stacked states, one block of x1 rows at a time.
+def _quadrature_blocks(tables: np.ndarray, x: np.ndarray, window: bool = False):
+    """Quadrature amplitudes of Fock-order tables, one block of x1 rows at a time.
 
-    The rotation to the x^(theta) basis is the Fock-side phase
-    e^{i theta (n1 + n2)}, so both modes contract with the real table
-    H[n, i] = psi_n(x_i), block by block of x1 rows: mode 1 as one batched
-    real GEMM over every state, real or imaginary part and outcome, mode 2
-    as one tall GEMM.  Yields
+    ``tables[k, q, n1, n2]`` is the amplitude of state k and outcome q,
+    already rotated to the x^(theta) basis by the Fock-side phase
+    e^{i theta (n1 + n2)} (:func:`_angle_phase`), so both modes contract
+    with the real table H[n, i] = psi_n(x_i), block by block of x1 rows:
+    mode 1 as one batched real GEMM over every state, real or imaginary
+    part and outcome, mode 2 as one tall GEMM.  Yields
     ``(rows, cols, amps)`` with ``amps[k, part, q, r, j]`` the real
     (part 0) or imaginary (part 1) amplitude of state k and outcome q at
     (x1, x2) = (x[rows][r], x[cols][j]).  ``amps`` is one buffer reused by
     every block, so it is valid only until the next block is drawn.
 
     ``window=True`` restricts rows and columns to the support window of
-    the first state, outside which its density is certified below
+    state 0, outside which its density is certified below
     PROBABILITY_FLOOR/2 (see the module docstring); no block is yielded
     when the window is empty.  Otherwise rows and columns span the grid.
     """
-    z = np.stack([_outcome_tables(s) for s in states])       # (k, q, n1, n2)
-    cutoff = z.shape[-1]
-    if theta != 0.0:
-        n = np.arange(cutoff)
-        z = z * np.exp(1j * theta * (n[:, None] + n[None, :]))
-    planes = np.stack((z.real, z.imag), axis=1)              # (k, part, q, n1, n2)
+    cutoff = tables.shape[-1]
+    planes = np.stack((tables.real, tables.imag), axis=1)    # (k, part, q, n1, n2)
     lead = planes.shape[:3]
     planes = planes.reshape(-1, cutoff, cutoff)
     h = _hermite_functions(cutoff, float(x[-1]), len(x))
@@ -290,13 +287,15 @@ def homodyne_probabilities(state: CompositeState, theta: float,
     when the grid leaves a normalization deficit above 1e-4.
     """
     layout = state.layout
-    x = grid.axis(layout.cutoff)
+    c = layout.cutoff
+    x = grid.axis(c)
     emitters = layout.dims[:-2]
+    tables = state.amplitudes.reshape(1, -1, c, c) * _angle_phase(c, theta)
     p = np.empty((math.prod(emitters), len(x), len(x)))
-    for rows, _, ((re, im),) in _quadrature_blocks([state], theta, x):
+    for rows, _, ((re, im),) in _quadrature_blocks(tables, x):
         p[:, rows] = re * re + im * im
     p = p.reshape(*emitters, len(x), len(x))
-    drop = _marginal_axes(state, include_emitters)
+    drop = _marginal_axes(layout, include_emitters)
     if drop:
         p = p.sum(axis=drop)
     w = _trapezoid_weights(x)
@@ -313,13 +312,11 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
     floor are skipped.
 
     Photon counting sums over every cell, so it reads the cells in any
-    order.  A family from :func:`~modefisher.encoding.encoded_family` is
-    read from its skew-block stack z, emitter outcomes on axis 2: z lacks
-    only the phase Q†, which is the same on a cell's amplitude and its
-    derivative, so |amp|^2 and Re[conj(amp) damp] are those of Fock order
-    and no Fock-order state is built.  Any other family is read in Fock
-    order, emitter outcomes on the leading axes.  The one kernel checks
-    that the probabilities total 1 and applies the floor either way.
+    order: it reads the family's skew-block stack z as it is, emitter
+    outcomes on axis 2.  z lacks only the phase Q†, which is the same on
+    a cell's amplitude and its derivative, so |amp|^2 and
+    Re[conj(amp) damp] are those of Fock order.  The kernel checks that
+    the probabilities total 1 and applies the floor.
 
     Homodyne angles are referenced to the local-oscillator frame locked
     to the carrier leaving the phase stage: a physical plate shifts one
@@ -329,8 +326,12 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
     operating point (the frame does not rotate with the infinitesimal
     phase deviation being estimated).
 
-    The homodyne kernel never builds a full complex table.  The angle is
-    a Fock-side phase, so the state and its derivative contract with the
+    Homodyne readout takes z to Fock order with one ``take``
+    (:meth:`~modefisher.encoding.PhaseFamily.fock`), then multiplies by
+    Q† and by the angle phase e^{i theta (n1 + n2)}, in that order; the
+    family's ``state`` and ``derivative`` views are never built.  The
+    kernel never builds a full complex quadrature table.  The angle is a
+    Fock-side phase, so the state and its derivative contract with the
     real Hermite table as real GEMMs (:func:`_quadrature_blocks`), mode 2
     in blocks of x1 rows, over the support window only: the cells
     outside it are certified by Cauchy-Schwarz to lie below
@@ -340,14 +341,10 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
     weighted share of the Fisher sum and of the normalization total.  An
     empty window leaves a total of 0, which fails the density check.
     """
+    layout = family.layout
     if model.kind == "counting":
-        if family.skew is not None:
-            amp, damp = family.skew[..., 0], family.skew[..., 1]
-            emitter_axes = (2,) if family.layout.emitters else ()
-        else:
-            amp, damp = family.state.tensor(), family.derivative.tensor()
-            emitter_axes = family.layout.qubit_indices
-        drop = () if model.include_emitters else emitter_axes
+        amp, damp = family.skew[..., 0], family.skew[..., 1]
+        drop = (2,) if layout.emitters and not model.include_emitters else ()
         p = _counting_table(amp, drop)
         dp = 2.0 * (amp.conj() * damp).real
         if drop:
@@ -356,14 +353,14 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
         value = float((dp[mask] ** 2 / p[mask]).sum())
         return FisherResult(max(value, 0.0))
 
-    state, deriv = family.state, family.derivative
-    x = model.grid.axis(state.layout.cutoff)
+    cutoff = layout.cutoff
+    x = model.grid.axis(cutoff)
     w = _trapezoid_weights(x)
-    marginal = bool(_marginal_axes(state, model.include_emitters))
-    theta_frame = model.theta - 0.5 * family.phi
+    marginal = bool(_marginal_axes(layout, model.include_emitters))
+    tables = family.fock().reshape(2, -1, cutoff, cutoff)
+    tables *= _angle_phase(cutoff, model.theta - 0.5 * family.phi)
     value = total = 0.0
-    for rows, cols, ((a, b), (c, d)) in _quadrature_blocks(
-            [state, deriv], theta_frame, x, window=True):
+    for rows, cols, ((a, b), (c, d)) in _quadrature_blocks(tables, x, window=True):
         # p and dp/2 overwrite the block's amplitude planes in place; the
         # factor 2 of dp enters the finished sum as 4, an exact scaling
         c *= a

@@ -318,11 +318,11 @@ def optimize_preparation(kind: str, n_mean: float, d_schedule, config: Optimizer
 
 def _measured_family(params: AnsatzParams, family: PhaseFamily) -> PhaseFamily:
     """Push the encoded state and its derivative, as one stack, through the measurement circuit."""
-    layout = family.state.layout
+    layout = family.layout
     stack = np.stack((family.state.tensor(), family.derivative.tensor()))
     for gate in build_circuit(params, layout):
         stack = apply(gate, stack, layout)
-    return PhaseFamily.from_stack(layout, stack, family.phi)
+    return PhaseFamily.from_fock(layout, stack, family.phi)
 
 
 def _cfi_objective(kind: str, family: PhaseFamily, model: MeasurementModel):

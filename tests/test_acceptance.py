@@ -374,8 +374,8 @@ def test_counting_on_continuous_probe(report, kerr_sweeps):
 
 
 def _measured(params, family):
-    return PhaseFamily(run_circuit(params, family.state),
-                       run_circuit(params, family.derivative), family.phi)
+    stack = np.stack([run_circuit(params, s).tensor() for s in (family.state, family.derivative)])
+    return PhaseFamily.from_fock(family.layout, stack, family.phi)
 
 
 def _stale(run_dir, which, stored, fresh):

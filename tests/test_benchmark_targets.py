@@ -12,7 +12,12 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 from modefisher import analysis, optimize
+from modefisher.dynamics import coherent_input_state
+from modefisher.encoding import encoded_family
+from modefisher.hilbert import default_cutoff
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -72,3 +77,44 @@ def test_benchmark_keywords_are_in_the_signatures():
                         for kw in node.keywords if kw.arg is not None and kw.arg not in accepted]
     assert called == set(KEYWORD_TARGETS)
     assert unknown == []
+
+
+def _stamp(monkeypatch, module, attr):
+    """Count the calls made through ``module.attr``, as the benchmark's item
+    stamps do by rebinding that one name."""
+    calls = []
+    original = getattr(module, attr)
+
+    def stamped(*args, **kwargs):
+        calls.append(attr)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, stamped)
+    return calls
+
+
+def test_preparation_stamps_once_per_evaluation(monkeypatch):
+    """A preparation item is one objective evaluation, stamped at the QFI."""
+    for kind, seeds, depths, iters in (("kerr", 2, [1, 2], 20), ("jc", 1, [1], 15)):
+        calls = _stamp(monkeypatch, optimize, "qfi_fidelity")
+        config = optimize.OptimizerConfig(max_iters=iters, tol=1e-300, seeds=seeds)
+        records = optimize.optimize_preparation(kind, 4.0, depths, config)
+        assert len(calls) == sum(r.iters_used for r in records) == seeds * len(depths) * iters
+        monkeypatch.undo()
+
+
+def test_sweep_stamps_once_per_point_and_angle(monkeypatch):
+    """A sweep item is one point, a theta item one angle, stamped at the CFI."""
+    calls = _stamp(monkeypatch, analysis, "cfi")
+    times = np.linspace(0.3, 2.1, 7)
+    assert len(analysis.sweep_continuous("jc", 4.0, time_grid=times,
+                                         include_cfi_counting=True)) == len(calls) == 7
+    calls.clear()
+    samples, _ = analysis.sweep_theta("jc", 4.0, 1.0, theta_grid=np.linspace(0.0, 2.0, 5))
+    assert len(samples) == len(calls) == 5
+
+
+def test_traced_family_layout_resolves():
+    """The tracer sizes a homodyne call from ``family.state.layout``."""
+    probe = coherent_input_state("jc", 4.0, default_cutoff(4.0))
+    assert encoded_family(probe).state.layout == probe.layout

@@ -141,6 +141,20 @@ def test_reduce_to_mode_entangled_pair():
         reduce_to_mode(state, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_reduce_to_mode_rejects_non_finite_states(bad):
+    """NaN fails every guard, so the error names the density matrix rather
+    than coming from the eigensolver."""
+    layout = jc_layout(3)
+    amps = np.full(layout.total_dim, 1 / np.sqrt(layout.total_dim), dtype=complex)
+    amps[5] = bad
+    state = CompositeState(layout, amps, check_norm=False)
+    for mode in (0, 1):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                          match="reduced density matrix"):
+            reduce_to_mode(state, mode)
+
+
 def test_reduce_traces_out_emitters_too():
     layout = jc_layout(3)
     up = np.array([0, 1.0])

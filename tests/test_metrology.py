@@ -21,7 +21,8 @@ from modefisher.metrology import (
     qfi_fidelity,
     qfi_variance_oracle,
 )
-from modefisher.metrology import _ROW_BLOCK, _hermite_functions, _quadrature_blocks
+from modefisher.metrology import (_ROW_BLOCK, _angle_phase, _hermite_functions,
+                                  _quadrature_blocks)
 from modefisher.optimize import jc_first_dip
 
 
@@ -31,6 +32,12 @@ def _random_probe(layout, seed):
     return CompositeState(layout, amps / np.linalg.norm(amps))
 
 
+def _fock_family(state, derivative, phi):
+    """A family given by its Fock-order state and derivative."""
+    stack = np.stack((state.tensor(), derivative.tensor()))
+    return PhaseFamily.from_fock(state.layout, stack, phi)
+
+
 def test_bounds_closed_forms():
     b = bounds(20.0)
     assert b.sql_inv_fi == 0.05
@@ -38,8 +45,9 @@ def test_bounds_closed_forms():
     assert b.hl_inv_fi == 0.0025
     b2 = bounds(2.0)
     assert b2.tfs_inv_fi == b2.hl_inv_fi == 0.25
-    with pytest.raises(ValueError):
-        bounds(0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="n_mean"):
+            bounds(bad)
 
 
 def test_coherent_probe_sits_at_shot_noise():
@@ -92,7 +100,7 @@ def test_one_unit_norm_tolerance():
         checks = (lambda: CompositeState(state.layout, amps),
                   lambda: qfi_fidelity(state),
                   lambda: counting_probabilities(state),
-                  lambda: cfi(PhaseFamily(state, family.derivative, family.phi), model))
+                  lambda: cfi(_fock_family(state, family.derivative, family.phi), model))
         for check in checks:
             if accepted:
                 check()
@@ -124,24 +132,59 @@ def _skew_probes(cutoff):
 
 
 @pytest.mark.parametrize("cutoff", [13, 18, 40])
-def test_counting_reads_the_skew_stack_as_it_reads_fock_order(cutoff):
-    """Q† is one phase per slot on both members and counting sums over every
-    cell, so the skew-block stack gives the Fock-order value up to the order
-    of the sum."""
+def test_from_fock_gives_the_stack_back_bit_for_bit(cutoff):
+    rng = np.random.default_rng(cutoff)
+    for layout in (jc_layout(cutoff), kerr_layout(cutoff)):
+        stack = rng.normal(size=(2, *layout.dims)) + 1j * rng.normal(size=(2, *layout.dims))
+        family = PhaseFamily.from_fock(layout, stack, 0.4)
+        assert family.layout == family.state.layout == family.derivative.layout == layout
+        assert family.state.tensor().tobytes() == stack[0].tobytes()
+        assert family.derivative.tensor().tobytes() == stack[1].tobytes()
+        assert family.fock().tobytes() == stack.tobytes()
+
+
+def _dense_counting(state, derivative, include_emitters):
+    """Counting CFI summed cell by cell in Fock order."""
+    amp, damp = state.tensor(), derivative.tensor()
+    p = np.abs(amp) ** 2
+    dp = 2.0 * (amp.conj() * damp).real
+    if not include_emitters and state.layout.qubit_indices:
+        p = p.sum(axis=state.layout.qubit_indices)
+        dp = dp.sum(axis=state.layout.qubit_indices)
+    mask = p > PROBABILITY_FLOOR
+    return float((dp[mask] ** 2 / p[mask]).sum())
+
+
+@pytest.mark.parametrize("cutoff", [13, 18, 40])
+def test_counting_on_fock_order_families_matches_a_dense_sum(cutoff):
+    """Families given in Fock order, as a measurement circuit leaves them:
+    counting reads their skew-block stack and agrees with the Fock-order sum
+    up to the order of the sum."""
     for probe in _skew_probes(cutoff):
         for phi in (0.4, np.pi / 3):
-            family = encoded_family(probe, phi)
-            assert family.skew is not None
-            models = [MeasurementModel("counting", include_emitters=keep)
-                      for keep in (False, True)]
-            skew = [cfi(family, model).value for model in models]
-            fock = PhaseFamily(family.state, family.derivative, family.phi)
-            assert fock.skew is None
-            for model, value in zip(models, skew):
-                ref = cfi(fock, model).value
-                assert abs(value - ref) <= 1e-14 * ref, (probe.layout, phi, model)
-                # building the Fock order leaves the family's own value alone
-                assert cfi(family, model).value == value
+            encoded = encoded_family(probe, phi)
+            family = _fock_family(encoded.state, encoded.derivative, phi)
+            for keep in (False, True):
+                value = cfi(family, MeasurementModel("counting", include_emitters=keep)).value
+                ref = _dense_counting(encoded.state, encoded.derivative, keep)
+                assert abs(value - ref) <= 1e-14 * ref, (probe.layout, phi, keep)
+
+
+def test_cfi_never_builds_the_fock_order_views(monkeypatch):
+    probe = _random_probe(jc_layout(8), 6)
+    encoded = encoded_family(probe, 0.9)
+    families = (encoded, _fock_family(encoded.state, encoded.derivative, 0.9))
+
+    def refuse(self):
+        raise AssertionError("cfi built a Fock-order view")
+
+    monkeypatch.setattr(PhaseFamily, "state", property(refuse))
+    monkeypatch.setattr(PhaseFamily, "derivative", property(refuse))
+    for family in families:
+        for model in (MeasurementModel("counting"),
+                      MeasurementModel("homodyne", include_emitters=True,
+                                       grid=QuadratureGrid(points=201))):
+            assert cfi(family, model).value > 0
 
 
 @pytest.mark.parametrize("cutoff", [13, 18, 40])
@@ -193,8 +236,9 @@ def test_homodyne_density_normalized_and_grid_guards():
     assert abs(np.sum(p * np.outer(w, w)) - 1.0) < 1e-6
     with pytest.raises(GridError):
         QuadratureGrid(points=100).axis(8)
-    with pytest.raises(GridError):
-        QuadratureGrid(x_max=2.0).axis(8)
+    for x_max in (2.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(GridError, match="x_max"):
+            QuadratureGrid(x_max=x_max).axis(8)
     # a NaN total is no total: abs(nan - 1) > tol is False
     nan_state = CompositeState(state.layout, np.full(64, np.nan, complex), check_norm=False)
     with pytest.raises(GridError, match="nan"):
@@ -304,8 +348,9 @@ def test_homodyne_kernel_matches_dense_tables(points):
 
 def _support_window(family, theta, x):
     """Rows and columns that the windowed homodyne kernel contracts."""
-    spans = [(rows, cols) for rows, cols, _ in
-             _quadrature_blocks([family.state, family.derivative], theta, x, window=True)]
+    cutoff = family.layout.cutoff
+    tables = family.fock().reshape(2, -1, cutoff, cutoff) * _angle_phase(cutoff, theta)
+    spans = [(rows, cols) for rows, cols, _ in _quadrature_blocks(tables, x, window=True)]
     return slice(spans[0][0].start, spans[-1][0].stop), spans[0][1]
 
 
@@ -390,9 +435,10 @@ def test_homodyne_window_edges():
     # no cell reaches the floor: the empty window fails the density check
     faint = CompositeState(spread.state.layout, 1e-7 * spread.state.amplitudes,
                            check_norm=False)
-    assert not list(_quadrature_blocks([faint], 0.0, tight.axis(6), window=True))
+    assert not list(_quadrature_blocks(faint.amplitudes.reshape(1, 1, 6, 6), tight.axis(6),
+                                       window=True))
     with pytest.raises(GridError):
-        cfi(PhaseFamily(faint, spread.derivative, spread.phi), MeasurementModel("homodyne"))
+        cfi(_fock_family(faint, spread.derivative, spread.phi), MeasurementModel("homodyne"))
 
 
 def test_cfi_upper_bounded_by_qfi():

@@ -289,8 +289,9 @@ def test_joint_theta_arm_carries_the_angle_last():
         assert r.best_params.size == 2 * r.d + 1
         circuit = AnsatzParams.from_vector("kerr", r.best_params[:-1])
         assert r.budget == interaction_budget(circuit)  # the angle is no interaction
-        measured = PhaseFamily(run_circuit(circuit, family.state),
-                               run_circuit(circuit, family.derivative), family.phi)
+        stack = np.stack([run_circuit(circuit, s).tensor()
+                          for s in (family.state, family.derivative)])
+        measured = PhaseFamily.from_fock(family.layout, stack, family.phi)
         model = MeasurementModel("homodyne", theta=float(r.best_params[-1]), grid=grid)
         assert -cfi(measured, model).value == r.best_objective
         by_seed.setdefault(r.seed, []).append(r)
