@@ -10,8 +10,18 @@ modes) commutes with exchanging the two modes.  On an input that is
 exactly symmetric under the exchange, such as |alpha, alpha>, it runs on
 one amplitude per exchange orbit, in skew-block order from start to end:
 a layer is a half-size rotation into the even tunnel eigenvectors, their
-eigenphases, the rotation back, and the Kerr phases t[n1] t[n2].  Every
-other input, and the emitter ansatz, applies the gates one by one.
+eigenphases, the rotation back, and the Kerr phases t[n1] t[n2].  One
+kernel, :func:`_run_representatives`, runs these layers on the
+representatives.  The Kerr preparation search
+(:func:`~modefisher.optimize.optimize_preparation`) calls it directly:
+it takes the representatives of |alpha, alpha> and their first
+half-rotation once per search, and hands each result to
+:func:`~modefisher.metrology.qfi_fidelity` as it is.  Only
+:func:`run_circuit`, which takes a :class:`CompositeState`, still
+chooses the route by comparing the state's mode table with its
+transpose; it gathers the representatives and scatters the result back
+to Fock order.  Every other input, and the emitter ansatz, applies the
+gates one by one.
 """
 
 from __future__ import annotations
@@ -22,8 +32,9 @@ import numpy as np
 
 from .dynamics import (
     LocalGate,
+    _exchange_coefficients,
+    _exchange_rotate_back,
     _exchange_sectors,
-    _exchange_tunnel,
     _is_exchange_symmetric,
     apply,
     coherent_input_state,
@@ -118,30 +129,52 @@ def build_circuit(params: AnsatzParams, layout: SubsystemLayout) -> list[LocalGa
     return gates
 
 
-def _run_exchange_symmetric(params: AnsatzParams, state: CompositeState) -> CompositeState:
-    """Kerr ansatz on an exchange-symmetric state, on one representative per orbit.
+def _exchange_representatives(state: CompositeState) -> tuple[np.ndarray, np.ndarray]:
+    """The representatives ``x`` ``(c, m)`` of an exchange-symmetric two-mode
+    state (:func:`~modefisher.dynamics._exchange_sectors`) and their even
+    eigenvector coefficients basis^T (weight x), the input pair of
+    :func:`_run_representatives`."""
+    x = np.take(state.amplitudes, _exchange_sectors(state.layout.cutoff)[3])
+    return x, _exchange_coefficients(x)
 
-    The state stays in skew-block order (:func:`~modefisher.dynamics._exchange_sectors`):
-    a tunnel layer is one half-size rotation into the even eigenvectors,
+
+def _run_representatives(layers, x: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Kerr ansatz layers ``(j, k)`` on the representatives ``x`` of an
+    exchange-symmetric state.
+
+    A tunnel layer is one half-size rotation into the even eigenvectors,
     their eigenphases and one rotation back, and a Kerr layer is
-    t[n1] t[n2] with t = exp(-i k n^2).  One take returns to Fock order.
+    t[n1] t[n2] with t = exp(-i k n^2); the result stays in skew-block
+    order.  ``coefficients`` is basis^T (weight x): the first tunnel layer
+    that meets the unchanged input starts from it, which is the same
+    matmul on the same operands, so a search that holds one input
+    computes it once.  Neither argument is written to.
     """
-    c = state.layout.cutoff
-    w, _, _, gather, scatter, (n1, n2) = _exchange_sectors(c)
-    x = np.take(state.amplitudes, gather)
-    n = np.arange(c)
+    w, _, _, _, _, (n1, n2) = _exchange_sectors(x.shape[0])
+    n = np.arange(x.shape[0])
     phases = np.empty((*w.shape, 2))
-    for j, k in params.layers:
+    start = x
+    for j, k in layers:
         if j != 0.0:
             # exp(-i j w), written as cos and sin: the same bits as np.exp of
             # the complex angle in about half the time
-            np.cos(w * -j, out=phases[..., 0])
-            np.sin(w * -j, out=phases[..., 1])
-            x = _exchange_tunnel(x, phases.view(np.complex128)[..., 0])
+            angle = w * -j
+            np.cos(angle, out=phases[..., 0])
+            np.sin(angle, out=phases[..., 1])
+            y = coefficients if x is start else _exchange_coefficients(x)
+            x = _exchange_rotate_back(y, phases.view(np.complex128)[..., 0])
         if k != 0.0:
             t = np.exp(-1j * k * n * n)
-            x *= t[n1]
+            x = x * t[n1]
             x *= t[n2]
+    return x
+
+
+def _run_exchange_symmetric(params: AnsatzParams, state: CompositeState) -> CompositeState:
+    """Kerr ansatz on an exchange-symmetric state, on one representative per
+    orbit (:func:`_run_representatives`); one take returns to Fock order."""
+    x = _run_representatives(params.layers, *_exchange_representatives(state))
+    scatter = _exchange_sectors(state.layout.cutoff)[4]
     return CompositeState(state.layout, np.take(x, scatter), check_norm=False)
 
 
@@ -149,8 +182,8 @@ def run_circuit(params: AnsatzParams, state: CompositeState) -> CompositeState:
     """Apply the ansatz to a state (zero-parameter gates are skipped).
 
     Every Kerr gate commutes with exchanging the two modes, so a Kerr
-    ansatz on a state that is exactly symmetric under exchange runs on
-    the symmetric half of the space (:func:`_run_exchange_symmetric`);
+    ansatz on a state whose mode table equals its transpose bit for bit
+    runs on the symmetric half of the space (:func:`_run_exchange_symmetric`);
     every other case applies the gates of :func:`build_circuit`.
     """
     if params.kind == "kerr":

@@ -34,10 +34,11 @@ exchange: c(c+1)/2 of the c² (820 of 1,600 at c = 40).  The tunnel
 spectrum of a sector has no repeated eigenvalue, so every eigenvector is
 even or odd under the reversal, and the even ones rotate that half
 (:func:`_exchange_sectors`, :func:`_exchange_tunnel`).
-:func:`~modefisher.circuits.run_circuit` and
-:func:`~modefisher.metrology.qfi_fidelity` take that route for a Kerr
-state whose mode table is bit for bit its transpose
-(:func:`_is_exchange_symmetric`).
+The Kerr preparation search stays on these representatives from input
+to QFI.  :func:`~modefisher.circuits.run_circuit` and
+:func:`~modefisher.metrology.qfi_fidelity` take the same route for a
+Kerr :class:`CompositeState` whose mode table is bit for bit its
+transpose (:func:`_is_exchange_symmetric`).
 """
 
 from __future__ import annotations
@@ -211,6 +212,22 @@ def _is_exchange_symmetric(state: CompositeState) -> bool:
     return modes.tobytes() == modes.T.tobytes()
 
 
+def _exchange_coefficients(x: np.ndarray) -> np.ndarray:
+    """Even eigenvector coefficients basis^T (weight x) of the representatives
+    ``x`` ``(c, m)`` of a symmetric state: the first half of a tunnel-type gate."""
+    _, basis, weight, *_ = _exchange_sectors(x.shape[0])
+    y = np.matmul(basis.transpose(0, 2, 1), (x * weight)[..., None].view(np.float64))
+    return y.view(np.complex128)[..., 0]
+
+
+def _exchange_rotate_back(y: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """basis diag(phases) y: the second half of a tunnel-type gate, zero on the
+    padding.  ``y`` is left as it is, so a cached coefficient table can be reused."""
+    _, basis, *_ = _exchange_sectors(y.shape[0])
+    y = y * phases
+    return np.matmul(basis, y[..., None].view(np.float64)).view(np.complex128)[..., 0]
+
+
 def _exchange_tunnel(x: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """A tunnel-type gate on the representatives ``x`` ``(c, m)`` of a symmetric state.
 
@@ -218,11 +235,7 @@ def _exchange_tunnel(x: np.ndarray, phases: np.ndarray) -> np.ndarray:
     eigenvectors of :func:`_exchange_sectors`; the result is
     basis diag(phases) basis^T (weight x), zero on the padding.
     """
-    _, basis, weight, *_ = _exchange_sectors(x.shape[0])
-    y = np.matmul(basis.transpose(0, 2, 1), (x * weight)[..., None].view(np.float64))
-    y = y.view(np.complex128)[..., 0]
-    y *= phases
-    return np.matmul(basis, y[..., None].view(np.float64)).view(np.complex128)[..., 0]
+    return _exchange_rotate_back(_exchange_coefficients(x), phases)
 
 
 def jc_gate(g: float, cutoff: int, pair: tuple[int, int] = (0, 2)) -> LocalGate:

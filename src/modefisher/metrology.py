@@ -3,10 +3,12 @@
 Quantum Fisher information is a property of the probe alone: for the
 pure unitary family it does not depend on the operating phase, so both
 QFI routes take only the probe.  The fidelity drop over a fixed small
-phase step is the estimator.  It reads an exchange-symmetric Kerr probe,
-such as every Kerr preparation probe, on one amplitude per exchange orbit
-(:mod:`modefisher.dynamics`), and every other probe from the rotated
-probe that the encoded family also uses (:mod:`modefisher.encoding`).
+phase step is the estimator.  It reads an exchange-symmetric Kerr probe
+on one amplitude per exchange orbit (:mod:`modefisher.dynamics`), in one
+kernel.  The Kerr preparation search hands it those representatives
+directly; a :class:`CompositeState` takes that route when its mode table
+equals its transpose bit for bit, and every other probe is read from the
+rotated probe that the encoded family also uses (:mod:`modefisher.encoding`).
 An independent variance-of-generator oracle cross-checks it on
 chi = BS |psi_P> from the beam-splitter gate.
 Classical Fisher information is computed from analytic probability
@@ -51,7 +53,7 @@ import numpy as np
 from .dynamics import _exchange_sectors, _exchange_tunnel, _is_exchange_symmetric
 from .encoding import (PhaseFamily, _diff_number, _phase_in_slots, _rotated_probe, _spread,
                        beam_split)
-from .hilbert import CompositeState, SubsystemLayout, check_unit_norm
+from .hilbert import CompositeState, LayoutError, SubsystemLayout, check_unit_norm
 
 PROBABILITY_FLOOR = 1e-12
 _DENSITY_NORM_ATOL = 1e-4
@@ -403,44 +405,64 @@ def _symmetric_tables(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def qfi_fidelity(probe: CompositeState) -> FisherResult:
+def _symmetric_deficit(x: np.ndarray) -> tuple[float, float]:
+    """(1 - overlap, |psi|^2) of the exchange-symmetric state whose
+    representatives are ``x`` ``(c, m)``.
+
+    BS is the tunnel gate at j = pi/4, which commutes with the exchange, so
+    chi is one half-size rotation of x.  |psi|^2 is summed over the state
+    in Fock order, which one take rebuilds from x.
+    """
+    cutoff = x.shape[0]
+    split, drop = _symmetric_tables(cutoff)
+    amps = np.take(x, _exchange_sectors(cutoff)[4]).view(np.float64)
+    norm2 = np.square(amps, out=amps).sum()
+    chi = _exchange_tunnel(x, split).view(np.float64)
+    return (1.0 - norm2) + np.vdot(chi * chi, drop), norm2
+
+
+def qfi_fidelity(probe: CompositeState | np.ndarray) -> FisherResult:
     """QFI of the probe from the fidelity drop between nearby encoded states.
 
     F_Q = 8 (1 - |<psi_E(phi)|psi_E(phi+delta)>|) / delta^2 for the pure
     encoded family, with the fixed step delta = 1e-2.  With chi = BS |psi_P>,
     the overlap is <chi| PD(delta) |chi> = sum |chi|^2 exp(-i delta (n2 - n1)/2):
     the outer beam splitter and the phase stage at phi cancel, so the value
-    is the same at every operating phase.  Nothing is scattered back to
+    is the same at every operating phase.  chi is never scattered back to
     Fock order, and the probe's norm squared is checked against 1.
 
-    - A Kerr probe whose mode table is bit for bit its transpose (every
-      Kerr preparation probe) is read at one representative per exchange
-      orbit.  BS is the tunnel gate at j = pi/4, which commutes with the
+    - An exchange-symmetric Kerr probe is read at one representative per
+      exchange orbit (:func:`_symmetric_deficit`).  ``probe`` is either
+      those representatives, the complex ``(c, c//2 + 1)`` array the Kerr
+      preparation search holds, or a :class:`CompositeState` whose mode
+      table is bit for bit its transpose, gathered onto them with one
+      take.  BS is the tunnel gate at j = pi/4, which commutes with the
       exchange, so it runs as a half-size rotation there
       (:func:`~modefisher.dynamics._exchange_tunnel`) and chi is symmetric.
       The two members of an orbit share |chi|^2, and their phases add to
       cos(delta (n2 - n1)/2), so the overlap is real and
       1 - overlap = (1 - |psi_P|^2) + sum |chi|^2 (1 - cos(...)), each orbit
-      counted by its size.  The norm is read from the probe itself and the
-      sum from a table without cancellation, so the rotation's rounding
-      enters only that sum, of order F delta^2 / 8.
+      counted by its size.  The norm is summed over the probe in Fock
+      order and the sum from a table without cancellation, so the
+      rotation's rounding enters only that sum, of order F delta^2 / 8.
     - Every other probe reads |chi|^2 from the rotated probe y = Q chi in
       skew-block order (:func:`_rotated_probe`; Q is a phase, so
       |y| = |chi|), weighted by PD(delta) in the same order.  The rotation
       is unitary, so the total of |y|^2 is the probe's norm squared.
     """
-    cutoff = probe.layout.cutoff
-    if _is_exchange_symmetric(probe):
-        split, drop = _symmetric_tables(cutoff)
-        amps = np.ascontiguousarray(probe.amplitudes).view(np.float64)
-        norm2 = (amps * amps).sum()
-        x = np.take(probe.amplitudes, _exchange_sectors(cutoff)[3])
-        chi = _exchange_tunnel(x, split).view(np.float64)
-        deficit = (1.0 - norm2) + np.vdot(chi * chi, drop)
+    if isinstance(probe, np.ndarray):
+        c = probe.shape[0] if probe.ndim == 2 else 0
+        if probe.dtype != np.complex128 or probe.shape != (c, c // 2 + 1):
+            raise LayoutError(f"a {probe.dtype} array of shape {probe.shape} is not the "
+                              "complex (c, c//2 + 1) table of exchange representatives")
+        deficit, norm2 = _symmetric_deficit(probe)
+    elif _is_exchange_symmetric(probe):
+        gather = _exchange_sectors(probe.layout.cutoff)[3]
+        deficit, norm2 = _symmetric_deficit(np.take(probe.amplitudes, gather))
     else:
         p = np.abs(_rotated_probe(probe)) ** 2
         norm2 = p.sum()
-        phases = _phase_in_slots(_FIDELITY_DELTA, cutoff)
+        phases = _phase_in_slots(_FIDELITY_DELTA, probe.layout.cutoff)
         deficit = 1.0 - abs(np.sum(p * _spread(phases, p.shape[2])))
     check_unit_norm(math.sqrt(norm2), "probe")
     value = 8.0 * deficit / _FIDELITY_DELTA**2

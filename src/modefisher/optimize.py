@@ -27,6 +27,15 @@ keeps the default simplex: a wide one only moves the Kerr strengths to
 their aliases pi - k, which have the same QFI and a larger interaction
 budget.
 
+Kerr preparation scores each evaluation on the exchange representatives
+from input to QFI (:mod:`modefisher.circuits`): the representatives of
+|alpha, alpha> and their first tunnel half-rotation are taken once per
+search, the layers run on them, and ``qfi_fidelity`` reads the result as
+it is.  No evaluation builds a state in Fock order or compares a state
+with its transpose, and the values are those of ``run_circuit`` and
+``qfi_fidelity`` on a ``CompositeState`` bit for bit.  JC preparation
+runs ``run_circuit`` on the input state.
+
 A seed whose objective turns non-finite is logged and dropped; when no
 seed finishes, the search raises ``OptimizationError``.
 
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -46,8 +56,9 @@ import numpy as np
 
 from .analysis import default_cutoff, find_minima, sweep_continuous
 from .artifacts import load_params
-from .circuits import (LAYER_WIDTH, AnsatzParams, build_circuit, interaction_budget,
-                       prepare_probe, run_circuit)
+from .circuits import (LAYER_WIDTH, AnsatzParams, _exchange_representatives,
+                       _run_representatives, build_circuit, interaction_budget, prepare_probe,
+                       run_circuit)
 from .dynamics import apply, coherent_input_state
 from .encoding import DEFAULT_PHI, PhaseFamily, encoded_family
 from .metrology import MeasurementModel, QuadratureGrid, cfi, inverse_fisher, qfi_fidelity
@@ -91,8 +102,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.seed_indices is not None and any(s < 0 for s in self.seed_indices):
             raise ValueError("seed indices must be non-negative")
         if not self.seed_pool:
@@ -304,13 +315,23 @@ def optimize_preparation(kind: str, n_mean: float, d_schedule, config: Optimizer
     cut = cutoff if cutoff is not None else default_cutoff(n_mean)
     psi0 = coherent_input_state(kind, n_mean, cut)
 
+    if kind != "jc":
+        # |alpha, alpha> is the outer product of one vector with itself, so it
+        # is exchange-symmetric bit for bit: its representatives and their
+        # first half-rotation are taken once for the whole search
+        start = _exchange_representatives(psi0)
+
+        def kerr_objective(x: np.ndarray) -> float:
+            probe = _run_representatives(x.reshape(-1, LAYER_WIDTH[kind]), *start)
+            return -qfi_fidelity(probe).value
+
+        return _search(kind, n_mean, lambda _d: kerr_objective, d_schedule, config,
+                       open_wide=False)
+
     def objective(x: np.ndarray) -> float:
         probe = run_circuit(AnsatzParams.from_vector(kind, x), psi0)
         return -qfi_fidelity(probe).value
 
-    if kind != "jc":
-        return _search(kind, n_mean, lambda _d: objective, d_schedule, config,
-                       open_wide=False)
     first_layer = (0.0, 0.0, jc_first_dip(float(n_mean), cut))
     return _search(kind, n_mean, lambda _d: objective, d_schedule, config,
                    first_layer=first_layer)

@@ -7,8 +7,8 @@ from modefisher.dynamics import coherent_input_state, coherent_state, evolve_con
 from modefisher.encoding import (PhaseFamily, _family_scatter, _phase_in_slots, _rotate,
                                  _rotated_probe, _slot_phase, _slot_tables, _spread,
                                  encoded_family)
-from modefisher.hilbert import (CompositeState, default_cutoff, jc_layout, kerr_layout,
-                                product_state)
+from modefisher.hilbert import (CompositeState, LayoutError, default_cutoff, jc_layout,
+                                kerr_layout, product_state)
 from modefisher.metrology import (
     PROBABILITY_FLOOR,
     GridError,
@@ -88,6 +88,14 @@ def test_qfi_input_guards():
     bad = CompositeState(layout, 0.5 * np.eye(36)[0], check_norm=False)
     with pytest.raises(ValueError):
         qfi_fidelity(bad)
+    # exchange representatives are a complex (c, c//2 + 1) table of unit norm
+    x = np.zeros((6, 4), dtype=complex)
+    x[0, 0] = 0.5
+    with pytest.raises(ValueError, match="probe"):
+        qfi_fidelity(x)
+    for table in (np.zeros((6, 6), dtype=complex), np.zeros((6, 4)), np.zeros(24, dtype=complex)):
+        with pytest.raises(LayoutError):
+            qfi_fidelity(table)
 
 
 def test_one_unit_norm_tolerance():

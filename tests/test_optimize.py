@@ -7,12 +7,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import modefisher.circuits
+import modefisher.metrology
 import modefisher.optimize
 from modefisher.analysis import default_cutoff
 from modefisher.artifacts import load_params, write_records
 from modefisher.circuits import AnsatzParams, interaction_budget, run_circuit
 from modefisher.dynamics import coherent_input_state
 from modefisher.encoding import PhaseFamily, encoded_family
+from modefisher.hilbert import CompositeState
 from modefisher.metrology import (
     MeasurementModel,
     QuadratureGrid,
@@ -81,8 +84,10 @@ def test_alternate_method_and_validation():
         OptimizerConfig(method="cobyla")
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        # NaN fails every tolerance test and inf passes it after one simplex
+        with pytest.raises(ValueError, match="tol"):
+            OptimizerConfig(tol=tol)
     with pytest.raises(ValueError):
         OptimizerConfig(seed_indices=(0, -1))
 
@@ -251,6 +256,78 @@ def test_kerr_preparation_builds_no_full_size_rotation():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          cwd=Path(modefisher.optimize.__file__).parents[1], check=True).stdout
     assert out.split() == ["0", "0"]
+
+
+def _search_objective(monkeypatch, kind, n_mean, cutoff):
+    """The objective a one-evaluation preparation search hands to minimize."""
+    seen, search = [], modefisher.optimize.minimize
+
+    def capture(objective, *args, **kwargs):
+        seen.append(objective)
+        return search(objective, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modefisher.optimize, "minimize", capture)
+        optimize_preparation(kind, n_mean, [1], OptimizerConfig(seeds=1, max_iters=1),
+                             cutoff=cutoff)
+    return seen[0]
+
+
+def test_kerr_search_objective_is_the_public_route_bit_for_bit(monkeypatch):
+    # the search runs on the exchange representatives from input to QFI; the
+    # public route scatters to Fock order and gathers back, with the same bits
+    rng = np.random.default_rng(122)
+    for n_mean, cutoff in ((8.0, 18), (20.0, 40), (20.0, 41)):
+        objective = _search_objective(monkeypatch, "kerr", n_mean, cutoff)
+        psi0 = coherent_input_state("kerr", n_mean, cutoff)
+        for case in range(36):
+            x = rng.uniform(-2, 2, size=2 * (1 + case % 6))
+            x[rng.uniform(size=x.size) < 0.2] = 0.0   # skipped gates
+            if case % 3 == 0:
+                x[0] = 1.0e6                            # where stored searches drifted
+            if case % 9 == 1:
+                x[0] = 0.0                              # the input meets a Kerr layer first
+            if case % 9 == 4:
+                x[:2] = 0.0                             # a zero layer before the first tunnel
+            want = -qfi_fidelity(run_circuit(AnsatzParams.from_vector("kerr", x), psi0)).value
+            assert objective(x) == want
+
+
+def test_kerr_search_evaluations_stay_on_the_representatives(monkeypatch):
+    # no evaluation compares a state's bytes with its transpose or builds a
+    # CompositeState: counted inside minimize, which holds every evaluation
+    counts = {"symmetric": 0, "states": 0}
+    symmetric = modefisher.circuits._is_exchange_symmetric
+    build = CompositeState.__post_init__
+    search, stages = modefisher.optimize.minimize, []
+
+    def counted_symmetric(state):
+        counts["symmetric"] += 1
+        return symmetric(state)
+
+    def counted_build(self, check_norm):
+        counts["states"] += 1
+        build(self, check_norm)
+
+    def staged(*args, **kwargs):
+        before = dict(counts)
+        out = search(*args, **kwargs)
+        stages.append((out[2], {key: counts[key] - before[key] for key in counts}))
+        return out
+
+    for module in (modefisher.circuits, modefisher.metrology):
+        monkeypatch.setattr(module, "_is_exchange_symmetric", counted_symmetric)
+    monkeypatch.setattr(CompositeState, "__post_init__", counted_build)
+    monkeypatch.setattr(modefisher.optimize, "minimize", staged)
+    optimize_preparation("kerr", 20.0, [1, 2], OptimizerConfig(seeds=2, max_iters=15))
+    assert len(stages) == 4 and all(nfev == 15 for nfev, _ in stages)
+    assert all(seen == {"symmetric": 0, "states": 0} for _, seen in stages)
+    # the public route still takes both checks, so the counters see them
+    before = dict(counts)
+    qfi_fidelity(run_circuit(AnsatzParams.from_vector("kerr", [0.3, 0.2]),
+                             coherent_input_state("kerr", 8.0, 18)))
+    assert counts["symmetric"] - before["symmetric"] == 2
+    assert counts["states"] > before["states"]
 
 
 # Two consecutive Kerr probes at N=4 for the depth-paired scan.

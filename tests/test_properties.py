@@ -386,6 +386,11 @@ def test_preparation_circuits_are_exchange_symmetric():
                 assert abs(_mean_jy(probe)) < 1e-13
 
 
+# 1 - overlap is scaled by 8/delta^2, so one rounding step of an overlap
+# just below 1 (eps/2) is 8.9e-12 of F: 1.1e-12 relative at F = 8
+_OVERLAP_STEP = 8.0 / _FIDELITY_DELTA**2 * np.finfo(float).eps / 2
+
+
 def test_symmetric_kerr_route_matches_the_gate_route(monkeypatch):
     def no_gates(gate, state, layout=None):
         raise AssertionError("the symmetric route applied a gate")
@@ -404,8 +409,10 @@ def test_symmetric_kerr_route_matches_the_gate_route(monkeypatch):
             patch.setattr(modefisher.circuits, "apply", no_gates)
             got = run_circuit(params, psi0)
         np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-13)
+        # the two probes differ in their last bits, which can move F by a few
+        # overlap steps; 1e-12 of F = 20 is only about two of them
         fq = qfi_fidelity(want).value
-        assert abs(qfi_fidelity(got).value - fq) <= 1e-12 * fq
+        assert qfi_fidelity(got).value == pytest.approx(fq, rel=1e-12, abs=8 * _OVERLAP_STEP)
 
 
 def test_asymmetric_inputs_take_the_gate_route(monkeypatch):
@@ -426,11 +433,6 @@ def test_asymmetric_inputs_take_the_gate_route(monkeypatch):
         params = AnsatzParams.from_vector("kerr", rng.uniform(-2, 2, size=4))
         np.testing.assert_array_equal(run_circuit(params, state).amplitudes,
                                       _gate_route(params, state).amplitudes)
-
-
-# 1 - overlap is scaled by 8/delta^2, so one rounding step of an overlap
-# just below 1 (eps/2) is 8.9e-12 of F: 1.1e-12 relative at F = 8
-_OVERLAP_STEP = 8.0 / _FIDELITY_DELTA**2 * np.finfo(float).eps / 2
 
 
 def _full_route_qfi(probe):
