@@ -14,11 +14,10 @@ eigenphases, the rotation back, and the Kerr phases t[n1] t[n2].  One
 kernel, :func:`_run_representatives`, runs these layers on the
 representatives.  The Kerr preparation search
 (:func:`~modefisher.optimize.optimize_preparation`) calls it directly:
-it takes the representatives of |alpha, alpha> and their first
-half-rotation once per search, and hands each result to
-:func:`~modefisher.metrology.qfi_fidelity` as it is.  Only
-:func:`run_circuit`, which takes a :class:`CompositeState`, still
-chooses the route by comparing the state's mode table with its
+it takes the representatives of |alpha, alpha> once per search, and
+hands each result to :func:`~modefisher.metrology.qfi_fidelity` as it
+is.  Only :func:`run_circuit`, which takes a :class:`CompositeState`,
+still chooses the route by comparing the state's mode table with its
 transpose; it gathers the representatives and scatters the result back
 to Fock order.  Every other input, and the emitter ansatz, applies the
 gates one by one.
@@ -32,9 +31,8 @@ import numpy as np
 
 from .dynamics import (
     LocalGate,
-    _exchange_coefficients,
-    _exchange_rotate_back,
     _exchange_sectors,
+    _exchange_tunnel,
     _is_exchange_symmetric,
     apply,
     coherent_input_state,
@@ -93,14 +91,17 @@ class AnsatzParams:
     def zeros(cls, kind: str, d: int) -> "AnsatzParams":
         return cls(kind, tuple((0.0,) * LAYER_WIDTH[kind] for _ in range(d)))
 
-    def interactions(self) -> np.ndarray:
-        """Per-layer nonlinear interaction parameter (g or k)."""
-        return np.array([layer[-1] for layer in self.layers])
-
 
 def interaction_budget(params: AnsatzParams) -> float:
     """Total accumulated nonlinear interaction time, sum of |g_j| or |k_j|."""
-    return float(np.abs(params.interactions()).sum())
+    return _vector_budget(params.kind, params.to_vector())
+
+
+def _vector_budget(kind: str, vector: np.ndarray) -> float:
+    """:func:`interaction_budget` of the layers a flat, layer-major vector
+    holds: each layer's last entry is its g or k."""
+    width = LAYER_WIDTH[kind]
+    return float(np.abs(vector[width - 1::width]).sum())
 
 
 def _check_layout(params: AnsatzParams, layout: SubsystemLayout) -> None:
@@ -129,31 +130,25 @@ def build_circuit(params: AnsatzParams, layout: SubsystemLayout) -> list[LocalGa
     return gates
 
 
-def _exchange_representatives(state: CompositeState) -> tuple[np.ndarray, np.ndarray]:
-    """The representatives ``x`` ``(c, m)`` of an exchange-symmetric two-mode
-    state (:func:`~modefisher.dynamics._exchange_sectors`) and their even
-    eigenvector coefficients basis^T (weight x), the input pair of
-    :func:`_run_representatives`."""
-    x = np.take(state.amplitudes, _exchange_sectors(state.layout.cutoff)[3])
-    return x, _exchange_coefficients(x)
+def _exchange_representatives(state: CompositeState) -> np.ndarray:
+    """The representatives ``(c, m)`` of an exchange-symmetric two-mode state
+    (:func:`~modefisher.dynamics._exchange_sectors`): one take."""
+    return np.take(state.amplitudes, _exchange_sectors(state.layout.cutoff)[3])
 
 
-def _run_representatives(layers, x: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+def _run_representatives(layers, x: np.ndarray) -> np.ndarray:
     """Kerr ansatz layers ``(j, k)`` on the representatives ``x`` of an
     exchange-symmetric state.
 
     A tunnel layer is one half-size rotation into the even eigenvectors,
     their eigenphases and one rotation back, and a Kerr layer is
     t[n1] t[n2] with t = exp(-i k n^2); the result stays in skew-block
-    order.  ``coefficients`` is basis^T (weight x): the first tunnel layer
-    that meets the unchanged input starts from it, which is the same
-    matmul on the same operands, so a search that holds one input
-    computes it once.  Neither argument is written to.
+    order.  ``x`` is not written to, so a search can hold one input.
     """
     w, _, _, _, _, (n1, n2) = _exchange_sectors(x.shape[0])
-    n = np.arange(x.shape[0])
+    # complex already, so the Kerr phases below need no cast: the same bits
+    n = np.arange(x.shape[0], dtype=np.complex128)
     phases = np.empty((*w.shape, 2))
-    start = x
     for j, k in layers:
         if j != 0.0:
             # exp(-i j w), written as cos and sin: the same bits as np.exp of
@@ -161,11 +156,10 @@ def _run_representatives(layers, x: np.ndarray, coefficients: np.ndarray) -> np.
             angle = w * -j
             np.cos(angle, out=phases[..., 0])
             np.sin(angle, out=phases[..., 1])
-            y = coefficients if x is start else _exchange_coefficients(x)
-            x = _exchange_rotate_back(y, phases.view(np.complex128)[..., 0])
+            x = _exchange_tunnel(x, phases.view(np.complex128)[..., 0])
         if k != 0.0:
             t = np.exp(-1j * k * n * n)
-            x = x * t[n1]
+            x = x * t[n1]  # out of place: the input may be the caller's
             x *= t[n2]
     return x
 
@@ -173,7 +167,7 @@ def _run_representatives(layers, x: np.ndarray, coefficients: np.ndarray) -> np.
 def _run_exchange_symmetric(params: AnsatzParams, state: CompositeState) -> CompositeState:
     """Kerr ansatz on an exchange-symmetric state, on one representative per
     orbit (:func:`_run_representatives`); one take returns to Fock order."""
-    x = _run_representatives(params.layers, *_exchange_representatives(state))
+    x = _run_representatives(params.layers, _exchange_representatives(state))
     scatter = _exchange_sectors(state.layout.cutoff)[4]
     return CompositeState(state.layout, np.take(x, scatter), check_norm=False)
 

@@ -212,22 +212,6 @@ def _is_exchange_symmetric(state: CompositeState) -> bool:
     return modes.tobytes() == modes.T.tobytes()
 
 
-def _exchange_coefficients(x: np.ndarray) -> np.ndarray:
-    """Even eigenvector coefficients basis^T (weight x) of the representatives
-    ``x`` ``(c, m)`` of a symmetric state: the first half of a tunnel-type gate."""
-    _, basis, weight, *_ = _exchange_sectors(x.shape[0])
-    y = np.matmul(basis.transpose(0, 2, 1), (x * weight)[..., None].view(np.float64))
-    return y.view(np.complex128)[..., 0]
-
-
-def _exchange_rotate_back(y: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """basis diag(phases) y: the second half of a tunnel-type gate, zero on the
-    padding.  ``y`` is left as it is, so a cached coefficient table can be reused."""
-    _, basis, *_ = _exchange_sectors(y.shape[0])
-    y = y * phases
-    return np.matmul(basis, y[..., None].view(np.float64)).view(np.complex128)[..., 0]
-
-
 def _exchange_tunnel(x: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """A tunnel-type gate on the representatives ``x`` ``(c, m)`` of a symmetric state.
 
@@ -235,7 +219,11 @@ def _exchange_tunnel(x: np.ndarray, phases: np.ndarray) -> np.ndarray:
     eigenvectors of :func:`_exchange_sectors`; the result is
     basis diag(phases) basis^T (weight x), zero on the padding.
     """
-    return _exchange_rotate_back(_exchange_coefficients(x), phases)
+    _, basis, weight, *_ = _exchange_sectors(x.shape[0])
+    y = np.matmul(basis.transpose(0, 2, 1), (x * weight)[..., None].view(np.float64))
+    y = y.view(np.complex128)[..., 0]
+    y *= phases
+    return np.matmul(basis, y[..., None].view(np.float64)).view(np.complex128)[..., 0]
 
 
 def jc_gate(g: float, cutoff: int, pair: tuple[int, int] = (0, 2)) -> LocalGate:

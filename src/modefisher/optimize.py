@@ -29,12 +29,12 @@ budget.
 
 Kerr preparation scores each evaluation on the exchange representatives
 from input to QFI (:mod:`modefisher.circuits`): the representatives of
-|alpha, alpha> and their first tunnel half-rotation are taken once per
-search, the layers run on them, and ``qfi_fidelity`` reads the result as
-it is.  No evaluation builds a state in Fock order or compares a state
-with its transpose, and the values are those of ``run_circuit`` and
-``qfi_fidelity`` on a ``CompositeState`` bit for bit.  JC preparation
-runs ``run_circuit`` on the input state.
+|alpha, alpha> are taken once per search, the layers run on them, and
+``qfi_fidelity`` reads the result as it is.  No evaluation builds a
+state in Fock order or compares a state with its transpose, and the
+values are those of ``run_circuit`` and ``qfi_fidelity`` on a
+``CompositeState`` bit for bit.  JC preparation runs ``run_circuit`` on
+the input state.
 
 A seed whose objective turns non-finite is logged and dropped; when no
 seed finishes, the search raises ``OptimizationError``.
@@ -57,7 +57,7 @@ import numpy as np
 from .analysis import default_cutoff, find_minima, sweep_continuous
 from .artifacts import load_params
 from .circuits import (LAYER_WIDTH, AnsatzParams, _exchange_representatives,
-                       _run_representatives, build_circuit, interaction_budget, prepare_probe,
+                       _run_representatives, _vector_budget, build_circuit, prepare_probe,
                        run_circuit)
 from .dynamics import apply, coherent_input_state
 from .encoding import DEFAULT_PHI, PhaseFamily, encoded_family
@@ -139,15 +139,34 @@ class OptRecord:
         return inverse_fisher(self.best_fisher)
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state is one fixed 128-bit Philox key.
+
+    Philox takes its key from ``generate_state(2, uint64)``, two
+    little-endian words, as ``Philox(key=k)`` splits k.  ``Philox(key=k)``
+    also draws OS entropy for a seed sequence that it never reads; this
+    one draws nothing.
+    """
+
+    def __init__(self, key: int) -> None:
+        if not 0 <= key < 1 << 128:
+            raise ValueError("key must be positive and less than 2**128.")
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two uint64 words")
+        return np.array([self.key & 0xFFFF_FFFF_FFFF_FFFF, self.key >> 64], dtype=np.uint64)
+
+
 def seed_stream(master_seed: int, index: int) -> np.random.Generator:
     """Independent generator per worker: one keyed counter-based stream.
 
-    Philox is counter-based, so advancing by disjoint 2^64 blocks gives
-    non-overlapping streams for any worker index without handshaking.
+    Philox is counter-based, so starting each index at its own 2^64 block
+    of the counter gives non-overlapping streams for any worker index
+    without handshaking.
     """
-    bits = np.random.Philox(key=master_seed)
-    bits.advance(index * (1 << 64))
-    return np.random.Generator(bits)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(master_seed), counter=index << 64))
 
 
 # Nelder-Mead coefficients (reflection, expansion, contraction, shrink) and
@@ -191,15 +210,15 @@ def minimize(objective, x0: np.ndarray, config: OptimizerConfig,
         nfev += 1
         point = x.copy()
         value = float(objective(point))
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise OptimizationError(f"objective returned {value!r} at evaluation {nfev}")
         if value < best_f:
             best_x, best_f = point, value
         return value
 
     def ordered(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(fsim)
-        return np.take(sim, order, 0), np.take(fsim, order, 0)
+        order = fsim.argsort()
+        return sim.take(order, 0), fsim.take(order)
 
     if open_wide:
         sim = np.vstack([x0, x0 + INITIAL_STEP * np.eye(n)])
@@ -214,8 +233,8 @@ def minimize(objective, x0: np.ndarray, config: OptimizerConfig,
         sim, fsim = ordered(sim, fsim)
         while True:
             sim, fsim = ordered(sim, fsim)
-            if (np.max(np.abs(sim[1:] - sim[0])) <= config.tol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= config.tol):
+            if (np.abs(sim[1:] - sim[0]).max() <= config.tol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= config.tol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = (1 + _RHO) * xbar - _RHO * sim[-1]
@@ -271,18 +290,18 @@ def _search(kind: str, n_mean: float, objective_at, d_schedule, config: Optimize
         try:
             for d in d_schedule:
                 n = x.size - tail
-                x = np.concatenate([x[:n], np.zeros(width * d - n), x[n:]])
+                if width * d > n:
+                    x = np.concatenate([x[:n], np.zeros(width * d - n), x[n:]])
                 start = time.perf_counter()
                 x, f_best, nfev = minimize(objective_at(d), x, config, open_wide)
                 if floor_at is not None and floor_at(d) < f_best:
                     # the all-zero circuit beats the local optimum; keep the honest best
                     x, f_best = np.zeros(x.size), floor_at(d)
                 elapsed = time.perf_counter() - start
-                layers = AnsatzParams.from_vector(kind, x[: x.size - tail])
                 records.append(OptRecord(
                     kind=kind, n_mean=n_mean, seed=seed, d=d, best_params=x,
                     best_objective=f_best, iters_used=nfev,
-                    budget=interaction_budget(layers), wall_time=elapsed,
+                    budget=_vector_budget(kind, x[: x.size - tail]), wall_time=elapsed,
                 ))
         except OptimizationError as err:
             log.warning("seed %d aborted: %s", seed, err)
@@ -317,13 +336,13 @@ def optimize_preparation(kind: str, n_mean: float, d_schedule, config: Optimizer
 
     if kind != "jc":
         # |alpha, alpha> is the outer product of one vector with itself, so it
-        # is exchange-symmetric bit for bit: its representatives and their
-        # first half-rotation are taken once for the whole search
-        start = _exchange_representatives(psi0)
+        # is exchange-symmetric bit for bit: its representatives are taken
+        # once for the whole search
+        x0 = _exchange_representatives(psi0)
 
         def kerr_objective(x: np.ndarray) -> float:
-            probe = _run_representatives(x.reshape(-1, LAYER_WIDTH[kind]), *start)
-            return -qfi_fidelity(probe).value
+            layers = x.reshape(-1, LAYER_WIDTH[kind]).tolist()
+            return -qfi_fidelity(_run_representatives(layers, x0)).value
 
         return _search(kind, n_mean, lambda _d: kerr_objective, d_schedule, config,
                        open_wide=False)

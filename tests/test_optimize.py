@@ -98,6 +98,14 @@ def test_seed_streams_are_reproducible_and_disjoint():
     np.testing.assert_array_equal(a, b)
     c = seed_stream(11, 4).normal(size=8)
     assert not np.allclose(a, c)
+    # the stream of index i starts i blocks of 2^64 into the keyed counter,
+    # where advancing a fresh Philox by i * 2^64 puts it
+    bits = np.random.Philox(key=11)
+    bits.advance(3 * (1 << 64))
+    np.testing.assert_array_equal(a, np.random.Generator(bits).normal(size=8))
+    for master_seed in (-1, 1 << 128):
+        with pytest.raises(ValueError, match="key must be"):
+            seed_stream(master_seed, 0)
 
 
 _FAST = dict(max_iters=60, seeds=2, master_seed=11)
@@ -111,7 +119,7 @@ def test_preparation_records_and_warm_start():
         assert r.kind == "kerr" and r.n_mean == 4.0
         assert np.isfinite(r.best_objective)
         assert len(r.best_params) == 2 * r.d
-        assert r.budget >= 0.0
+        assert r.budget == interaction_budget(AnsatzParams.from_vector("kerr", r.best_params))
         by_seed.setdefault(r.seed, []).append(r)
     for seed, rs in by_seed.items():
         rs.sort(key=lambda r: r.d)
