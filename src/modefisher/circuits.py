@@ -6,21 +6,21 @@ both modes.  The same structure serves preparation and pre-measurement;
 only the parameter vector differs.
 
 The Kerr ansatz (one tunneling strength, one Kerr strength on both
-modes) commutes with exchanging the two modes.  On an input that is
-exactly symmetric under the exchange, such as |alpha, alpha>, it runs on
-one amplitude per exchange orbit, in skew-block order from start to end:
-a layer is a half-size rotation into the even tunnel eigenvectors, their
-eigenphases, the rotation back, and the Kerr phases t[n1] t[n2].  One
-kernel, :func:`_run_representatives`, runs these layers on the
-representatives.  The Kerr preparation search
-(:func:`~modefisher.optimize.optimize_preparation`) calls it directly:
-it takes the representatives of |alpha, alpha> once per search, and
-hands each result to :func:`~modefisher.metrology.qfi_fidelity` as it
-is.  Only :func:`run_circuit`, which takes a :class:`CompositeState`,
-still chooses the route by comparing the state's mode table with its
-transpose; it gathers the representatives and scatters the result back
-to Fock order.  Every other input, and the emitter ansatz, applies the
-gates one by one.
+modes) commutes with exchanging the two modes.  The standard input
+|alpha, alpha> is the outer product of one vector with itself, so it is
+exchange-symmetric by construction, and the three callers that build it
+themselves run the ansatz on one amplitude per exchange orbit, in
+skew-block order from start to end (:func:`_kerr_preparation`): a layer
+is a half-size rotation into the even tunnel eigenvectors, their
+eigenphases, the rotation back, and the Kerr phases t[n1] t[n2].  The
+Kerr preparation search (:func:`~modefisher.optimize.optimize_preparation`)
+and :func:`~modefisher.optimize.best_by_qfi` hand the representatives to
+:func:`~modefisher.metrology.qfi_fidelity` as they are, and
+:func:`prepare_probe` scatters them to Fock order once.  So every search
+objective, prepared probe and best-by-QFI score comes from the same
+kernel, bit for bit.  :func:`run_circuit` takes a state from its caller,
+whose symmetry it does not know, and applies the gates one by one; on
+|alpha, alpha> it agrees with the half-size route to rounding.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .dynamics import (
     LocalGate,
     _exchange_sectors,
     _exchange_tunnel,
-    _is_exchange_symmetric,
     apply,
     coherent_input_state,
     detune_gate,
@@ -41,7 +40,8 @@ from .dynamics import (
     kerr_gate,
     tunnel_gate,
 )
-from .hilbert import CompositeState, LayoutError, SubsystemLayout, default_cutoff
+from .hilbert import (CompositeState, LayoutError, SubsystemLayout, default_cutoff,
+                      kerr_layout)
 
 LAYER_WIDTH = {"jc": 3, "kerr": 2}
 
@@ -104,14 +104,10 @@ def _vector_budget(kind: str, vector: np.ndarray) -> float:
     return float(np.abs(vector[width - 1::width]).sum())
 
 
-def _check_layout(params: AnsatzParams, layout: SubsystemLayout) -> None:
-    if layout.emitters != (params.kind == "jc"):
-        raise LayoutError(f"{params.kind} ansatz does not run on {layout}")
-
-
 def build_circuit(params: AnsatzParams, layout: SubsystemLayout) -> list[LocalGate]:
     """Gate list in application order: tunnel, detune (emitter ansatz), nonlinearity."""
-    _check_layout(params, layout)
+    if layout.emitters != (params.kind == "jc"):
+        raise LayoutError(f"{params.kind} ansatz does not run on {layout}")
     cutoff = layout.cutoff
     m0, m1 = layout.mode_indices
     gates: list[LocalGate] = []
@@ -128,12 +124,6 @@ def build_circuit(params: AnsatzParams, layout: SubsystemLayout) -> list[LocalGa
             gates.append(kerr_gate(layer[1], cutoff, m0))
             gates.append(kerr_gate(layer[1], cutoff, m1))
     return gates
-
-
-def _exchange_representatives(state: CompositeState) -> np.ndarray:
-    """The representatives ``(c, m)`` of an exchange-symmetric two-mode state
-    (:func:`~modefisher.dynamics._exchange_sectors`): one take."""
-    return np.take(state.amplitudes, _exchange_sectors(state.layout.cutoff)[3])
 
 
 def _run_representatives(layers, x: np.ndarray) -> np.ndarray:
@@ -164,26 +154,22 @@ def _run_representatives(layers, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _run_exchange_symmetric(params: AnsatzParams, state: CompositeState) -> CompositeState:
-    """Kerr ansatz on an exchange-symmetric state, on one representative per
-    orbit (:func:`_run_representatives`); one take returns to Fock order."""
-    x = _run_representatives(params.layers, _exchange_representatives(state))
-    scatter = _exchange_sectors(state.layout.cutoff)[4]
-    return CompositeState(state.layout, np.take(x, scatter), check_norm=False)
+def _kerr_preparation(n_mean: float, cutoff: int):
+    """``run(layers)``: Kerr ansatz layers ``(j, k)`` on |alpha, alpha>, on its
+    exchange representatives.
+
+    The input is gathered onto its representatives once, here, so a search
+    pays for it once; ``run`` returns the probe's representatives
+    ``(c, c//2 + 1)`` (:func:`_run_representatives`).
+    """
+    x0 = np.take(coherent_input_state("kerr", n_mean, cutoff).amplitudes,
+                 _exchange_sectors(cutoff)[3])
+    return lambda layers: _run_representatives(layers, x0)
 
 
 def run_circuit(params: AnsatzParams, state: CompositeState) -> CompositeState:
-    """Apply the ansatz to a state (zero-parameter gates are skipped).
-
-    Every Kerr gate commutes with exchanging the two modes, so a Kerr
-    ansatz on a state whose mode table equals its transpose bit for bit
-    runs on the symmetric half of the space (:func:`_run_exchange_symmetric`);
-    every other case applies the gates of :func:`build_circuit`.
-    """
-    if params.kind == "kerr":
-        _check_layout(params, state.layout)
-        if _is_exchange_symmetric(state):
-            return _run_exchange_symmetric(params, state)
+    """Apply the gates of :func:`build_circuit` to a state (zero-parameter
+    gates are skipped)."""
     for gate in build_circuit(params, state.layout):
         state = apply(gate, state)
     return state
@@ -194,8 +180,14 @@ def prepare_probe(params: AnsatzParams, n_mean: float,
     """Run the preparation ansatz on the standard coherent input.
 
     ``cutoff=None`` uses :func:`~modefisher.hilbert.default_cutoff`, the
-    rule the optimizer and the CLI use.
+    rule the optimizer and the CLI use.  A Kerr ansatz runs on the input's
+    exchange representatives (:func:`_kerr_preparation`), the route of the
+    search, and is scattered to Fock order once.
     """
     if cutoff is None:
         cutoff = default_cutoff(n_mean)
-    return run_circuit(params, coherent_input_state(params.kind, n_mean, cutoff))
+    if params.kind == "jc":
+        return run_circuit(params, coherent_input_state("jc", n_mean, cutoff))
+    x = _kerr_preparation(n_mean, cutoff)(params.layers)
+    return CompositeState(kerr_layout(cutoff), np.take(x, _exchange_sectors(cutoff)[4]),
+                          check_norm=False)

@@ -33,12 +33,12 @@ input stays symmetric, so it needs one amplitude per orbit of the
 exchange: c(c+1)/2 of the c² (820 of 1,600 at c = 40).  The tunnel
 spectrum of a sector has no repeated eigenvalue, so every eigenvector is
 even or odd under the reversal, and the even ones rotate that half
-(:func:`_exchange_sectors`, :func:`_exchange_tunnel`).
-The Kerr preparation search stays on these representatives from input
-to QFI.  :func:`~modefisher.circuits.run_circuit` and
-:func:`~modefisher.metrology.qfi_fidelity` take the same route for a
-Kerr :class:`CompositeState` whose mode table is bit for bit its
-transpose (:func:`_is_exchange_symmetric`).
+(:func:`_exchange_sectors`, :func:`_exchange_tunnel`).  Only the callers
+that build the symmetric input |alpha, alpha> themselves take this half:
+the Kerr preparation search, :func:`~modefisher.circuits.prepare_probe`
+and :func:`~modefisher.optimize.best_by_qfi`.  A :class:`CompositeState`
+handed in by any other caller takes the gates of this module, whatever
+its symmetry, so no route is chosen by inspecting a state.
 """
 
 from __future__ import annotations
@@ -201,15 +201,6 @@ def _exchange_sectors(cutoff: int) -> tuple[np.ndarray, ...]:
     for table in tables:
         table.setflags(write=False)
     return tables
-
-
-def _is_exchange_symmetric(state: CompositeState) -> bool:
-    """Whether ``state`` is on the two-mode layout and its ``(n1, n2)`` table
-    equals its transpose bit for bit, -0.0 included."""
-    if state.layout.emitters:
-        return False
-    modes = state.tensor()
-    return modes.tobytes() == modes.T.tobytes()
 
 
 def _exchange_tunnel(x: np.ndarray, phases: np.ndarray) -> np.ndarray:

@@ -22,9 +22,9 @@ rotation as one stack z = R [P y, tangent], and the family is z alone,
 in skew-block order.  Q† multiplies both members of slot n1 by
 (-i)^n1, so photon counting reads z as it is; homodyne readout and the
 Fock-order views take z back to Fock order with one ``take`` and Q†.
-The QFI of an exchange-symmetric Kerr probe, such as every Kerr
-preparation probe, takes neither R nor y: it applies BS on the symmetric
-half of the space (:func:`~modefisher.metrology.qfi_fidelity`), so a Kerr
+The QFI of the exchange representatives that the Kerr preparation
+search holds takes neither R nor y: it applies BS on the symmetric half
+of the space (:func:`~modefisher.metrology.qfi_fidelity`), so a Kerr
 preparation search never builds R.  :func:`beam_splitter_gate` and
 :func:`beam_split` stay as the independent gate route.
 """

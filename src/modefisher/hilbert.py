@@ -180,7 +180,7 @@ def product_state(layout: SubsystemLayout, factor_vectors: list[np.ndarray]) -> 
         if v.shape != (dim,):
             raise LayoutError(f"factor {i} needs dim {dim}, got {v.shape}")
         check_unit_norm(float(np.linalg.norm(v)), f"factor {i} vector")
-        out = np.kron(out, v)
+        out = np.multiply.outer(out, v).ravel()
     return CompositeState(layout, out)
 
 

@@ -3,12 +3,14 @@
 Quantum Fisher information is a property of the probe alone: for the
 pure unitary family it does not depend on the operating phase, so both
 QFI routes take only the probe.  The fidelity drop over a fixed small
-phase step is the estimator.  It reads an exchange-symmetric Kerr probe
-on one amplitude per exchange orbit (:mod:`modefisher.dynamics`), in one
-kernel.  The Kerr preparation search hands it those representatives
-directly; a :class:`CompositeState` takes that route when its mode table
-equals its transpose bit for bit, and every other probe is read from the
-rotated probe that the encoded family also uses (:mod:`modefisher.encoding`).
+phase step is the estimator.  The route follows the type of the probe,
+not its contents.  The callers that build |alpha, alpha> themselves (the
+Kerr preparation search and :func:`~modefisher.optimize.best_by_qfi`)
+hold an exchange-symmetric Kerr probe as its exchange representatives
+(:mod:`modefisher.circuits`) and hand those over; they are read in one
+half-size kernel.  A :class:`CompositeState` may have any symmetry, so it
+is read from the rotated probe that the encoded family also uses
+(:mod:`modefisher.encoding`).
 An independent variance-of-generator oracle cross-checks it on
 chi = BS |psi_P> from the beam-splitter gate.
 Classical Fisher information is computed from analytic probability
@@ -50,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import _exchange_sectors, _exchange_tunnel, _is_exchange_symmetric
+from .dynamics import _exchange_sectors, _exchange_tunnel
 from .encoding import (PhaseFamily, _diff_number, _phase_in_slots, _rotated_probe, _spread,
                        beam_split)
 from .hilbert import CompositeState, LayoutError, SubsystemLayout, check_unit_norm
@@ -431,24 +433,22 @@ def qfi_fidelity(probe: CompositeState | np.ndarray) -> FisherResult:
     is the same at every operating phase.  chi is never scattered back to
     Fock order, and the probe's norm squared is checked against 1.
 
-    - An exchange-symmetric Kerr probe is read at one representative per
-      exchange orbit (:func:`_symmetric_deficit`).  ``probe`` is either
-      those representatives, the complex ``(c, c//2 + 1)`` array the Kerr
-      preparation search holds, or a :class:`CompositeState` whose mode
-      table is bit for bit its transpose, gathered onto them with one
-      take.  BS is the tunnel gate at j = pi/4, which commutes with the
-      exchange, so it runs as a half-size rotation there
-      (:func:`~modefisher.dynamics._exchange_tunnel`) and chi is symmetric.
-      The two members of an orbit share |chi|^2, and their phases add to
-      cos(delta (n2 - n1)/2), so the overlap is real and
-      1 - overlap = (1 - |psi_P|^2) + sum |chi|^2 (1 - cos(...)), each orbit
-      counted by its size.  The norm is summed over the probe in Fock
-      order and the sum from a table without cancellation, so the
+    - Exchange representatives, the complex ``(c, c//2 + 1)`` array that
+      the callers building |alpha, alpha> hold, are read at one amplitude
+      per exchange orbit (:func:`_symmetric_deficit`).  BS is the tunnel
+      gate at j = pi/4, which commutes with the exchange, so it runs as a
+      half-size rotation there (:func:`~modefisher.dynamics._exchange_tunnel`)
+      and chi is symmetric.  The two members of an orbit share |chi|^2,
+      and their phases add to cos(delta (n2 - n1)/2), so the overlap is
+      real and 1 - overlap = (1 - |psi_P|^2) + sum |chi|^2 (1 - cos(...)),
+      each orbit counted by its size.  The norm is summed over the probe
+      in Fock order and the sum from a table without cancellation, so the
       rotation's rounding enters only that sum, of order F delta^2 / 8.
-    - Every other probe reads |chi|^2 from the rotated probe y = Q chi in
-      skew-block order (:func:`_rotated_probe`; Q is a phase, so
-      |y| = |chi|), weighted by PD(delta) in the same order.  The rotation
-      is unitary, so the total of |y|^2 is the probe's norm squared.
+    - A :class:`CompositeState` reads |chi|^2 from the rotated probe
+      y = Q chi in skew-block order (:func:`_rotated_probe`; Q is a phase,
+      so |y| = |chi|), weighted by PD(delta) in the same order.  The
+      rotation is unitary, so the total of |y|^2 is the probe's norm
+      squared.
     """
     if isinstance(probe, np.ndarray):
         c = probe.shape[0] if probe.ndim == 2 else 0
@@ -456,9 +456,6 @@ def qfi_fidelity(probe: CompositeState | np.ndarray) -> FisherResult:
             raise LayoutError(f"a {probe.dtype} array of shape {probe.shape} is not the "
                               "complex (c, c//2 + 1) table of exchange representatives")
         deficit, norm2 = _symmetric_deficit(probe)
-    elif _is_exchange_symmetric(probe):
-        gather = _exchange_sectors(probe.layout.cutoff)[3]
-        deficit, norm2 = _symmetric_deficit(np.take(probe.amplitudes, gather))
     else:
         p = np.abs(_rotated_probe(probe)) ** 2
         norm2 = p.sum()

@@ -28,13 +28,13 @@ their aliases pi - k, which have the same QFI and a larger interaction
 budget.
 
 Kerr preparation scores each evaluation on the exchange representatives
-from input to QFI (:mod:`modefisher.circuits`): the representatives of
-|alpha, alpha> are taken once per search, the layers run on them, and
-``qfi_fidelity`` reads the result as it is.  No evaluation builds a
-state in Fock order or compares a state with its transpose, and the
-values are those of ``run_circuit`` and ``qfi_fidelity`` on a
-``CompositeState`` bit for bit.  JC preparation runs ``run_circuit`` on
-the input state.
+from input to QFI (:mod:`modefisher.circuits`): |alpha, alpha> is
+exchange-symmetric by construction, its representatives are taken once
+per search, the layers run on them, and ``qfi_fidelity`` reads the
+result as it is.  :func:`~modefisher.circuits.prepare_probe` and
+``best_by_qfi`` run the same kernel on the same input, so a stored
+optimum's probe and its best-by-QFI score are the search's, bit for bit.
+JC preparation runs ``run_circuit`` on the input state.
 
 A seed whose objective turns non-finite is logged and dropped; when no
 seed finishes, the search raises ``OptimizationError``.
@@ -56,11 +56,11 @@ import numpy as np
 
 from .analysis import default_cutoff, find_minima, sweep_continuous
 from .artifacts import load_params
-from .circuits import (LAYER_WIDTH, AnsatzParams, _exchange_representatives,
-                       _run_representatives, _vector_budget, build_circuit, prepare_probe,
-                       run_circuit)
+from .circuits import (LAYER_WIDTH, AnsatzParams, _kerr_preparation, _vector_budget,
+                       build_circuit, prepare_probe, run_circuit)
 from .dynamics import apply, coherent_input_state
 from .encoding import DEFAULT_PHI, PhaseFamily, encoded_family
+from .hilbert import LayoutError
 from .metrology import MeasurementModel, QuadratureGrid, cfi, inverse_fisher, qfi_fidelity
 
 log = logging.getLogger(__name__)
@@ -332,20 +332,16 @@ def optimize_preparation(kind: str, n_mean: float, d_schedule, config: Optimizer
     default simplex (see the module docstring).
     """
     cut = cutoff if cutoff is not None else default_cutoff(n_mean)
-    psi0 = coherent_input_state(kind, n_mean, cut)
-
     if kind != "jc":
-        # |alpha, alpha> is the outer product of one vector with itself, so it
-        # is exchange-symmetric bit for bit: its representatives are taken
-        # once for the whole search
-        x0 = _exchange_representatives(psi0)
+        run = _kerr_preparation(n_mean, cut)
 
         def kerr_objective(x: np.ndarray) -> float:
-            layers = x.reshape(-1, LAYER_WIDTH[kind]).tolist()
-            return -qfi_fidelity(_run_representatives(layers, x0)).value
+            return -qfi_fidelity(run(x.reshape(-1, LAYER_WIDTH[kind]).tolist())).value
 
         return _search(kind, n_mean, lambda _d: kerr_objective, d_schedule, config,
                        open_wide=False)
+
+    psi0 = coherent_input_state(kind, n_mean, cut)
 
     def objective(x: np.ndarray) -> float:
         probe = run_circuit(AnsatzParams.from_vector(kind, x), psi0)
@@ -357,9 +353,10 @@ def optimize_preparation(kind: str, n_mean: float, d_schedule, config: Optimizer
 
 
 def _measured_family(params: AnsatzParams, family: PhaseFamily) -> PhaseFamily:
-    """Push the encoded state and its derivative, as one stack, through the measurement circuit."""
+    """Push the encoded state and its derivative, as one Fock-order stack
+    (:meth:`PhaseFamily.fock`, one take), through the measurement circuit."""
     layout = family.layout
-    stack = np.stack((family.state.tensor(), family.derivative.tensor()))
+    stack = family.fock()
     for gate in build_circuit(params, layout):
         stack = apply(gate, stack, layout)
     return PhaseFamily.from_fock(layout, stack, family.phi)
@@ -466,10 +463,19 @@ def best_record(records: list[OptRecord], d: int | None = None) -> OptRecord:
 
 
 def best_by_qfi(paths, n_mean: float, cutoff: int) -> AnsatzParams:
-    """Stored circuit whose probe has the largest QFI (the first on ties)."""
+    """Stored circuit whose probe has the largest QFI (the first on ties).
+
+    Kerr probes are scored as the search scores them, on the exchange
+    representatives of |alpha, alpha> (:mod:`modefisher.circuits`).
+    """
     candidates = [load_params(path) for path in paths]
     if not candidates:
         raise ValueError("no stored parameters to choose from")
-    psi0 = coherent_input_state(candidates[0].kind, n_mean, cutoff)
+    kinds = {params.kind for params in candidates}
+    if len(kinds) > 1:
+        raise LayoutError(f"stored parameters mix {sorted(kinds)} circuits")
+    if kinds == {"kerr"}:
+        run = _kerr_preparation(n_mean, cutoff)
+        return max(candidates, key=lambda params: qfi_fidelity(run(params.layers)).value)
     return max(candidates,
-               key=lambda params: qfi_fidelity(run_circuit(params, psi0)).value)
+               key=lambda params: qfi_fidelity(prepare_probe(params, n_mean, cutoff)).value)

@@ -10,7 +10,8 @@ from dataclasses import replace
 import numpy as np
 
 from modefisher.dynamics import LocalGate, _apply_stack
-from modefisher.hilbert import QUBIT_DIM, CompositeState, LayoutError, jc_layout, kerr_layout
+from modefisher.hilbert import (QUBIT_DIM, CompositeState, LayoutError, coherent_state, jc_layout,
+                               kerr_layout)
 
 
 def destroy(cutoff: int) -> np.ndarray:
@@ -51,3 +52,14 @@ def gate_matrix(gate: LocalGate) -> np.ndarray:
         eye[:, :, 0, :, 0] = np.eye(2 * c).reshape(-1, QUBIT_DIM, c)
         out = _apply_stack(replace(gate, targets=(0, 2)), jc_layout(c), eye)[:, :, 0, :, 0]
     return out.reshape(len(out), -1).T
+
+
+def kron_input_amplitudes(kind: str, n_mean: float, cutoff: int) -> np.ndarray:
+    """Amplitudes of the standard input |alpha, alpha> (emitters in |g, g> for
+    ``kind="jc"``), as repeated ``np.kron`` products of the factor vectors."""
+    mode = coherent_state(np.sqrt(n_mean / 2.0), cutoff)
+    ground = np.array([1.0, 0.0], dtype=complex)
+    out = np.ones(1, dtype=np.complex128)
+    for vec in ([ground, ground] if kind == "jc" else []) + [mode, mode]:
+        out = np.kron(out, vec)
+    return out

@@ -22,14 +22,13 @@ import numpy as np
 import pytest
 
 from modefisher.analysis import (
-    default_cutoff,
     find_minima,
     fit,
     sweep_continuous,
     sweep_theta,
     time_to_tfs,
 )
-from modefisher.circuits import AnsatzParams, run_circuit
+from modefisher.circuits import AnsatzParams, prepare_probe, run_circuit
 from modefisher.cli import read_csv_rows
 from modefisher.dynamics import coherent_input_state, evolve_continuous
 from modefisher.encoding import PhaseFamily, encoded_family
@@ -41,7 +40,7 @@ from modefisher.metrology import (
     qfi_fidelity,
     qfi_variance_oracle,
 )
-from modefisher.optimize import OptimizerConfig, load_params, optimize_preparation
+from modefisher.optimize import OptimizerConfig, best_by_qfi, optimize_preparation
 
 RUNS = Path(__file__).resolve().parent.parent / "runs"
 REEVAL_RTOL = 1e-9
@@ -90,10 +89,10 @@ class Row:
 
 
 def _reevaluate_prep(kind, n_mean, rows):
-    """Fresh-pipeline check of stored preparation optima."""
-    psi0 = coherent_input_state(kind, n_mean, default_cutoff(n_mean))
+    """Fresh-pipeline check of stored preparation optima: the probe the
+    pipeline prepares, read as a CompositeState."""
     for row in rows:
-        probe = run_circuit(AnsatzParams.from_vector(kind, row.params), psi0)
+        probe = prepare_probe(AnsatzParams.from_vector(kind, row.params), n_mean)
         fresh = -qfi_fidelity(probe).value
         assert abs(fresh - row.objective) <= REEVAL_RTOL * abs(row.objective), (
             f"{kind} N={n_mean:g} seed {row.seed} d {row.d}: stored "
@@ -404,9 +403,7 @@ def kerr_n20_family(bench_mode):
                     "artifacts; rerun runs/bench_queue.sh to refresh them")
     rows = _load_rows("prep_kerr_n20")
     best = _best(rows)
-    psi0 = coherent_input_state("kerr", 20.0, 40)
-    probe = run_circuit(AnsatzParams.from_vector("kerr", best.params), psi0)
-    return encoded_family(probe)
+    return encoded_family(prepare_probe(AnsatzParams.from_vector("kerr", best.params), 20.0, 40))
 
 
 def test_premeasurement_counting_beats_twin_fock(report, kerr_n20_family):
@@ -481,23 +478,16 @@ def test_homodyne_identity_floor_scan(report, bench_mode):
     with_pqc = {d: _best(rows, d=d).inv_fisher for d in sorted(plain)}
 
     # rebuild the per-depth probes the scan ran on (best stored circuit
-    # by QFI at each depth) and re-evaluate both arms
+    # by QFI at each depth, as the CLI picks it) and re-evaluate both arms
     model = MeasurementModel("homodyne", theta=0.0)
     prep_dir = RUNS / "prep_kerr_n20" / "params"
-    psi0 = coherent_input_state("kerr", 20.0, 40)
     families = {}
     for d, stored in plain.items():
-        candidates = sorted(prep_dir.glob(f"kerr_N20_d{d}_seed*.json"))
-        best_val, best_family, best_path = None, None, None
-        for path in candidates:
-            probe = run_circuit(load_params(path), psi0)
-            value = qfi_fidelity(probe).value
-            if best_val is None or value > best_val:
-                best_val, best_family, best_path = value, encoded_family(probe), path
-        families[d] = best_family
-        fresh = 1.0 / cfi(best_family, model).value
+        best = best_by_qfi(sorted(prep_dir.glob(f"kerr_N20_d{d}_seed*.json")), 20.0, 40)
+        families[d] = encoded_family(prepare_probe(best, 20.0, 40))
+        fresh = 1.0 / cfi(families[d], model).value
         assert abs(fresh - stored) <= REEVAL_RTOL * abs(stored), _stale(
-            "paired_kerr_n20", f"plain arm on probe {best_path.stem} (d {d})", stored, fresh)
+            "paired_kerr_n20", f"plain arm on the best-by-QFI probe (d {d})", stored, fresh)
     for row in rows:
         fam = _measured(AnsatzParams.from_vector("kerr", row.params),
                         families[row.d])

@@ -33,7 +33,7 @@ from modefisher.hilbert import (
     product_state,
 )
 
-from dense_reference import destroy, gate_matrix
+from dense_reference import destroy, gate_matrix, kron_input_amplitudes
 
 
 def _random_state(layout, rng):
@@ -387,6 +387,13 @@ def test_evolve_continuous_composes_pairs():
         evolve_continuous("jc", 1.0, _random_state(kerr_layout(4), rng))
     with pytest.raises(ValueError):
         evolve_continuous("squeeze", 1.0, state)
+
+
+@pytest.mark.parametrize("kind", ["kerr", "jc"])
+@pytest.mark.parametrize("n_mean, cutoff", [(4.0, 13), (20.0, 40)])
+def test_coherent_input_state_is_the_kron_product_bit_for_bit(kind, n_mean, cutoff):
+    amps = coherent_input_state(kind, n_mean, cutoff).amplitudes
+    assert amps.tobytes() == kron_input_amplitudes(kind, n_mean, cutoff).tobytes()
 
 
 def test_coherent_input_state_shapes_and_mean():

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 import modefisher.circuits
-import modefisher.metrology
 import modefisher.optimize
 from modefisher.analysis import default_cutoff
 from modefisher.artifacts import load_params, write_records
-from modefisher.circuits import AnsatzParams, interaction_budget, run_circuit
-from modefisher.dynamics import coherent_input_state
+from modefisher.circuits import (LAYER_WIDTH, AnsatzParams, build_circuit, interaction_budget,
+                                 run_circuit)
+from modefisher.dynamics import _exchange_sectors, apply, coherent_input_state
 from modefisher.encoding import PhaseFamily, encoded_family
-from modefisher.hilbert import CompositeState
+from modefisher.hilbert import CompositeState, LayoutError
 from modefisher.metrology import (
     MeasurementModel,
     QuadratureGrid,
@@ -28,7 +28,9 @@ from modefisher.optimize import (
     INITIAL_STEP,
     OptimizationError,
     OptimizerConfig,
+    _measured_family,
     ablation_theta,
+    best_by_qfi,
     best_record,
     minimize,
     optimize_measurement,
@@ -36,6 +38,8 @@ from modefisher.optimize import (
     paired_depth_scan,
     seed_stream,
 )
+
+RUNS = Path(__file__).resolve().parents[1] / "runs"
 
 
 def test_quadratic_bowl():
@@ -160,13 +164,15 @@ def test_reported_optimum_reevaluates():
 
 def test_prepare_probe_default_cutoff_matches_optimizer():
     # ceil(2N) = 8 would cut the N=4 coherent input; the optimizer's rule
-    # raises it to 13, and the re-evaluated optimum agrees exactly
+    # raises it to 13, and the re-evaluated optimum agrees exactly when the
+    # probe's exchange representatives are read, as the search reads them
     probe = prepare_probe(AnsatzParams.zeros("kerr", 1), 4.0)
     assert probe.layout.cutoff == 13
     records = optimize_preparation("kerr", 4.0, [1], OptimizerConfig(**_FAST))
     r = best_record(records)
     probe = prepare_probe(AnsatzParams.from_vector("kerr", r.best_params), 4.0)
-    assert -qfi_fidelity(probe).value == r.best_objective
+    representatives = np.take(probe.amplitudes, _exchange_sectors(13)[3])
+    assert -qfi_fidelity(representatives).value == r.best_objective
 
 
 def test_measurement_stage_improves_counting_cfi():
@@ -214,16 +220,17 @@ def test_jc_preparation_leaves_the_identity():
     # there stays at 1/F_Q = 1/N with a zero budget.  The default protocol
     # starts layer 1 at the continuous first dip and opens the simplex at
     # INITIAL_STEP, so d=1 reaches that dip and deeper circuits improve it.
-    # With 300 evaluations per stage the d=3 gain hung on the QFI's last
-    # bits; at 3000 it clears 3% under each of six 1e-13 objective noises.
+    # The clause reads the best of three seeds, as the protocol reports a
+    # depth: one seed's d=3 gain hung on one Nelder-Mead path, which some
+    # 1e-13 roundings of the objective stop short of 3%.
     records = optimize_preparation("jc", 4.0, [1, 2, 3],
-                                   OptimizerConfig(seeds=1, max_iters=3000))
-    by_d = {r.d: r for r in records}
-    assert abs(by_d[1].inv_fisher - 0.118) < 2e-3  # 1/N = 0.25 at the identity
+                                   OptimizerConfig(seeds=3, max_iters=3000))
+    d1, d3 = best_record(records, 1), best_record(records, 3)
+    assert abs(d1.inv_fisher - 0.118) < 2e-3  # 1/N = 0.25 at the identity
     assert all(r.budget > 0.1 for r in records)
     # the zero-entry layers must move: the default simplex leaves d=3
     # within 1e-12 of d=1 here, the opened one gains about 30%
-    assert by_d[3].inv_fisher < 0.97 * by_d[1].inv_fisher
+    assert d3.inv_fisher < 0.97 * d1.inv_fisher
 
 
 @pytest.mark.parametrize("kind", ["kerr", "jc"])
@@ -282,12 +289,13 @@ def _search_objective(monkeypatch, kind, n_mean, cutoff):
 
 
 def test_kerr_search_objective_is_the_public_route_bit_for_bit(monkeypatch):
-    # the search runs on the exchange representatives from input to QFI; the
-    # public route scatters to Fock order and gathers back, with the same bits
+    # the search runs on the exchange representatives from input to QFI, and
+    # prepare_probe scatters the same representatives to Fock order, so one
+    # take gathers them back with the same bits
     rng = np.random.default_rng(122)
     for n_mean, cutoff in ((8.0, 18), (20.0, 40), (20.0, 41)):
         objective = _search_objective(monkeypatch, "kerr", n_mean, cutoff)
-        psi0 = coherent_input_state("kerr", n_mean, cutoff)
+        gather = _exchange_sectors(cutoff)[3]
         for case in range(36):
             x = rng.uniform(-2, 2, size=2 * (1 + case % 6))
             x[rng.uniform(size=x.size) < 0.2] = 0.0   # skipped gates
@@ -297,21 +305,19 @@ def test_kerr_search_objective_is_the_public_route_bit_for_bit(monkeypatch):
                 x[0] = 0.0                              # the input meets a Kerr layer first
             if case % 9 == 4:
                 x[:2] = 0.0                             # a zero layer before the first tunnel
-            want = -qfi_fidelity(run_circuit(AnsatzParams.from_vector("kerr", x), psi0)).value
-            assert objective(x) == want
+            probe = prepare_probe(AnsatzParams.from_vector("kerr", x), n_mean, cutoff)
+            assert objective(x) == -qfi_fidelity(np.take(probe.amplitudes, gather)).value
 
 
 def test_kerr_search_evaluations_stay_on_the_representatives(monkeypatch):
-    # no evaluation compares a state's bytes with its transpose or builds a
-    # CompositeState: counted inside minimize, which holds every evaluation
-    counts = {"symmetric": 0, "states": 0}
-    symmetric = modefisher.circuits._is_exchange_symmetric
-    build = CompositeState.__post_init__
-    search, stages = modefisher.optimize.minimize, []
+    # no evaluation applies a gate or builds a CompositeState: counted
+    # inside minimize, which holds every evaluation
+    counts = {"gates": 0, "states": 0}
+    build, search, stages = CompositeState.__post_init__, modefisher.optimize.minimize, []
 
-    def counted_symmetric(state):
-        counts["symmetric"] += 1
-        return symmetric(state)
+    def counted_apply(*args, **kwargs):
+        counts["gates"] += 1
+        return apply(*args, **kwargs)
 
     def counted_build(self, check_norm):
         counts["states"] += 1
@@ -323,19 +329,62 @@ def test_kerr_search_evaluations_stay_on_the_representatives(monkeypatch):
         stages.append((out[2], {key: counts[key] - before[key] for key in counts}))
         return out
 
-    for module in (modefisher.circuits, modefisher.metrology):
-        monkeypatch.setattr(module, "_is_exchange_symmetric", counted_symmetric)
+    monkeypatch.setattr(modefisher.circuits, "apply", counted_apply)
     monkeypatch.setattr(CompositeState, "__post_init__", counted_build)
     monkeypatch.setattr(modefisher.optimize, "minimize", staged)
     optimize_preparation("kerr", 20.0, [1, 2], OptimizerConfig(seeds=2, max_iters=15))
     assert len(stages) == 4 and all(nfev == 15 for nfev, _ in stages)
-    assert all(seen == {"symmetric": 0, "states": 0} for _, seen in stages)
-    # the public route still takes both checks, so the counters see them
+    assert all(seen == {"gates": 0, "states": 0} for _, seen in stages)
+    # run_circuit applies gates to the state it is given, so the counters see it
     before = dict(counts)
-    qfi_fidelity(run_circuit(AnsatzParams.from_vector("kerr", [0.3, 0.2]),
-                             coherent_input_state("kerr", 8.0, 18)))
-    assert counts["symmetric"] - before["symmetric"] == 2
+    run_circuit(AnsatzParams.from_vector("kerr", [0.3, 0.2]),
+                coherent_input_state("kerr", 8.0, 18))
+    assert counts["gates"] - before["gates"] == 3
     assert counts["states"] > before["states"]
+
+
+def test_best_by_qfi_scores_are_the_search_objective(monkeypatch):
+    # the CLI's paired scan picks its probes with best_by_qfi; on stored
+    # sidecars its scores are the search objective's values bit for bit
+    objective = _search_objective(monkeypatch, "kerr", 20.0, 40)
+    paths = [RUNS / "prep_kerr_n20" / "params" / f"kerr_N20_d{d}_seed{seed}.json"
+             for d, seed in ((5, 0), (6, 4))]
+    scores, qfi = [], modefisher.optimize.qfi_fidelity
+
+    def recorded(probe):
+        scores.append(qfi(probe).value)
+        return qfi(probe)
+
+    monkeypatch.setattr(modefisher.optimize, "qfi_fidelity", recorded)
+    chosen = best_by_qfi(paths, 20.0, 40)
+    stored = [load_params(path) for path in paths]
+    assert [-s for s in scores] == [objective(p.to_vector()) for p in stored]
+    assert chosen == stored[int(np.argmax(scores))]
+
+
+def test_best_by_qfi_rejects_mixed_circuit_kinds():
+    paths = [RUNS / f"prep_{kind}_n20" / "params" / f"{kind}_N20_d2_seed0.json"
+             for kind in ("kerr", "jc")]
+    for order in (paths, paths[::-1]):
+        with pytest.raises(LayoutError, match="mix"):
+            best_by_qfi(order, 20.0, 40)
+
+
+@pytest.mark.parametrize("kind", ["kerr", "jc"])
+def test_measured_family_takes_one_fock_stack(kind):
+    # the family's Fock-order stack is one take, with the bits of its state and
+    # derivative views, and the views themselves are never built
+    probe = prepare_probe(AnsatzParams.from_vector(kind, [0.4, 0.3, 0.7][:LAYER_WIDTH[kind]]),
+                          4.0, 13)
+    params = AnsatzParams.from_vector(kind, np.linspace(0.2, 0.9, 2 * LAYER_WIDTH[kind]))
+    family = encoded_family(probe)
+    measured = _measured_family(params, family)
+    assert "state" not in vars(family) and "derivative" not in vars(family)
+    stack = np.stack((family.state.tensor(), family.derivative.tensor()))
+    for gate in build_circuit(params, family.layout):
+        stack = apply(gate, stack, family.layout)
+    want = PhaseFamily.from_fock(family.layout, stack, family.phi)
+    assert measured.skew.tobytes() == want.skew.tobytes()
 
 
 # Two consecutive Kerr probes at N=4 for the depth-paired scan.
@@ -368,7 +417,7 @@ def test_joint_theta_arm_carries_the_angle_last():
     prepared = AnsatzParams("kerr", ((0.4, 0.3),))
     result = ablation_theta("kerr", prepared, 4.0, [1, 2], cfg, grid=grid)
     assert len(result.joint) == 4
-    family = encoded_family(run_circuit(prepared, coherent_input_state("kerr", 4.0, 13)))
+    family = encoded_family(prepare_probe(prepared, 4.0, 13))
     by_seed = {}
     for r in result.joint:
         assert r.best_params.size == 2 * r.d + 1

@@ -12,9 +12,9 @@ import pytest
 
 import modefisher.circuits
 import modefisher.metrology
-from modefisher.circuits import AnsatzParams, build_circuit, run_circuit
+from modefisher.circuits import (AnsatzParams, _kerr_preparation, build_circuit,
+                                 prepare_probe, run_circuit)
 from modefisher.dynamics import (
-    _is_exchange_symmetric,
     apply,
     coherent_input_state,
     detune_gate,
@@ -27,6 +27,7 @@ from modefisher.encoding import (_phase_in_slots, _rotated_probe, _spread, beam_
                                  beam_splitter_gate, encoded_family)
 from modefisher.hilbert import (
     CompositeState,
+    default_cutoff,
     jc_layout,
     kerr_layout,
     reduce_to_mode,
@@ -380,7 +381,7 @@ def test_preparation_circuits_are_exchange_symmetric():
                 kind, rng.uniform(-2, 2, size=(3 if kind == "jc" else 2) * d))
             probes = [_gate_route(params, psi0)]
             if kind == "kerr":
-                probes.append(run_circuit(params, psi0))
+                probes.append(prepare_probe(params, n_mean, cutoff))
             for probe in probes:
                 assert np.abs(_exchanged(probe) - probe.tensor()).max() < 1e-13
                 assert abs(_mean_jy(probe)) < 1e-13
@@ -392,44 +393,52 @@ _OVERLAP_STEP = 8.0 / _FIDELITY_DELTA**2 * np.finfo(float).eps / 2
 
 
 def test_symmetric_kerr_route_matches_the_gate_route(monkeypatch):
+    # prepare_probe runs on the exchange representatives of |alpha, alpha>,
+    # run_circuit applies the gates to the state it is given; the two QFI
+    # routes read the representatives and the CompositeState
     def no_gates(gate, state, layout=None):
         raise AssertionError("the symmetric route applied a gate")
 
     rng = np.random.default_rng(118)
     for case in range(100):
-        cutoff = 40 + case % 2
-        psi0 = coherent_input_state("kerr", 20.0, cutoff)
-        x = rng.uniform(-2, 2, size=2 * int(rng.integers(1, 7)))
+        n_mean = float(rng.integers(4, 21))
+        cutoff = default_cutoff(n_mean) + case % 2
+        x = rng.uniform(-2, 2, size=2 * int(rng.integers(1, 5)))
         x[rng.uniform(size=x.size) < 0.1] = 0.0   # skipped gates
         if case % 3 == 0:
             x[0] = 1.0e6                            # where stored searches drifted
         params = AnsatzParams.from_vector("kerr", x)
-        want = _gate_route(params, psi0)
+        want = run_circuit(params, coherent_input_state("kerr", n_mean, cutoff))
         with monkeypatch.context() as patch:
             patch.setattr(modefisher.circuits, "apply", no_gates)
-            got = run_circuit(params, psi0)
+            got = prepare_probe(params, n_mean, cutoff)
+            representatives = _kerr_preparation(n_mean, cutoff)(params.layers)
         np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-13)
-        # the two probes differ in their last bits, which can move F by a few
+        # the two routes round differently, which can move F by a few
         # overlap steps; 1e-12 of F = 20 is only about two of them
         fq = qfi_fidelity(want).value
-        assert qfi_fidelity(got).value == pytest.approx(fq, rel=1e-12, abs=8 * _OVERLAP_STEP)
+        assert qfi_fidelity(representatives).value == pytest.approx(
+            fq, rel=1e-12, abs=8 * _OVERLAP_STEP)
 
 
 def test_asymmetric_inputs_take_the_gate_route(monkeypatch):
-    def no_symmetric_route(params, state):
-        raise AssertionError("the symmetric route ran on an asymmetric state")
+    # run_circuit never inspects its state: symmetric or not, it applies the gates
+    def no_symmetric_route(layers, x):
+        raise AssertionError("run_circuit took the symmetric route")
 
-    monkeypatch.setattr(modefisher.circuits, "_run_exchange_symmetric", no_symmetric_route)
+    monkeypatch.setattr(modefisher.circuits, "_run_representatives", no_symmetric_route)
     rng = np.random.default_rng(119)
     for case in range(100):
         cutoff = int(rng.integers(8, 14))
-        if case % 2:
+        psi0 = coherent_input_state("kerr", 1.0, cutoff)
+        if case % 3 == 0:
             state = _random_state(kerr_layout(cutoff), rng)
-        else:  # a symmetric input, one amplitude off by one ulp
-            psi0 = coherent_input_state("kerr", 1.0, cutoff)
+        elif case % 3 == 1:  # a symmetric input, one amplitude off by one ulp
             amps = psi0.amplitudes.copy()
             amps[1] = np.nextafter(amps[1].real, 1.0) + 1j * amps[1].imag
             state = CompositeState(psi0.layout, amps)
+        else:  # |alpha, alpha> itself
+            state = psi0
         params = AnsatzParams.from_vector("kerr", rng.uniform(-2, 2, size=4))
         np.testing.assert_array_equal(run_circuit(params, state).amplitudes,
                                       _gate_route(params, state).amplitudes)
@@ -460,15 +469,15 @@ def test_symmetric_kerr_probes_take_the_half_size_qfi_route():
     # reads the norm from the probe and the drop without cancellation.
     rng = np.random.default_rng(120)
     for cutoff, n_mean in ((18, 8.0), (40, 20.0), (41, 20.0)):
-        psi0 = coherent_input_state("kerr", n_mean, cutoff)
+        run = _kerr_preparation(n_mean, cutoff)
         for case in range(30):
             x = rng.uniform(-2, 2, size=2 * int(rng.integers(1, 7)))
             x[rng.uniform(size=x.size) < 0.2] = 0.0   # skipped gates
             if case % 3 == 0:
                 x[0] = 1.0e6                            # where stored searches drifted
-            probe = run_circuit(AnsatzParams.from_vector("kerr", x), psi0)
-            assert _is_exchange_symmetric(probe)
-            fq = qfi_fidelity(probe).value
+            params = AnsatzParams.from_vector("kerr", x)
+            fq = qfi_fidelity(run(params.layers)).value
+            probe = prepare_probe(params, n_mean, cutoff)
             assert fq == pytest.approx(_full_route_qfi(probe), rel=1e-12,
                                        abs=8 * _OVERLAP_STEP)
             assert fq == pytest.approx(_exactly_summed_qfi(probe), rel=1e-13,
@@ -484,9 +493,9 @@ def test_asymmetric_and_jc_probes_keep_the_full_qfi_route(monkeypatch):
     kerr_probe = run_circuit(AnsatzParams.from_vector("kerr", rng.uniform(-2, 2, size=6)),
                              coherent_input_state("kerr", 8.0, 18))
     jc_input = coherent_input_state("jc", 8.0, 18)
-    for case in range(100):
+    for case in range(120):
         cutoff = int(rng.integers(8, 14))
-        which = case % 5
+        which = case % 6
         if which == 0:
             state = _random_state(kerr_layout(cutoff), rng)
         elif which == 1:  # a symmetric input, one amplitude off by one ulp
@@ -498,8 +507,10 @@ def test_asymmetric_and_jc_probes_keep_the_full_qfi_route(monkeypatch):
             state = encoded_family(kerr_probe, float(rng.uniform(0.1, 3.0))).state
         elif which == 3:
             state = _random_state(jc_layout(cutoff), rng)
-        else:  # a JC preparation probe: symmetric under exchanging the arms
+        elif which == 4:  # a JC preparation probe: symmetric under exchanging the arms
             state = run_circuit(AnsatzParams.from_vector("jc", rng.uniform(-2, 2, size=6)),
                                 jc_input)
-        assert not _is_exchange_symmetric(state)
+        else:  # a Kerr preparation probe, handed over as a CompositeState
+            state = prepare_probe(AnsatzParams.from_vector("kerr", rng.uniform(-2, 2, size=4)),
+                                  1.0, cutoff)
         assert qfi_fidelity(state).value == _full_route_qfi(state)
