@@ -8,9 +8,10 @@
 # whose final CSV already exists is skipped, so a killed queue starts
 # again at the run it lost; delete a run's directory to redo it.
 #
-# Two lanes share the two cores: the preparation searches (two seed
-# workers) and the measurement-stage runs, which read only the stored
-# runs/prep_kerr_n20.  Every process runs one BLAS thread.
+# runs/prep_kerr_n20 runs first, alone: the measurement-stage runs read
+# it.  Then two lanes share the two cores: the other preparation searches
+# (two seed workers) and the measurement-stage runs.  Every process runs
+# one BLAS thread.
 set -e
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -27,13 +28,12 @@ run() {
     fi
     echo "=== $(date +%H:%M:%S) $*"
     start=$(date +%s)
-    python3 -m modefisher.cli "$@"
+    # explicit: errexit is off where a caller tests run's status
+    python3 -m modefisher.cli "$@" || return 1
     echo "=== $(date +%H:%M:%S) finished in $(( $(date +%s) - start ))s: $final"
 }
 
 prepare_lane() {
-    run runs/prep_kerr_n20/prepare.csv optimize --kind kerr --n 20 --dmax 6 --seeds 10 \
-        --stage prepare --outdir runs/prep_kerr_n20
     for n in 20 4 8 12 16; do
         run runs/prep_jc_n$n/prepare.csv optimize --kind jc --n $n --dmax 8 --seeds 10 \
             --stage prepare --workers 2 --outdir runs/prep_jc_n$n
@@ -57,6 +57,11 @@ measure_lane() {
 }
 
 echo "=== $(date +%H:%M:%S) queue start"
+if ! run runs/prep_kerr_n20/prepare.csv optimize --kind kerr --n 20 --dmax 6 --seeds 10 \
+        --stage prepare --outdir runs/prep_kerr_n20; then
+    echo "=== $(date +%H:%M:%S) queue failed"
+    exit 1
+fi
 prepare_lane &
 prepare_pid=$!
 measure_lane &

@@ -92,14 +92,10 @@ class AnsatzParams:
         return cls(kind, tuple((0.0,) * LAYER_WIDTH[kind] for _ in range(d)))
 
 
-def interaction_budget(params: AnsatzParams) -> float:
-    """Total accumulated nonlinear interaction time, sum of |g_j| or |k_j|."""
-    return _vector_budget(params.kind, params.to_vector())
-
-
-def _vector_budget(kind: str, vector: np.ndarray) -> float:
-    """:func:`interaction_budget` of the layers a flat, layer-major vector
-    holds: each layer's last entry is its g or k."""
+def interaction_budget(kind: str, vector: np.ndarray) -> float:
+    """Total accumulated nonlinear interaction time, sum of |g_j| or |k_j|,
+    of the layers a flat, layer-major vector holds: each layer's last
+    entry is its g or k."""
     width = LAYER_WIDTH[kind]
     return float(np.abs(vector[width - 1::width]).sum())
 

@@ -52,7 +52,6 @@ from .metrology import MeasurementModel, bounds, inverse_fisher
 from .optimize import (
     OptimizationError,
     OptimizerConfig,
-    ablation_theta,
     best_by_qfi,
     best_record,
     optimize_measurement,
@@ -87,13 +86,13 @@ _CONFIG = {
     "wigner": {**_COMMON, "time": None, "params": None, "mode": 1, "half_width": 9.0,
                "grid_points": 201},
     "theta-sweep": {**_COMMON, "phi": DEFAULT_PHI, "probe_time": None, "points": THETA_POINTS},
-    "ablate": {**_COMMON, **_SEARCH, "params": None, "paired_dir": None},
+    "ablate": {**_COMMON, **_SEARCH, "paired_dir": None},
 }
 # input paths: written relative to the output directory, read relative to the config file
 _PATHS = ("prep_csv", "params", "paired_dir")
 # a command reads exactly one key of its group; a typed one clears the config file's
 _ONE_OF = {"wigner": ("time", "params"), "theta-sweep": ("probe_time",),
-           "ablate": ("params", "paired_dir")}
+           "ablate": ("paired_dir",)}
 
 
 def _positive_float(text: str) -> float:
@@ -460,42 +459,22 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     outdir = Path(config["outdir"])
     kind, n_mean = config["kind"], float(config["n_mean"])
     opt_config, schedule = _optimizer_config(config), _schedule(config)
-
-    if config["paired_dir"] is not None:
-        paired_dir = Path(config["paired_dir"])
-        prep_by_d = {}
-        for d in schedule:
-            candidates = sorted(paired_dir.glob(sidecar_name(kind, n_mean, d, "*")))
-            if not candidates:
-                raise FileNotFoundError(f"no stored parameters for d={d} under {paired_dir}")
-            prep_by_d[d] = best_by_qfi(candidates, n_mean, int(config["cutoff"]))
-        digest = _write_manifest("ablate", config)
-        plain, records = paired_depth_scan(
-            kind, prep_by_d, _measurement_model(config), n_mean, opt_config,
-            phi=float(config["phi"]), cutoff=int(config["cutoff"]))
-        write_records(records, outdir / "paired.csv", digest,
-                      params_dir=outdir / "params_measure")
-        write_csv(outdir / "paired_plain.csv", digest, ["kind", "N", "d", "inv_cfi_plain"],
-                  [(kind, n_mean, d, inverse_fisher(plain[d])) for d in sorted(plain)])
-        print(f"paired scan over d=1..{max(plain)} -> {outdir}")
-        return 0
-
-    # the three arms score homodyne at their own angles; only the paired scan reads these
-    for key in ("measurement", "theta"):
-        if config[key] != _CONFIG["ablate"][key]:
-            raise ValueError(f"ablate --params never reads {key}; got {config[key]!r}")
-    params = load_params(config["params"])
+    paired_dir = Path(config["paired_dir"])
+    prep_by_d = {}
+    for d in schedule:
+        candidates = sorted(paired_dir.glob(sidecar_name(kind, n_mean, d, "*")))
+        if not candidates:
+            raise FileNotFoundError(f"no stored parameters for d={d} under {paired_dir}")
+        prep_by_d[d] = best_by_qfi(candidates, n_mean, int(config["cutoff"]))
     digest = _write_manifest("ablate", config)
-    result = ablation_theta(kind, params, n_mean, schedule, opt_config,
-                            phi=float(config["phi"]), cutoff=int(config["cutoff"]))
-    write_records(result.fixed_theta, outdir / "fixed_theta.csv", digest,
+    plain, records = paired_depth_scan(
+        kind, prep_by_d, _measurement_model(config), n_mean, opt_config,
+        phi=float(config["phi"]), cutoff=int(config["cutoff"]))
+    write_records(records, outdir / "paired.csv", digest,
                   params_dir=outdir / "params_measure")
-    write_records(result.joint, outdir / "joint.csv", digest)
-    theta_opt, fisher = result.theta_only
-    inv_cfi = inverse_fisher(fisher)
-    write_csv(outdir / "theta_only.csv", digest, ["kind", "N", "theta_opt", "inv_cfi"],
-              [(kind, n_mean, float(theta_opt), inv_cfi)])
-    print(f"theta-only 1/F_C = {inv_cfi:.6g} at theta = {theta_opt:.4f} -> {outdir}")
+    write_csv(outdir / "paired_plain.csv", digest, ["kind", "N", "d", "inv_cfi_plain"],
+              [(kind, n_mean, d, inverse_fisher(plain[d])) for d in sorted(plain)])
+    print(f"paired scan over d=1..{max(plain)} -> {outdir}")
     return 0
 
 
@@ -507,7 +486,7 @@ _COMMANDS = {
     "optimize": (cmd_optimize, "optimize preparation/measurement circuits"),
     "wigner": (cmd_wigner, "Wigner grid of one reduced mode"),
     "theta-sweep": (cmd_theta_sweep, "homodyne CFI against quadrature angle"),
-    "ablate": (cmd_ablate, "readout strategy comparisons on fixed probes"),
+    "ablate": (cmd_ablate, "measurement circuits paired with stored probes, depth by depth"),
 }
 
 

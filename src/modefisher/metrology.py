@@ -20,12 +20,12 @@ last two axes of every state (:mod:`modefisher.hilbert`), so amplitudes
 reshape to (emitter outcome, n1, n2) and every probability table keeps
 that order: emitter axes first, then the two modes or quadratures.
 
-Homodyne readout has one transform path, shared by :func:`cfi` and
-:func:`homodyne_probabilities`.  The quadrature angle is applied as the
-Fock-side phase e^{i theta (n1 + n2)} on the amplitudes, so the cached
-oscillator-eigenfunction table stays real.  Both modes then contract
-with it as real GEMMs, one block of x1 rows at a time, and no full
-complex (outcome, x1, x2) table is ever built.
+Homodyne readout has one transform path, in :func:`cfi`.  The
+quadrature angle is applied as the Fock-side phase e^{i theta (n1 + n2)}
+on the amplitudes, so the cached oscillator-eigenfunction table stays
+real.  Both modes then contract with it as real GEMMs, one block of x1
+rows at a time, and no full complex (outcome, x1, x2) table is ever
+built.
 
 :func:`cfi` contracts only a support window of the grid.  After the
 mode-1 GEMM each outcome's amplitude is
@@ -41,7 +41,6 @@ PROBABILITY_FLOOR/2 has p below the floor, so it adds exactly 0 to the
 Fisher sum; the factor 1/2 leaves room for rounding.  The window only
 reorders the Fisher sum and drops less than PROBABILITY_FLOOR/2 per cell
 from the normalization total.
-:func:`homodyne_probabilities` always returns the full grid.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ import numpy as np
 from .dynamics import _exchange_sectors, _exchange_tunnel
 from .encoding import (PhaseFamily, _diff_number, _phase_in_slots, _rotated_probe, _spread,
                        beam_split)
-from .hilbert import CompositeState, LayoutError, SubsystemLayout, check_unit_norm
+from .hilbert import CompositeState, LayoutError, check_unit_norm
 
 PROBABILITY_FLOOR = 1e-12
 _DENSITY_NORM_ATOL = 1e-4
@@ -176,21 +175,6 @@ def _angle_phase(cutoff: int, theta: float) -> np.ndarray:
     return np.exp(1j * theta * (n[:, None] + n[None, :]))
 
 
-def _marginal_axes(layout: SubsystemLayout, include_emitters: bool) -> tuple[int, ...]:
-    if include_emitters:
-        return ()
-    return layout.qubit_indices
-
-
-def counting_probabilities(state: CompositeState, include_emitters: bool = False) -> np.ndarray:
-    """Fock-basis outcome probabilities, one axis per measured factor.
-
-    Axes follow the layout order; emitter axes are summed out unless
-    ``include_emitters`` is set.
-    """
-    return _counting_table(state.tensor(), _marginal_axes(state.layout, include_emitters))
-
-
 def _counting_table(amps: np.ndarray, drop: tuple[int, ...]) -> np.ndarray:
     """|amps|^2 summed over the axes ``drop``, checked to total 1."""
     p = np.abs(amps) ** 2
@@ -219,7 +203,7 @@ def _aligned(size: int) -> np.ndarray:
     return buf[(-buf.ctypes.data % 64) // 8:][:size]
 
 
-def _quadrature_blocks(tables: np.ndarray, x: np.ndarray, window: bool = False):
+def _quadrature_blocks(tables: np.ndarray, x: np.ndarray):
     """Quadrature amplitudes of Fock-order tables, one block of x1 rows at a time.
 
     ``tables[k, q, n1, n2]`` is the amplitude of state k and outcome q,
@@ -233,28 +217,25 @@ def _quadrature_blocks(tables: np.ndarray, x: np.ndarray, window: bool = False):
     (x1, x2) = (x[rows][r], x[cols][j]).  ``amps`` is one buffer reused by
     every block, so it is valid only until the next block is drawn.
 
-    ``window=True`` restricts rows and columns to the support window of
-    state 0, outside which its density is certified below
-    PROBABILITY_FLOOR/2 (see the module docstring); no block is yielded
-    when the window is empty.  Otherwise rows and columns span the grid.
+    Rows and columns span the support window of state 0, outside which
+    its density is certified below PROBABILITY_FLOOR/2 (see the module
+    docstring); no block is yielded when the window is empty.
     """
     cutoff = tables.shape[-1]
     planes = np.stack((tables.real, tables.imag), axis=1)    # (k, part, q, n1, n2)
     lead = planes.shape[:3]
     planes = planes.reshape(-1, cutoff, cutoff)
     h = _hermite_functions(cutoff, float(x[-1]), len(x))
-    rows = cols = slice(0, len(x))
-    if window:
-        first = planes[:2 * lead[2]]                          # planes of the first state
-        kmax = _hermite_kmax(cutoff, float(x[-1]), len(x))
-        # p(x1, x2) <= K(x2) h_x1^T (sum_p P_p P_p^T) h_x1 <= row bound, and
-        # likewise for columns with P_p^T P_p
-        by_n1, by_n2 = (np.moveaxis(first, a, 0).reshape(cutoff, -1) for a in (1, 2))
-        row_bound = kmax * np.einsum("ni,ni->i", h, (by_n1 @ by_n1.T) @ h)
-        col_bound = kmax * np.einsum("ni,ni->i", h, (by_n2 @ by_n2.T) @ h)
-        rows, cols = _support(row_bound), _support(col_bound)
-        if rows is None or cols is None:
-            return
+    first = planes[:2 * lead[2]]                              # planes of the first state
+    kmax = _hermite_kmax(cutoff, float(x[-1]), len(x))
+    # p(x1, x2) <= K(x2) h_x1^T (sum_p P_p P_p^T) h_x1 <= row bound, and
+    # likewise for columns with P_p^T P_p
+    by_n1, by_n2 = (np.moveaxis(first, a, 0).reshape(cutoff, -1) for a in (1, 2))
+    row_bound = kmax * np.einsum("ni,ni->i", h, (by_n1 @ by_n1.T) @ h)
+    col_bound = kmax * np.einsum("ni,ni->i", h, (by_n2 @ by_n2.T) @ h)
+    rows, cols = _support(row_bound), _support(col_bound)
+    if rows is None or cols is None:
+        return
     h_cols = h[:, cols]
     # one mode-1 and one mode-2 buffer, sized by the first (largest) block
     size = planes.shape[0] * min(_ROW_BLOCK, rows.stop - rows.start)
@@ -279,32 +260,6 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 def _check_density(total: float) -> None:
     if not abs(total - 1.0) <= _DENSITY_NORM_ATOL:
         raise GridError(f"density integrates to {total:.6f}; grid too small")
-
-
-def homodyne_probabilities(state: CompositeState, theta: float,
-                           grid: QuadratureGrid = QuadratureGrid(),
-                           include_emitters: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Joint quadrature density on the grid, per emitter outcome if kept.
-
-    Returns ``(x_axis, table)``; the table's mode axes are quadrature
-    samples and it trapezoid-integrates to 1.  Raises :class:`GridError`
-    when the grid leaves a normalization deficit above 1e-4.
-    """
-    layout = state.layout
-    c = layout.cutoff
-    x = grid.axis(c)
-    emitters = layout.dims[:-2]
-    tables = state.amplitudes.reshape(1, -1, c, c) * _angle_phase(c, theta)
-    p = np.empty((math.prod(emitters), len(x), len(x)))
-    for rows, _, ((re, im),) in _quadrature_blocks(tables, x):
-        p[:, rows] = re * re + im * im
-    p = p.reshape(*emitters, len(x), len(x))
-    drop = _marginal_axes(layout, include_emitters)
-    if drop:
-        p = p.sum(axis=drop)
-    w = _trapezoid_weights(x)
-    _check_density(float(np.sum(p @ w @ w)))
-    return x, p
 
 
 def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
@@ -346,9 +301,10 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
     empty window leaves a total of 0, which fails the density check.
     """
     layout = family.layout
+    marginal = layout.emitters and not model.include_emitters
     if model.kind == "counting":
         amp, damp = family.skew[..., 0], family.skew[..., 1]
-        drop = (2,) if layout.emitters and not model.include_emitters else ()
+        drop = (2,) if marginal else ()
         p = _counting_table(amp, drop)
         dp = 2.0 * (amp.conj() * damp).real
         if drop:
@@ -360,11 +316,10 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
     cutoff = layout.cutoff
     x = model.grid.axis(cutoff)
     w = _trapezoid_weights(x)
-    marginal = bool(_marginal_axes(layout, model.include_emitters))
     tables = family.fock().reshape(2, -1, cutoff, cutoff)
     tables *= _angle_phase(cutoff, model.theta - 0.5 * family.phi)
     value = total = 0.0
-    for rows, cols, ((a, b), (c, d)) in _quadrature_blocks(tables, x, window=True):
+    for rows, cols, ((a, b), (c, d)) in _quadrature_blocks(tables, x):
         # p and dp/2 overwrite the block's amplitude planes in place; the
         # factor 2 of dp enters the finished sum as 4, an exact scaling
         c *= a

@@ -7,13 +7,10 @@ within ``INIT_SCALE`` of a base point, run a Nelder-Mead search, then
 grow the circuit one layer at a time, warm-starting from the previous
 optimum.  Each new layer enters at zero, so growing cannot change the
 objective and the per-seed best is non-increasing in depth by
-construction.  The loop has four callers:
+construction.  The loop has three callers:
 
 - preparation (``optimize_preparation``), Kerr and JC;
-- pre-measurement (``optimize_measurement``), which also serves the
-  fixed-angle arm of ``ablation_theta``;
-- the joint arm of ``ablation_theta``, whose homodyne angle rides as a
-  trailing parameter that stays last as the circuit grows;
+- pre-measurement (``optimize_measurement``);
 - ``paired_depth_scan``, which reports the identity circuit at a depth
   where it beats the local optimum.
 
@@ -56,12 +53,12 @@ import numpy as np
 
 from .analysis import default_cutoff, find_minima, sweep_continuous
 from .artifacts import load_params
-from .circuits import (LAYER_WIDTH, AnsatzParams, _kerr_preparation, _vector_budget,
-                       build_circuit, prepare_probe, run_circuit)
+from .circuits import (LAYER_WIDTH, AnsatzParams, _kerr_preparation, build_circuit,
+                       interaction_budget, prepare_probe, run_circuit)
 from .dynamics import apply, coherent_input_state
 from .encoding import DEFAULT_PHI, PhaseFamily, encoded_family
 from .hilbert import LayoutError
-from .metrology import MeasurementModel, QuadratureGrid, cfi, inverse_fisher, qfi_fidelity
+from .metrology import MeasurementModel, cfi, inverse_fisher, qfi_fidelity
 
 log = logging.getLogger(__name__)
 
@@ -81,16 +78,15 @@ class OptimizerConfig:
     """Protocol knobs for the layer-growing optimization.
 
     Every search shares one seed/depth loop, so these knobs mean the same
-    in preparation, pre-measurement, the joint-angle arm and the paired
-    scan.  ``max_iters`` caps objective evaluations per (seed, depth)
-    stage; ``tol`` is the Nelder-Mead stopping tolerance on both the
-    simplex size and its objective spread, which the CLI keeps at its
-    default.  ``seed_indices`` restricts a run
-    to an explicit subset of the seed pool; the random stream of seed k
-    is the same whether it runs alone or in the full batch, which lets a
-    scheduler farm seeds out and merge records.  A seed that aborts is
-    dropped; a search in which every seed aborts raises
-    ``OptimizationError``.
+    in preparation, pre-measurement and the paired scan.  ``max_iters``
+    caps objective evaluations per (seed, depth) stage; ``tol`` is the
+    Nelder-Mead stopping tolerance on both the simplex size and its
+    objective spread, which the CLI keeps at its default.
+    ``seed_indices`` restricts a run to an explicit subset of the seed
+    pool; the random stream of seed k is the same whether it runs alone
+    or in the full batch, which lets a scheduler farm seeds out and merge
+    records.  A seed that aborts is dropped; a search in which every seed
+    aborts raises ``OptimizationError``.
     """
 
     max_iters: int = 1000
@@ -266,14 +262,12 @@ def minimize(objective, x0: np.ndarray, config: OptimizerConfig,
 
 
 def _search(kind: str, n_mean: float, objective_at, d_schedule, config: OptimizerConfig,
-            first_layer=None, open_wide: bool = True, tail: int = 0,
-            floor_at=None) -> list[OptRecord]:
+            first_layer=None, open_wide: bool = True, floor_at=None) -> list[OptRecord]:
     """The seed/depth loop. ``objective_at(d)`` returns the stage objective.
 
     Each seed starts at the identity, with ``first_layer`` (if given) as
-    layer 1, plus its own uniform draw of half-width ``INIT_SCALE`` over
-    the layers and ``tail`` trailing non-layer parameters.  Growing pads
-    zero layers in front of the tail.  ``floor_at(d)``, if given, is the
+    layer 1, plus its own uniform draw of half-width ``INIT_SCALE``.
+    Growing appends zero layers.  ``floor_at(d)``, if given, is the
     objective of the all-zero vector at depth d; a stage that ends above
     it reports that vector instead.
     """
@@ -284,14 +278,12 @@ def _search(kind: str, n_mean: float, objective_at, d_schedule, config: Optimize
     records: list[OptRecord] = []
     for seed in config.seed_pool:
         rng = seed_stream(config.master_seed, seed)
-        x = rng.uniform(-INIT_SCALE, INIT_SCALE, size=width * d_schedule[0] + tail)
+        x = rng.uniform(-INIT_SCALE, INIT_SCALE, size=width * d_schedule[0])
         if first_layer is not None:
             x[:width] += first_layer
         try:
             for d in d_schedule:
-                n = x.size - tail
-                if width * d > n:
-                    x = np.concatenate([x[:n], np.zeros(width * d - n), x[n:]])
+                x = np.concatenate([x, np.zeros(width * d - x.size)])
                 start = time.perf_counter()
                 x, f_best, nfev = minimize(objective_at(d), x, config, open_wide)
                 if floor_at is not None and floor_at(d) < f_best:
@@ -301,7 +293,7 @@ def _search(kind: str, n_mean: float, objective_at, d_schedule, config: Optimize
                 records.append(OptRecord(
                     kind=kind, n_mean=n_mean, seed=seed, d=d, best_params=x,
                     best_objective=f_best, iters_used=nfev,
-                    budget=_vector_budget(kind, x[: x.size - tail]), wall_time=elapsed,
+                    budget=interaction_budget(kind, x), wall_time=elapsed,
                 ))
         except OptimizationError as err:
             log.warning("seed %d aborted: %s", seed, err)
@@ -383,52 +375,6 @@ def optimize_measurement(kind: str, prepared_params: AnsatzParams, model: Measur
     family = encoded_family(prepare_probe(prepared_params, n_mean, cutoff), phi)
     objective = _cfi_objective(kind, family, model)
     return _search(kind, n_mean, lambda _d: objective, d_schedule, config)
-
-
-@dataclass(frozen=True)
-class ThetaAblation:
-    """CFI comparison: free angle alone vs circuit at fixed angle vs both."""
-
-    theta_only: tuple[float, float]          # (theta_opt, fisher)
-    fixed_theta: list[OptRecord]             # theta = 0, circuit optimized
-    joint: list[OptRecord]                   # theta and circuit optimized together
-
-
-def ablation_theta(kind: str, prepared_params: AnsatzParams, n_mean: float, d_schedule,
-                   config: OptimizerConfig, phi: float = DEFAULT_PHI,
-                   cutoff: int | None = None,
-                   grid: QuadratureGrid = QuadratureGrid()) -> ThetaAblation:
-    """Compare homodyne readout strategies on one fixed probe.
-
-    Arms: (a) optimize the quadrature angle with no measurement circuit,
-    (b) fix theta=0 and optimize the circuit, (c) optimize both jointly.
-    Arms (b) and (c) grow their circuits over ``d_schedule``.
-    """
-    family = encoded_family(prepare_probe(prepared_params, n_mean, cutoff), phi)
-
-    def theta_objective(x: np.ndarray) -> float:
-        model = MeasurementModel("homodyne", include_emitters=(kind == "jc"),
-                                 theta=float(x[0]), grid=grid)
-        return -cfi(family, model).value
-
-    rng = seed_stream(config.master_seed, 0)
-    x0 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=1)
-    x_best, f_best, _ = minimize(theta_objective, x0, config, open_wide=True)
-    theta_arm = (float(x_best[0]), -f_best)
-
-    model0 = MeasurementModel("homodyne", include_emitters=(kind == "jc"),
-                              theta=0.0, grid=grid)
-    fixed = optimize_measurement(kind, prepared_params, model0, n_mean,
-                                 d_schedule, config, phi=phi, cutoff=cutoff)
-
-    def joint_objective(x: np.ndarray) -> float:
-        model = MeasurementModel("homodyne", include_emitters=(kind == "jc"),
-                                 theta=float(x[-1]), grid=grid)
-        measured = _measured_family(AnsatzParams.from_vector(kind, x[:-1]), family)
-        return -cfi(measured, model).value
-
-    joint = _search(kind, n_mean, lambda _d: joint_objective, d_schedule, config, tail=1)
-    return ThetaAblation(theta_arm, fixed, joint)
 
 
 def paired_depth_scan(kind: str, prep_best_by_d: dict[int, AnsatzParams],

@@ -1,8 +1,8 @@
-"""Dense reference operators and overlaps for the tests.
+"""Dense reference operators, overlaps and probability tables for the tests.
 
-The package never builds a dense operator; these reference forms exist
-only so that tests can check the structured kernels against textbook
-matrices.
+The package never builds a dense operator or a full outcome table; these
+reference forms exist only so that tests can check the structured
+kernels against textbook matrices.
 """
 
 from dataclasses import replace
@@ -12,6 +12,7 @@ import numpy as np
 from modefisher.dynamics import LocalGate, _apply_stack
 from modefisher.hilbert import (QUBIT_DIM, CompositeState, LayoutError, coherent_state, jc_layout,
                                kerr_layout)
+from modefisher.metrology import _hermite_functions
 
 
 def destroy(cutoff: int) -> np.ndarray:
@@ -63,3 +64,21 @@ def kron_input_amplitudes(kind: str, n_mean: float, cutoff: int) -> np.ndarray:
     for vec in ([ground, ground] if kind == "jc" else []) + [mode, mode]:
         out = np.kron(out, vec)
     return out
+
+
+def counting_probabilities(state: CompositeState, include_emitters: bool = False) -> np.ndarray:
+    """Fock-basis outcome probabilities |amplitude|^2, one axis per measured
+    factor; emitter axes are summed out unless ``include_emitters`` is set."""
+    p = np.abs(state.tensor()) ** 2
+    return p if include_emitters or not state.layout.emitters else p.sum(axis=(0, 1))
+
+
+def quadrature_amplitudes(state: CompositeState, theta: float, x: np.ndarray) -> np.ndarray:
+    """Amplitudes in the x^(theta) quadrature basis of both modes on the grid ``x``:
+    each mode axis rotated with M[i, n] = e^{i n theta} psi_n(x_i)."""
+    cutoff = state.layout.cutoff
+    m = _hermite_functions(cutoff, float(x[-1]), len(x)).T * np.exp(1j * theta * np.arange(cutoff))
+    amps = state.tensor()
+    for axis in state.layout.mode_indices:
+        amps = np.moveaxis(np.tensordot(m, amps, axes=(1, axis)), 0, axis)
+    return amps

@@ -10,7 +10,8 @@ from modefisher.circuits import (
 )
 from modefisher.dynamics import apply, coherent_input_state, kerr_gate, tunnel_gate
 from modefisher.hilbert import LayoutError, jc_layout, kerr_layout
-from modefisher.metrology import counting_probabilities
+
+from dense_reference import counting_probabilities
 
 
 def test_vector_round_trip():
@@ -56,11 +57,9 @@ def test_zero_layer_extension_preserves_action():
 
 
 def test_interaction_budget_sums_magnitudes():
-    params = AnsatzParams("kerr", ((0.5, -0.3), (1.0, 0.2)))
-    assert interaction_budget(params) == pytest.approx(0.5)
-    params_jc = AnsatzParams("jc", ((0.1, 9.0, -2.0), (0.0, 0.0, 0.5)))
-    assert interaction_budget(params_jc) == pytest.approx(2.5)
-    assert interaction_budget(AnsatzParams.zeros("jc", 4)) == 0.0
+    assert interaction_budget("kerr", np.array([0.5, -0.3, 1.0, 0.2])) == pytest.approx(0.5)
+    assert interaction_budget("jc", np.array([0.1, 9.0, -2.0, 0.0, 0.0, 0.5])) == pytest.approx(2.5)
+    assert interaction_budget("jc", AnsatzParams.zeros("jc", 4).to_vector()) == 0.0
 
 
 def test_layout_mismatch_rejected():

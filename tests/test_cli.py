@@ -167,7 +167,7 @@ _NON_FINITE = [
     ("wigner", "time", "nan", []), ("wigner", "half_width", "inf", ["--time", "0.5"]),
     ("theta-sweep", "probe_time", "nan", []), ("theta-sweep", "phi", "inf",
                                                ["--probe-time", "0.4"]),
-    ("ablate", "phi", "nan", ["--params", "circuit.json"])]
+    ("ablate", "phi", "nan", ["--paired-dir", "params"])]
 
 
 @pytest.mark.parametrize("command, key, text, extra", _NON_FINITE)
@@ -328,7 +328,7 @@ def test_optimize_worker_pool_matches_serial(tmp_path):
     assert _numeric_lines(serial / "prepare.csv") == _numeric_lines(pooled / "prepare.csv")
 
 
-def test_ablate_writes_paired_and_three_arm_outputs(tmp_path, monkeypatch):
+def test_ablate_writes_paired_outputs(tmp_path, monkeypatch):
     common = ["--kind", "kerr", "--n", "4", "--dmax", "2", "--seeds", "2"]
     prep = tmp_path / "prep"
     assert main(["optimize", *common, "--max-iters", "20", "--stage", "prepare",
@@ -356,18 +356,6 @@ def test_ablate_writes_paired_and_three_arm_outputs(tmp_path, monkeypatch):
     assert main(["ablate", *common, "--max-iters", "5",
                  "--paired-dir", str(prep / "params"), "--outdir", str(aborted)]) == 1
     assert not (aborted / "paired.csv").exists()
-    monkeypatch.undo()
-
-    arms = tmp_path / "arms"
-    assert main(["ablate", *common, "--max-iters", "5",
-                 "--params", str(prep / "params" / "kerr_N4_d2_seed0.json"),
-                 "--outdir", str(arms)]) == 0
-    assert (arms / "manifest.json").exists()
-    assert len(read_csv_rows(arms / "theta_only.csv")[1]) == 1
-    for name in ("fixed_theta.csv", "joint.csv"):
-        _, rows = read_csv_rows(arms / name)
-        assert sorted((int(r["seed"]), int(r["d"])) for r in rows) == [
-            (0, 1), (0, 2), (1, 1), (1, 2)]
 
 
 def test_wigner_command_time_source(tmp_path):
@@ -462,7 +450,7 @@ def test_source_flags_are_still_needed_without_a_manifest(tmp_path, capsys):
     assert main(["wigner", "--kind", "kerr", "--n", "2", "--outdir", str(tmp_path / "w")]) == 1
     assert main(["ablate", "--kind", "kerr", "--n", "2", "--outdir", str(tmp_path / "a")]) == 1
     err = capsys.readouterr().err
-    assert "--time or --params" in err and "--params or --paired-dir" in err
+    assert "--time or --params" in err and "ablate needs one input: --paired-dir" in err
 
 
 def test_manifest_digest_ignores_the_output_directory(tmp_path, monkeypatch):
@@ -507,22 +495,6 @@ def test_typed_wigner_time_beats_recorded_params(tmp_path):
     assert config["time"] == 0.5 and config["params"] is None
 
 
-def test_typed_ablate_params_beat_recorded_paired_dir(tmp_path):
-    # the recorded paired_dir holds no parameters, so using it would fail
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps(
-        {"command": "ablate",
-         "config": {"kind": "kerr", "n_mean": 2.0, "d_max": 1, "seeds": 1, "max_iters": 5,
-                    "paired_dir": "missing"}}))
-    (tmp_path / "circuit.json").write_text(json.dumps(
-        {"kind": "kerr", "n_mean": 2.0, "d": 1, "seed": 0, "params": [0.3, 0.2]}))
-    out = tmp_path / "arms"
-    assert main(["ablate", "--config", str(manifest), "--params",
-                 str(tmp_path / "circuit.json"), "--outdir", str(out)]) == 0
-    assert (out / "theta_only.csv").exists() and not (out / "paired.csv").exists()
-    assert json.loads((out / "manifest.json").read_text())["config"]["paired_dir"] is None
-
-
 @pytest.fixture(scope="module")
 def prep_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("stored") / "prep"
@@ -542,8 +514,6 @@ _ROUND_TRIPS = {
                     "--points", "5"],
     "optimize-measure": ["optimize", *_SEARCH_FLAGS, "--dmax", "1", "--stage", "measure",
                          "--prep-csv", "{prep}/prepare.csv"],
-    "ablate-params": ["ablate", *_SEARCH_FLAGS, "--dmax", "1",
-                      "--params", "{prep}/params/kerr_N2_d2_seed0.json"],
     "ablate-paired": ["ablate", *_SEARCH_FLAGS, "--dmax", "2", "--paired-dir", "{prep}/params"],
 }
 
@@ -561,26 +531,6 @@ def test_rerun_from_manifest_alone_reproduces_every_table(tmp_path, prep_run, ca
         assert _numeric_lines(first / name) == _numeric_lines(again / name)
     old, new = (json.loads((d / "manifest.json").read_text()) for d in (first, again))
     assert new["sha256"] == old["sha256"]
-
-
-@pytest.mark.parametrize("flags, config, key", [
-    (["--measurement", "homodyne"], None, "measurement"), (["--theta", "0.5"], None, "theta"),
-    ([], {"measurement": "homodyne"}, "measurement"), ([], {"theta": -0.25}, "theta"),
-])
-def test_ablate_params_rejects_the_keys_it_never_reads(tmp_path, capsys, prep_run, flags,
-                                                       config, key):
-    # the three arms score homodyne at their own angles, so a readout or an
-    # angle given with --params would only change the manifest's digest
-    args = ["ablate", *_SEARCH_FLAGS, "--dmax", "1",
-            "--params", str(prep_run / "params" / "kerr_N2_d2_seed0.json"), *flags]
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        args += ["--config", str(cfg)]
-    out = tmp_path / "run"
-    assert main(args + ["--outdir", str(out)]) == 1
-    assert f"never reads {key}" in capsys.readouterr().err
-    assert not out.exists()
 
 
 class _ReadKeys(dict):
@@ -641,7 +591,7 @@ def test_stored_manifest_loads_for_its_command(manifest):
 
 
 _SOURCE_FLAGS = {"wigner": ["--time", "0.5"], "theta-sweep": ["--probe-time", "0.4"],
-                 "ablate": ["--params", "circuit.json"]}
+                 "ablate": ["--paired-dir", "params"]}
 
 
 @pytest.mark.parametrize("command", sorted(_CONFIG))

@@ -16,14 +16,14 @@ from modefisher.metrology import (
     QuadratureGrid,
     bounds,
     cfi,
-    counting_probabilities,
-    homodyne_probabilities,
     qfi_fidelity,
     qfi_variance_oracle,
 )
-from modefisher.metrology import (_ROW_BLOCK, _angle_phase, _hermite_functions,
-                                  _quadrature_blocks)
+from modefisher.metrology import (_ROW_BLOCK, _angle_phase, _check_density, _counting_table,
+                                  _hermite_functions, _quadrature_blocks)
 from modefisher.optimize import jc_first_dip
+
+from dense_reference import quadrature_amplitudes
 
 
 def _random_probe(layout, seed):
@@ -99,7 +99,7 @@ def test_qfi_input_guards():
 
 
 def test_one_unit_norm_tolerance():
-    """Constructor, QFI and both counting checks accept and reject the same norms."""
+    """Constructor, QFI and the counting CFI accept and reject the same norms."""
     family = encoded_family(_random_probe(kerr_layout(6), 3))
     model = MeasurementModel("counting")
     for norm, accepted in ((1 - 0.9e-6, True), (1 + 0.9e-6, True), (1 + 1.1e-6, False)):
@@ -107,7 +107,6 @@ def test_one_unit_norm_tolerance():
         state = CompositeState(family.state.layout, amps, check_norm=False)
         checks = (lambda: CompositeState(state.layout, amps),
                   lambda: qfi_fidelity(state),
-                  lambda: counting_probabilities(state),
                   lambda: cfi(_fock_family(state, family.derivative, family.phi), model))
         for check in checks:
             if accepted:
@@ -229,17 +228,18 @@ def test_counting_sweep_never_builds_the_fock_order():
 
 def test_counting_probabilities_normalized():
     state = _random_probe(jc_layout(6), 9)
-    p = counting_probabilities(state)
+    p = _counting_table(state.tensor(), (0, 1))
     assert p.shape == (6, 6)
     assert abs(p.sum() - 1.0) < 1e-10
-    p_full = counting_probabilities(state, include_emitters=True)
+    p_full = _counting_table(state.tensor(), ())
     assert p_full.shape == (2, 2, 6, 6)
     np.testing.assert_allclose(p_full.sum(axis=(0, 1)), p, atol=1e-12)
 
 
 def test_homodyne_density_normalized_and_grid_guards():
     state = _random_probe(kerr_layout(8), 11)
-    x, p = homodyne_probabilities(state, 0.4)
+    x = QuadratureGrid().axis(8)
+    p = np.abs(quadrature_amplitudes(state, 0.4, x)) ** 2
     w = np.gradient(x)
     assert abs(np.sum(p * np.outer(w, w)) - 1.0) < 1e-6
     with pytest.raises(GridError):
@@ -247,10 +247,13 @@ def test_homodyne_density_normalized_and_grid_guards():
     for x_max in (2.0, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(GridError, match="x_max"):
             QuadratureGrid(x_max=x_max).axis(8)
+    # a NaN state bounds no cell, so its empty support window totals 0
+    nan_family = PhaseFamily.from_fock(state.layout, np.full((2, 8, 8), np.nan, complex), 0.9)
+    with pytest.raises(GridError, match="integrates to 0"):
+        cfi(nan_family, MeasurementModel("homodyne", theta=0.4))
     # a NaN total is no total: abs(nan - 1) > tol is False
-    nan_state = CompositeState(state.layout, np.full(64, np.nan, complex), check_norm=False)
     with pytest.raises(GridError, match="nan"):
-        homodyne_probabilities(nan_state, 0.4)
+        _check_density(float("nan"))
 
 
 # the default grid's stated accuracy: within GRID_RTOL of a REFERENCE_POINTS grid
@@ -293,7 +296,8 @@ def test_homodyne_vacuum_marginal_is_gaussian():
     amps = np.zeros(36)
     amps[0] = 1.0
     vac = CompositeState(layout, amps)
-    x, p = homodyne_probabilities(vac, 0.0)
+    x = QuadratureGrid().axis(6)
+    p = np.abs(quadrature_amplitudes(vac, 0.0, x)) ** 2
     marginal = np.trapezoid(p, x, axis=1)
     np.testing.assert_allclose(marginal, np.exp(-x * x) / np.sqrt(np.pi), atol=1e-9)
 
@@ -301,20 +305,12 @@ def test_homodyne_vacuum_marginal_is_gaussian():
 def _dense_homodyne(family, theta, x, include_emitters):
     """Reference kernel: full complex quadrature tables of state and derivative.
 
-    Rotates each mode axis with M[i, n] = e^{i n theta} psi_n(x_i), then
-    forms p and dp on the whole grid and trapezoid-weights dp^2/p.
+    Rotates each mode axis to the quadrature basis
+    (:func:`dense_reference.quadrature_amplitudes`), then forms p and dp
+    on the whole grid and trapezoid-weights dp^2/p.
     Returns (p, cfi).
     """
-    cutoff = family.state.layout.cutoff
-    m = _hermite_functions(cutoff, float(x[-1]), len(x)).T * np.exp(1j * theta * np.arange(cutoff))
-
-    def rotate(state):
-        amps = state.tensor()
-        for axis in state.layout.mode_indices:
-            amps = np.moveaxis(np.tensordot(m, amps, axes=(1, axis)), 0, axis)
-        return amps
-
-    amp, damp = rotate(family.state), rotate(family.derivative)
+    amp, damp = (quadrature_amplitudes(s, theta, x) for s in (family.state, family.derivative))
     p = np.abs(amp) ** 2
     dp = 2.0 * (amp.conj() * damp).real
     if not include_emitters and family.state.layout.qubit_indices:
@@ -347,18 +343,13 @@ def test_homodyne_kernel_matches_dense_tables(points):
                 _, f_ref = _dense_homodyne(family, theta - 0.5 * phi, x, keep)
                 f = cfi(family, model).value
                 assert abs(f - f_ref) <= 1e-12 * f_ref, (layout.dims, theta, keep)
-                # cfi shifts the angle by -phi/2; the density takes it as given
-                p_ref, _ = _dense_homodyne(family, theta, x, keep)
-                _, p = homodyne_probabilities(family.state, theta, grid, keep)
-                assert p.shape == p_ref.shape
-                np.testing.assert_allclose(p, p_ref, rtol=0, atol=1e-12 * p_ref.max())
 
 
 def _support_window(family, theta, x):
     """Rows and columns that the windowed homodyne kernel contracts."""
     cutoff = family.layout.cutoff
     tables = family.fock().reshape(2, -1, cutoff, cutoff) * _angle_phase(cutoff, theta)
-    spans = [(rows, cols) for rows, cols, _ in _quadrature_blocks(tables, x, window=True)]
+    spans = [(rows, cols) for rows, cols, _ in _quadrature_blocks(tables, x)]
     return slice(spans[0][0].start, spans[-1][0].stop), spans[0][1]
 
 
@@ -443,8 +434,7 @@ def test_homodyne_window_edges():
     # no cell reaches the floor: the empty window fails the density check
     faint = CompositeState(spread.state.layout, 1e-7 * spread.state.amplitudes,
                            check_norm=False)
-    assert not list(_quadrature_blocks(faint.amplitudes.reshape(1, 1, 6, 6), tight.axis(6),
-                                       window=True))
+    assert not list(_quadrature_blocks(faint.amplitudes.reshape(1, 1, 6, 6), tight.axis(6)))
     with pytest.raises(GridError):
         cfi(_fock_family(faint, spread.derivative, spread.phi), MeasurementModel("homodyne"))
 

@@ -18,7 +18,6 @@ from modefisher.encoding import PhaseFamily, encoded_family
 from modefisher.hilbert import CompositeState, LayoutError
 from modefisher.metrology import (
     MeasurementModel,
-    QuadratureGrid,
     cfi,
     qfi_fidelity,
     qfi_variance_oracle,
@@ -29,7 +28,6 @@ from modefisher.optimize import (
     OptimizationError,
     OptimizerConfig,
     _measured_family,
-    ablation_theta,
     best_by_qfi,
     best_record,
     minimize,
@@ -123,7 +121,7 @@ def test_preparation_records_and_warm_start():
         assert r.kind == "kerr" and r.n_mean == 4.0
         assert np.isfinite(r.best_objective)
         assert len(r.best_params) == 2 * r.d
-        assert r.budget == interaction_budget(AnsatzParams.from_vector("kerr", r.best_params))
+        assert r.budget == interaction_budget("kerr", r.best_params)
         by_seed.setdefault(r.seed, []).append(r)
     for seed, rs in by_seed.items():
         rs.sort(key=lambda r: r.d)
@@ -409,29 +407,6 @@ def test_paired_scan_never_reports_worse_than_identity(monkeypatch):
             assert r.best_params.size == 2 * r.d
             assert r.best_objective == -plain[r.d]
     assert floored > 0
-
-
-def test_joint_theta_arm_carries_the_angle_last():
-    grid = QuadratureGrid(points=201)
-    cfg = OptimizerConfig(seeds=2, max_iters=6)
-    prepared = AnsatzParams("kerr", ((0.4, 0.3),))
-    result = ablation_theta("kerr", prepared, 4.0, [1, 2], cfg, grid=grid)
-    assert len(result.joint) == 4
-    family = encoded_family(prepare_probe(prepared, 4.0, 13))
-    by_seed = {}
-    for r in result.joint:
-        assert r.best_params.size == 2 * r.d + 1
-        circuit = AnsatzParams.from_vector("kerr", r.best_params[:-1])
-        assert r.budget == interaction_budget(circuit)  # the angle is no interaction
-        stack = np.stack([run_circuit(circuit, s).tensor()
-                          for s in (family.state, family.derivative)])
-        measured = PhaseFamily.from_fock(family.layout, stack, family.phi)
-        model = MeasurementModel("homodyne", theta=float(r.best_params[-1]), grid=grid)
-        assert -cfi(measured, model).value == r.best_objective
-        by_seed.setdefault(r.seed, []).append(r)
-    for rs in by_seed.values():
-        rs.sort(key=lambda r: r.d)
-        assert rs[1].best_objective <= rs[0].best_objective
 
 
 def test_paired_scan_raises_when_every_seed_aborts(monkeypatch):
