@@ -3,7 +3,10 @@
 This module reproduces the survey side of the study: inverse-QFI curves
 against interaction time, locations of their minima, the interaction time
 needed to match the twin-Fock benchmark, scaling fits, and quadrature-
-angle sweeps for homodyne readout.
+angle sweeps for homodyne readout.  A sweep point that reads a CFI builds
+the encoded family of its probe and takes the QFI from that family, which
+carries the rotated probe (:mod:`modefisher.encoding`), so the probe is
+rotated once per point.
 """
 
 from __future__ import annotations
@@ -92,14 +95,15 @@ def sweep_continuous(kind: str, n_mean: float, time_grid=None,
     records = []
     for t in times:
         probe = evolve_continuous(kind, float(t), psi0)
-        fq = qfi_fidelity(probe).value
+        family = (encoded_family(probe, phi)
+                  if include_cfi_counting or include_cfi_homodyne else None)
+        # a family carries its rotated probe, so the QFI takes no second rotation
+        fq = qfi_fidelity(family if family is not None else probe).value
         inv_counting = inv_homodyne = None
-        if include_cfi_counting or include_cfi_homodyne:
-            family = encoded_family(probe, phi)
-            if include_cfi_counting:
-                inv_counting = inverse_fisher(cfi(family, counting).value)
-            if include_cfi_homodyne:
-                inv_homodyne = inverse_fisher(cfi(family, homodyne).value)
+        if include_cfi_counting:
+            inv_counting = inverse_fisher(cfi(family, counting).value)
+        if include_cfi_homodyne:
+            inv_homodyne = inverse_fisher(cfi(family, homodyne).value)
         records.append(SweepRecord(kind, n_mean, float(t), inverse_fisher(fq),
                                    inv_counting, inv_homodyne))
     return records

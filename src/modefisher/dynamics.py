@@ -6,7 +6,8 @@ dense matrix.  :func:`apply` acts on one state or on a ``(k, *dims)``
 stack of tensors, such as a state and its phase derivative.  The axis
 bookkeeping is done once per gate representation, layout, stack shape
 and targets: a cached plan checks the targets and holds read-only flat
-indices into the stack, so a call only gathers, multiplies and scatters.
+indices into the stack, so a call only gathers, multiplies and scatters;
+a diagonal gate needs no index, only its shape broadcast over the stack.
 
 The Jaynes-Cummings generator sigma† a + sigma a† couples only |g,n> and
 |e,n-1>, with strength sqrt(n), so its propagator rotates each such pair
@@ -257,11 +258,11 @@ def detune_gate(delta: float, emitter: int) -> LocalGate:
 
 @lru_cache(maxsize=64)
 def _plan(kind: str, size: int, targets: tuple[int, ...] | None, layout: SubsystemLayout,
-          shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+          shape: tuple[int, ...]) -> tuple:
     """Read-only flat indices that apply one gate kind to a ``(k, *layout.dims)`` stack.
 
     ``size`` is the gate's dimension; the targets are checked here, once.
-    diag: ``(index,)`` into the joint diagonal, broadcast over the stack.
+    diag: ``(shape,)``, the joint diagonal's shape broadcast over the stack.
     rabi: ``(partner, angle)``, the pair swap and the rabi column, n for
     |g,n> and |e,n-1>, 0 for the unpaired states.  basis: ``(gather,
     scatter)``, ``gather[b, n1, col]`` in skew-block order
@@ -282,11 +283,11 @@ def _plan(kind: str, size: int, targets: tuple[int, ...] | None, layout: Subsyst
         raise LayoutError(f"{kind} gate of size {size} does not act on factors {targets} "
                           f"of {layout}")
     axes = [t + 1 for t in targets]
-    local = [shape[a] if a in axes else 1 for a in range(len(shape))]
-    flat = np.arange(math.prod(shape)).reshape(shape)
+    local = tuple(shape[a] if a in axes else 1 for a in range(len(shape)))
     if kind == "diag":
-        tables = (np.arange(size).reshape(local),)
-    elif kind == "rabi":
+        return (local,)
+    flat = np.arange(math.prod(shape)).reshape(shape)
+    if kind == "rabi":
         partner = flat.copy()
         swap, moved = (np.moveaxis(a, axes, (0, 1)) for a in (partner, flat))
         swap[0, 1:], swap[1, :-1] = moved[1, :-1], moved[0, 1:]
@@ -309,8 +310,8 @@ def _apply_stack(gate: LocalGate, layout: SubsystemLayout, stack: np.ndarray) ->
     if gate.identity:
         return stack
     if gate.diag is not None:
-        (index,) = _plan("diag", gate.diag.size, gate.targets, layout, stack.shape)
-        return stack * gate.diag[index]
+        (local,) = _plan("diag", gate.diag.size, gate.targets, layout, stack.shape)
+        return stack * gate.diag.reshape(local)
     if gate.rabi is not None:
         # out = cos x + (-i sin) x[partner] over every (|g,n>, |e,n-1>) pair
         partner, angle = _plan("rabi", gate.rabi.shape[1], gate.targets, layout, stack.shape)

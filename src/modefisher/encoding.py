@@ -15,13 +15,14 @@ This holds exactly at the per-mode cutoff, partial sectors included,
 because the truncated generator is still tridiagonal in n1 within each
 sector.  PD is diagonal, so U(phi) = Q† R P R Q with P the phase stage in
 skew-block order.  The encoded family of a probe reads the rotated probe
-y = R Q psi_P, kept in skew-block order and never scattered; only PD
-depends on phi, so the last probe's y is memoized, and the QFI of the
-same probe reuses it.  The family's state and tangent take the second
-rotation as one stack z = R [P y, tangent], and the family is z alone,
-in skew-block order.  Q† multiplies both members of slot n1 by
-(-i)^n1, so photon counting reads z as it is; homodyne readout and the
-Fock-order views take z back to Fock order with one ``take`` and Q†.
+y = R Q psi_P, kept in skew-block order and never scattered.  The
+family's state and tangent take the second rotation as one stack
+z = R [P y, tangent], in skew-block order.  Q† multiplies both members
+of slot n1 by (-i)^n1, so photon counting reads z as it is; homodyne
+readout and the Fock-order views take z back to Fock order with one
+``take`` and Q†.  The family also keeps y and the probe's norm squared,
+so the QFI of its probe (:func:`~modefisher.metrology.qfi_fidelity`)
+reads them without a second rotation; nothing is kept between calls.
 The QFI of the exchange representatives that the Kerr preparation
 search holds takes neither R nor y: it applies BS on the symmetric half
 of the space (:func:`~modefisher.metrology.qfi_fidelity`), so a Kerr
@@ -48,14 +49,19 @@ class PhaseFamily:
     The family holds one array, ``skew``: the read-only
     ``(c, c, spectators, 2)`` stack z in skew-block order, state at
     ``[..., 0]`` and derivative at ``[..., 1]``, before the Q† phase
-    (slot n1 times (-i)^n1).  :func:`encoded_family` builds z directly;
-    a family given in Fock order enters through :meth:`from_fock`.
-    ``state`` and ``derivative`` are read-only Fock-order views, each
-    built on its first read.
+    (slot n1 times (-i)^n1).  :func:`encoded_family` builds z directly
+    and also keeps its probe's rotated amplitudes y = R Q psi_P
+    (``rotated``, ``(c, c, spectators)``) and norm squared (``norm2``),
+    which the QFI reads; a family given in Fock order enters through
+    :meth:`from_fock` and has neither (both ``None``).  ``state`` and
+    ``derivative`` are read-only Fock-order views, each built on its
+    first read.
     """
 
-    def __init__(self, layout: SubsystemLayout, skew: np.ndarray, phi: float) -> None:
+    def __init__(self, layout: SubsystemLayout, skew: np.ndarray, phi: float,
+                 rotated: np.ndarray | None = None, norm2: float | None = None) -> None:
         self.layout, self.skew, self.phi = layout, skew, phi
+        self.rotated, self.norm2 = rotated, norm2
 
     @classmethod
     def from_fock(cls, layout: SubsystemLayout, stack: np.ndarray, phi: float) -> "PhaseFamily":
@@ -149,21 +155,13 @@ def _slot_tables(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-@lru_cache(maxsize=32)
-def _phase_in_slots(phi: float, cutoff: int) -> np.ndarray:
-    """PD(phi)'s diagonal in skew-block order, ``(c, c)`` (cached, read-only)."""
-    table = phase_diff_gate(phi, cutoff).diag[_sector_index(cutoff)]
-    table.setflags(write=False)
-    return table
-
-
 @lru_cache(maxsize=4)
 def _family_tables(phi: float, cutoff: int, spectators: int) -> tuple[np.ndarray, np.ndarray]:
     """PD(phi)'s diagonal and the tangent factor -(i/2)(n2 - n1), each in
     skew-block order and spread over ``spectators`` columns,
     ``(c, c, spectators)`` (cached, read-only)."""
-    tables = (_spread(_phase_in_slots(phi, cutoff), spectators),
-              _spread(_slot_tables(cutoff)[1], spectators))
+    phase = phase_diff_gate(phi, cutoff).diag[_sector_index(cutoff)]
+    tables = (_spread(phase, spectators), _spread(_slot_tables(cutoff)[1], spectators))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -191,30 +189,21 @@ def _rotate(x: np.ndarray) -> np.ndarray:
     return np.matmul(rotation, x.view(np.float64)).view(np.complex128)
 
 
-_last_split: list = []  # [(layout, bytes of the last probe's amplitudes, its y)]
-
-
-def _rotated_probe(state: CompositeState) -> np.ndarray:
-    """y = R Q psi_P in skew-block order, ``(c, c, spectators)``, read-only.
+def _rotated_probe(state: CompositeState) -> tuple[np.ndarray, float]:
+    """(y, |psi_P|^2): y = R Q psi_P in skew-block order, ``(c, c, spectators)``.
 
     ``y[b, n1, s]`` is i^n1 times the amplitude of chi = BS |psi_P> at
     slot n1 of block b and spectator index s (the emitter factors).  The
-    last probe's y is kept, so the QFI and the encoded family of one
-    probe take a single rotation between them; a probe whose amplitudes
-    are bit-identical to the last one's reuses it.
+    norm squared is summed pairwise over the probe's own amplitudes, not
+    over y: the rotation keeps the norm only to a few ulps.
     """
     layout = state.layout
-    key = state.amplitudes.tobytes()
-    for last, amps, y in _last_split:
-        if last == layout and amps == key:
-            return y
     gather, _ = _plan("basis", layout.cutoff, None, layout, (1, *layout.dims))
     x = np.take(state.amplitudes, gather)
     _slot_phase(x, _slot_tables(layout.cutoff)[0])
     y = _rotate(x)
     y.setflags(write=False)
-    _last_split[:] = [(layout, key, y)]
-    return y
+    return y, float(np.square(np.ascontiguousarray(state.amplitudes).view(np.float64)).sum())
 
 
 @lru_cache(maxsize=8)
@@ -241,9 +230,9 @@ def encoded_family(state: CompositeState, phi: float = DEFAULT_PHI) -> PhaseFami
     written as the columns of one stack and rotated by R once.  The family
     is z, ``(c, c, spectators, 2)`` in
     ``(block, slot n1, spectator, state or derivative)`` order
-    (:class:`PhaseFamily`).
+    (:class:`PhaseFamily`), and it keeps y and |psi_P|^2 for the QFI.
     """
-    y = _rotated_probe(state)
+    y, norm2 = _rotated_probe(state)
     layout = state.layout
     c, spectators = layout.cutoff, y.shape[2]
     phase, tangent = _family_tables(phi, c, spectators)
@@ -254,4 +243,4 @@ def encoded_family(state: CompositeState, phi: float = DEFAULT_PHI) -> PhaseFami
     np.multiply(stack[..., 0], tangent, out=stack[..., 1])
     z = _rotate(stack.reshape(c, c, -1)).reshape(stack.shape)
     z.setflags(write=False)
-    return PhaseFamily(layout, z, phi)
+    return PhaseFamily(layout, z, phi, y, norm2)

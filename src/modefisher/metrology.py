@@ -3,13 +3,14 @@
 Quantum Fisher information is a property of the probe alone: for the
 pure unitary family it does not depend on the operating phase, so both
 QFI routes take only the probe.  The fidelity drop over a fixed small
-phase step is the estimator.  The route follows the type of the probe,
-not its contents.  The callers that build |alpha, alpha> themselves (the
+phase step is the estimator, one deficit formula on both routes
+(:func:`qfi_fidelity`).  The route follows the type of the probe, not
+its contents.  The callers that build |alpha, alpha> themselves (the
 Kerr preparation search and :func:`~modefisher.optimize.best_by_qfi`)
 hold an exchange-symmetric Kerr probe as its exchange representatives
 (:mod:`modefisher.circuits`) and hand those over; they are read in one
 half-size kernel.  A :class:`CompositeState` may have any symmetry, so it
-is read from the rotated probe that the encoded family also uses
+is read from its rotated probe, which an encoded family carries
 (:mod:`modefisher.encoding`).
 An independent variance-of-generator oracle cross-checks it on
 chi = BS |psi_P> from the beam-splitter gate.
@@ -51,9 +52,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import _exchange_sectors, _exchange_tunnel
-from .encoding import (PhaseFamily, _diff_number, _phase_in_slots, _rotated_probe, _spread,
-                       beam_split)
+from .dynamics import _exchange_sectors, _exchange_tunnel, _sector_index
+from .encoding import PhaseFamily, _diff_number, _rotated_probe, _spread, beam_split
 from .hilbert import CompositeState, LayoutError, check_unit_norm
 
 PROBABILITY_FLOOR = 1e-12
@@ -298,7 +298,8 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
     Each block forms p and dp in place in its amplitude buffer, sums the
     emitter outcomes when they are marginalized, and adds its trapezoid-
     weighted share of the Fisher sum and of the normalization total.  An
-    empty window leaves a total of 0, which fails the density check.
+    empty window leaves a total of 0, which fails the density check; a
+    family with non-finite amplitudes is rejected before the window.
     """
     layout = family.layout
     marginal = layout.emitters and not model.include_emitters
@@ -313,6 +314,8 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
         value = float((dp[mask] ** 2 / p[mask]).sum())
         return FisherResult(max(value, 0.0))
 
+    if not np.isfinite(family.skew).all():
+        raise ValueError("the family's amplitudes are not finite")
     cutoff = layout.cutoff
     x = model.grid.axis(cutoff)
     w = _trapezoid_weights(x)
@@ -343,80 +346,83 @@ def cfi(family: PhaseFamily, model: MeasurementModel) -> FisherResult:
 
 
 @lru_cache(maxsize=None)
-def _symmetric_tables(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """(split, drop) at the exchange representatives of
-    :func:`~modefisher.dynamics._exchange_sectors` (cached, read-only).
+def _qfi_tables(cutoff: int, columns: int, representatives: bool) -> tuple:
+    """(split, drop, tilt), cached and read-only; ``drop`` and ``tilt`` are
+    spread over ``columns`` (:func:`~modefisher.encoding._spread`).
 
-    ``split`` ``(c, m)`` holds the beam splitter's eigenphases
-    exp(-i (pi/4) w) on the even tunnel eigenvectors.  ``drop`` ``(c, m, 2)``
-    holds weight (1 - cos(delta (n2 - n1)/2)), written as 2 sin^2 so that no
-    digits cancel, once for the real and once for the imaginary part, and
-    0 on the padding.
+    ``drop`` is w 2 sin^2(delta (n2 - n1)/4) = w (1 - cos(delta (n2 - n1)/2)),
+    written so that no digits cancel.  At the exchange representatives of
+    :func:`~modefisher.dynamics._exchange_sectors` (``representatives``)
+    w is the orbit size, 0 on the padding, ``split`` the beam splitter's
+    eigenphases exp(-i (pi/4) w) on the even tunnel eigenvectors and
+    ``tilt`` None.  In skew-block order w = 1, ``split`` is None and
+    ``tilt`` is sin(delta (n2 - n1)/2).
     """
-    w, _, weight, _, _, (n1, n2) = _exchange_sectors(cutoff)
-    split = np.exp(-1j * (np.pi / 4) * w)
-    drop = 2.0 * weight * np.sin(0.25 * _FIDELITY_DELTA * (n2 - n1)) ** 2
-    tables = (split, np.repeat(drop, 2).reshape(*drop.shape, 2))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    if representatives:
+        w, _, weight, _, _, (n1, n2) = _exchange_sectors(cutoff)
+        split, tilt = np.exp(-1j * (np.pi / 4) * w), None
+    else:
+        (n1, n2), weight = np.divmod(_sector_index(cutoff), cutoff), 1.0
+        split, tilt = None, _spread(np.sin(0.5 * _FIDELITY_DELTA * (n2 - n1)), columns)
+    drop = _spread(2.0 * weight * np.sin(0.25 * _FIDELITY_DELTA * (n2 - n1)) ** 2, columns)
+    for table in (split, drop, tilt):
+        if table is not None:
+            table.setflags(write=False)
+    return split, drop, tilt
 
 
-def _symmetric_deficit(x: np.ndarray) -> tuple[float, float]:
-    """(1 - overlap, |psi|^2) of the exchange-symmetric state whose
-    representatives are ``x`` ``(c, m)``.
-
-    BS is the tunnel gate at j = pi/4, which commutes with the exchange, so
-    chi is one half-size rotation of x.  |psi|^2 is summed over the state
-    in Fock order, which one take rebuilds from x.
-    """
-    cutoff = x.shape[0]
-    split, drop = _symmetric_tables(cutoff)
-    amps = np.take(x, _exchange_sectors(cutoff)[4]).view(np.float64)
-    norm2 = np.square(amps, out=amps).sum()
-    chi = _exchange_tunnel(x, split).view(np.float64)
-    return (1.0 - norm2) + np.vdot(chi * chi, drop), norm2
-
-
-def qfi_fidelity(probe: CompositeState | np.ndarray) -> FisherResult:
+def qfi_fidelity(probe: CompositeState | PhaseFamily | np.ndarray) -> FisherResult:
     """QFI of the probe from the fidelity drop between nearby encoded states.
 
     F_Q = 8 (1 - |<psi_E(phi)|psi_E(phi+delta)>|) / delta^2 for the pure
     encoded family, with the fixed step delta = 1e-2.  With chi = BS |psi_P>,
     the overlap is <chi| PD(delta) |chi> = sum |chi|^2 exp(-i delta (n2 - n1)/2):
     the outer beam splitter and the phase stage at phi cancel, so the value
-    is the same at every operating phase.  chi is never scattered back to
-    Fock order, and the probe's norm squared is checked against 1.
+    is the same at every operating phase.  Both routes compute one formula
+    from the tables of :func:`_qfi_tables`, which have no cancellation:
+
+        1 - Re = (1 - |psi_P|^2) + sum w |chi|^2 2 sin^2(delta (n2 - n1)/4),
+        1 - |overlap| = (1 - Re) - Im^2 / (Re + |overlap|),
+        Im = -sum |chi|^2 sin(delta (n2 - n1)/2),
+
+    with |psi_P|^2 summed pairwise over the probe's own amplitudes and
+    checked against 1, so the rotation's rounding enters only the sums, of
+    order F delta^2 / 8.  chi is never scattered back to Fock order.
 
     - Exchange representatives, the complex ``(c, c//2 + 1)`` array that
-      the callers building |alpha, alpha> hold, are read at one amplitude
-      per exchange orbit (:func:`_symmetric_deficit`).  BS is the tunnel
-      gate at j = pi/4, which commutes with the exchange, so it runs as a
-      half-size rotation there (:func:`~modefisher.dynamics._exchange_tunnel`)
-      and chi is symmetric.  The two members of an orbit share |chi|^2,
-      and their phases add to cos(delta (n2 - n1)/2), so the overlap is
-      real and 1 - overlap = (1 - |psi_P|^2) + sum |chi|^2 (1 - cos(...)),
-      each orbit counted by its size.  The norm is summed over the probe
-      in Fock order and the sum from a table without cancellation, so the
-      rotation's rounding enters only that sum, of order F delta^2 / 8.
-    - A :class:`CompositeState` reads |chi|^2 from the rotated probe
-      y = Q chi in skew-block order (:func:`_rotated_probe`; Q is a phase,
-      so |y| = |chi|), weighted by PD(delta) in the same order.  The
-      rotation is unitary, so the total of |y|^2 is the probe's norm
-      squared.
+      the callers building |alpha, alpha> hold, have one amplitude per
+      orbit, w its size.  BS commutes with the exchange, so it runs as a
+      half-size rotation (:func:`~modefisher.dynamics._exchange_tunnel`),
+      and chi is symmetric, so Im = 0.
+    - A :class:`CompositeState` is read from its rotated probe
+      y = Q chi in skew-block order, |y| = |chi|, with w = 1.  A
+      :class:`PhaseFamily` from :func:`~modefisher.encoding.encoded_family`
+      carries y and |psi_P|^2; one from ``from_fock`` has no probe and
+      raises :class:`LayoutError`.
     """
     if isinstance(probe, np.ndarray):
         c = probe.shape[0] if probe.ndim == 2 else 0
         if probe.dtype != np.complex128 or probe.shape != (c, c // 2 + 1):
             raise LayoutError(f"a {probe.dtype} array of shape {probe.shape} is not the "
                               "complex (c, c//2 + 1) table of exchange representatives")
-        deficit, norm2 = _symmetric_deficit(probe)
+        amps = np.take(probe, _exchange_sectors(c)[4]).view(np.float64)
+        norm2 = np.square(amps, out=amps).sum()
+        split, drop, tilt = _qfi_tables(c, 2, True)
+        chi = _exchange_tunnel(probe, split).view(np.float64)
+    elif isinstance(probe, PhaseFamily) and probe.rotated is None:
+        raise LayoutError("a family built from Fock order carries no probe")
     else:
-        p = np.abs(_rotated_probe(probe)) ** 2
-        norm2 = p.sum()
-        phases = _phase_in_slots(_FIDELITY_DELTA, probe.layout.cutoff)
-        deficit = 1.0 - abs(np.sum(p * _spread(phases, p.shape[2])))
+        y, norm2 = ((probe.rotated, probe.norm2) if isinstance(probe, PhaseFamily)
+                    else _rotated_probe(probe))
+        chi = y.view(np.float64)
+        _, drop, tilt = _qfi_tables(probe.layout.cutoff, chi.shape[2], False)
     check_unit_norm(math.sqrt(norm2), "probe")
+    p = chi * chi
+    lost = np.vdot(p, drop)
+    deficit = (1.0 - norm2) + lost
+    if tilt is not None:
+        re, im = norm2 - lost, np.vdot(p, tilt)
+        deficit -= im * im / (re + math.hypot(re, im))
     value = 8.0 * deficit / _FIDELITY_DELTA**2
     return FisherResult(max(value, 0.0))
 

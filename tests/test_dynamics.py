@@ -265,11 +265,15 @@ def test_plans_match_the_dense_contraction(layout, pairs):
 
 def test_plan_tables_are_read_only_and_built_once():
     layout, shape = jc_layout(6), (2, 2, 2, 6, 6)
-    for args in (("diag", 2, (1,)), ("diag", 6, (3,)), ("rabi", 6, (0, 2)),
-                 ("basis", 6, None)):
+    for args in (("rabi", 6, (0, 2)), ("basis", 6, None)):
         tables = _plan(*args, layout, shape)
         assert all(not table.flags.writeable for table in tables)
         assert all(a is b for a, b in zip(tables, _plan(*args, layout, shape)))
+    # a diagonal gate needs no index, only its broadcast shape
+    for args, local in ((("diag", 2, (1,)), (1, 1, 2, 1, 1)),
+                        (("diag", 6, (3,)), (1, 1, 1, 1, 6))):
+        assert _plan(*args, layout, shape) == (local,)
+        assert _plan(*args, layout, shape) is _plan(*args, layout, shape)
     partner, _ = _plan("rabi", 6, (0, 2), layout, shape)
     assert np.array_equal(partner.ravel()[partner.ravel()], np.arange(partner.size))
     gather, scatter = _plan("basis", 6, None, layout, shape)

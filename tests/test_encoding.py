@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from modefisher.dynamics import _sector_index, apply, coherent_input_state
+from modefisher.dynamics import apply, coherent_input_state
 from modefisher.encoding import (
     DEFAULT_PHI,
+    PhaseFamily,
     _diff_number,
-    _rotated_probe,
     _slot_tables,
     beam_split,
     beam_splitter_gate,
@@ -14,6 +14,7 @@ from modefisher.encoding import (
 )
 from modefisher.hilbert import (
     CompositeState,
+    LayoutError,
     jc_layout,
     kerr_layout,
     product_state,
@@ -23,9 +24,9 @@ from modefisher.metrology import _FIDELITY_DELTA, qfi_fidelity
 from dense_reference import inner_product
 
 
-def _random_two_mode(cutoff, seed):
+def _random_two_mode(cutoff, seed, layout_of=kerr_layout):
     rng = np.random.default_rng(seed)
-    layout = kerr_layout(cutoff)
+    layout = layout_of(cutoff)
     amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
     return CompositeState(layout, amps / np.linalg.norm(amps))
 
@@ -138,24 +139,38 @@ def test_cached_beam_splitter_is_read_only():
     assert not phase_diff_gate(0.4, 7).diag.flags.writeable
 
 
-def test_beam_split_is_shared_by_equal_probes_only():
-    # equal probes share the rotated probe y; the gate route keeps no memo
+def test_qfi_and_family_keep_no_state_between_calls():
+    # interleaved calls on two probes give the bits of fresh calls, a probe
+    # changed in place is read anew, and a family's QFI is its probe's
     layout = kerr_layout(6)
-    amps = coherent_input_state("kerr", 0.5, 6).amplitudes
-    state = CompositeState(layout, amps.copy())
-    y = _rotated_probe(state)
-    assert not y.flags.writeable
-    assert _rotated_probe(CompositeState(layout, amps.copy())) is y
-    state.amplitudes[:] = apply(phase_diff_gate(0.9, 6), state).amplitudes  # changed in place
-    fresh = _rotated_probe(state)
-    assert fresh is not y
-    chi = apply(beam_splitter_gate(6), state).amplitudes
-    q = _slot_tables(6)[0]
-    np.testing.assert_allclose(fresh[:, :, 0], q * chi[_sector_index(6)], atol=1e-15, rtol=0)
-    split = beam_split(state)
-    assert beam_split(state) is not split
-    np.testing.assert_array_equal(split.amplitudes, chi)
-    assert _rotated_probe(state) is fresh
+
+    def values(state, phi):
+        family = encoded_family(state, phi)
+        assert not family.rotated.flags.writeable
+        return qfi_fidelity(state).value, family.skew.tobytes()
+
+    def fresh(state, phi):
+        return values(CompositeState(layout, state.amplitudes.copy()), phi)
+
+    probes = [CompositeState(layout, coherent_input_state("kerr", 0.5, 6).amplitudes.copy()),
+              _random_two_mode(6, 3)]
+    want = [fresh(p, 0.7) for p in probes]
+    for i in (0, 1, 1, 0, 1, 0, 0):
+        assert values(probes[i], 0.7) == want[i]
+    probes[0].amplitudes[:] = apply(phase_diff_gate(0.9, 6), probes[0]).amplitudes
+    changed = fresh(probes[0], 0.7)
+    assert changed != want[0]
+    assert values(probes[0], 0.7) == changed and values(probes[1], 0.7) == want[1]
+    for probe in probes + [_random_two_mode(5, 4, jc_layout)]:
+        for phi in (0.0, 0.7, DEFAULT_PHI):
+            family = encoded_family(probe, phi)
+            assert qfi_fidelity(family).value == qfi_fidelity(probe).value
+    split = beam_split(probes[1])
+    assert beam_split(probes[1]) is not split
+    bare = PhaseFamily.from_fock(family.layout, family.fock(), DEFAULT_PHI)
+    assert bare.rotated is None and bare.norm2 is None
+    with pytest.raises(LayoutError, match="carries no probe"):
+        qfi_fidelity(bare)
 
 
 @pytest.mark.parametrize("cutoff", [3, 12, 40])

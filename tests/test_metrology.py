@@ -4,9 +4,8 @@ import pytest
 from modefisher.analysis import sweep_continuous
 from modefisher.circuits import AnsatzParams, prepare_probe
 from modefisher.dynamics import coherent_input_state, coherent_state, evolve_continuous
-from modefisher.encoding import (PhaseFamily, _family_scatter, _phase_in_slots, _rotate,
-                                 _rotated_probe, _slot_phase, _slot_tables, _spread,
-                                 encoded_family)
+from modefisher.encoding import (PhaseFamily, _family_scatter, _family_tables, _rotate,
+                                 _rotated_probe, _slot_phase, _slot_tables, encoded_family)
 from modefisher.hilbert import (CompositeState, LayoutError, default_cutoff, jc_layout,
                                 kerr_layout, product_state)
 from modefisher.metrology import (
@@ -119,14 +118,14 @@ def test_one_unit_norm_tolerance():
 def _fock_stack(probe, phi):
     """The encoded (state, derivative) pair built straight to Fock order: the
     rotated stack with Q† applied in place, then one scatter."""
-    y = _rotated_probe(probe)
+    y, _ = _rotated_probe(probe)
     c, spectators = probe.layout.cutoff, y.shape[2]
-    q, tangent, _ = _slot_tables(c)
+    phase, tangent = _family_tables(phi, c, spectators)
     stack = np.empty((*y.shape, 2), dtype=np.complex128)
-    np.multiply(y, _spread(_phase_in_slots(phi, c), spectators), out=stack[..., 0])
-    np.multiply(stack[..., 0], _spread(tangent, spectators), out=stack[..., 1])
+    np.multiply(y, phase, out=stack[..., 0])
+    np.multiply(stack[..., 0], tangent, out=stack[..., 1])
     z = _rotate(stack.reshape(c, c, -1))
-    _slot_phase(z, q.conj())
+    _slot_phase(z, _slot_tables(c)[0].conj())
     return np.take(z, _family_scatter(probe.layout))
 
 
@@ -247,10 +246,11 @@ def test_homodyne_density_normalized_and_grid_guards():
     for x_max in (2.0, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(GridError, match="x_max"):
             QuadratureGrid(x_max=x_max).axis(8)
-    # a NaN state bounds no cell, so its empty support window totals 0
+    # a NaN state is rejected as such, not as a grid too small for it
     nan_family = PhaseFamily.from_fock(state.layout, np.full((2, 8, 8), np.nan, complex), 0.9)
-    with pytest.raises(GridError, match="integrates to 0"):
+    with pytest.raises(ValueError, match="not finite") as raised:
         cfi(nan_family, MeasurementModel("homodyne", theta=0.4))
+    assert not isinstance(raised.value, GridError)
     # a NaN total is no total: abs(nan - 1) > tol is False
     with pytest.raises(GridError, match="nan"):
         _check_density(float("nan"))

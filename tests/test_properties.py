@@ -15,6 +15,7 @@ import modefisher.metrology
 from modefisher.circuits import (AnsatzParams, _kerr_preparation, build_circuit,
                                  prepare_probe, run_circuit)
 from modefisher.dynamics import (
+    _sector_index,
     apply,
     coherent_input_state,
     detune_gate,
@@ -23,8 +24,7 @@ from modefisher.dynamics import (
     kerr_gate,
     tunnel_gate,
 )
-from modefisher.encoding import (_phase_in_slots, _rotated_probe, _spread, beam_split,
-                                 beam_splitter_gate, encoded_family)
+from modefisher.encoding import _rotated_probe, beam_split, beam_splitter_gate, encoded_family
 from modefisher.hilbert import (
     CompositeState,
     default_cutoff,
@@ -445,11 +445,19 @@ def test_asymmetric_inputs_take_the_gate_route(monkeypatch):
 
 
 def _full_route_qfi(probe):
-    """qfi_fidelity's skew-block route, written out: |R Q psi|^2 against PD(delta)."""
-    p = np.abs(_rotated_probe(probe)) ** 2
-    phases = _phase_in_slots(_FIDELITY_DELTA, probe.layout.cutoff)
-    overlap = abs(np.sum(p * _spread(phases, p.shape[2])))
-    return max(8.0 * (1.0 - overlap) / _FIDELITY_DELTA**2, 0.0)
+    """qfi_fidelity's skew-block route, written out: (1 - |psi|^2) plus |R Q psi|^2
+    against 2 sin^2(delta (n2 - n1)/4), less the overlap's imaginary part."""
+    y, norm2 = _rotated_probe(probe)
+    p = y.view(np.float64) ** 2
+    c = probe.layout.cutoff
+    n1, n2 = np.divmod(_sector_index(c), c)
+    drop, tilt = (np.repeat(table, p.shape[2]).reshape(p.shape) for table in
+                  (2.0 * np.sin(0.25 * _FIDELITY_DELTA * (n2 - n1)) ** 2,
+                   np.sin(0.5 * _FIDELITY_DELTA * (n2 - n1))))
+    lost = np.vdot(p, drop)
+    re, im = norm2 - lost, np.vdot(p, tilt)
+    deficit = (1.0 - norm2) + lost - im * im / (re + math.hypot(re, im))
+    return max(8.0 * deficit / _FIDELITY_DELTA**2, 0.0)
 
 
 def _exactly_summed_qfi(probe):
@@ -482,6 +490,22 @@ def test_symmetric_kerr_probes_take_the_half_size_qfi_route():
                                        abs=8 * _OVERLAP_STEP)
             assert fq == pytest.approx(_exactly_summed_qfi(probe), rel=1e-13,
                                        abs=4 * _OVERLAP_STEP)
+
+
+def test_full_qfi_route_reads_the_norm_from_the_probe():
+    # the skew-block route sums |psi|^2 over the probe's own amplitudes, as
+    # the exchange route does, so it lands within a few overlap steps of the
+    # exactly summed value; a norm read from the rotated probe is off by up
+    # to a few ulps, each worth one or two steps
+    rng = np.random.default_rng(122)
+    for kind in ("kerr", "jc"):
+        for cutoff, n_mean in ((18, 8.0), (40, 20.0)):
+            psi0 = coherent_input_state(kind, n_mean, cutoff)
+            for case in range(25):
+                x = rng.uniform(-2, 2, size=(3 if kind == "jc" else 2) * int(rng.integers(1, 5)))
+                probe = run_circuit(AnsatzParams.from_vector(kind, x), psi0)
+                fq, want = qfi_fidelity(probe).value, _exactly_summed_qfi(probe)
+                assert abs(fq - want) <= 4 * _OVERLAP_STEP, (kind, cutoff, case, fq - want)
 
 
 def test_asymmetric_and_jc_probes_keep_the_full_qfi_route(monkeypatch):
