@@ -5,22 +5,23 @@ on both emitters, then the nonlinearity on both emitter-mode pairs or
 both modes.  The same structure serves preparation and pre-measurement;
 only the parameter vector differs.
 
-The Kerr ansatz (one tunneling strength, one Kerr strength on both
-modes) commutes with exchanging the two modes.  The standard input
+:func:`_preparation` is the one place that chooses how a preparation
+circuit runs on the standard input; the preparation search,
+:func:`prepare_probe` and :func:`~modefisher.optimize.best_by_qfi` all
+call it, so every search objective, prepared probe and best-by-QFI score
+comes from the same route, bit for bit.  A JC circuit applies its gates
+to the coherent input.  The Kerr ansatz (one tunneling strength, one
+Kerr strength on both modes) commutes with exchanging the two modes, and
 |alpha, alpha> is the outer product of one vector with itself, so it is
-exchange-symmetric by construction, and the three callers that build it
-themselves run the ansatz on one amplitude per exchange orbit, in
-skew-block order from start to end (:func:`_kerr_preparation`): a layer
-is a half-size rotation into the even tunnel eigenvectors, their
-eigenphases, the rotation back, and the Kerr phases t[n1] t[n2].  The
-Kerr preparation search (:func:`~modefisher.optimize.optimize_preparation`)
-and :func:`~modefisher.optimize.best_by_qfi` hand the representatives to
-:func:`~modefisher.metrology.qfi_fidelity` as they are, and
-:func:`prepare_probe` scatters them to Fock order once.  So every search
-objective, prepared probe and best-by-QFI score comes from the same
-kernel, bit for bit.  :func:`run_circuit` takes a state from its caller,
-whose symmetry it does not know, and applies the gates one by one; on
-|alpha, alpha> it agrees with the half-size route to rounding.
+exchange-symmetric by construction: a Kerr circuit runs on one amplitude
+per exchange orbit, in skew-block order from start to end
+(:func:`_run_representatives`).  A layer there is a half-size rotation
+into the even tunnel eigenvectors, their eigenphases, the rotation back,
+and the Kerr phases t[n1] t[n2].  :func:`~modefisher.metrology.qfi_fidelity`
+reads the representatives as they are, and only :func:`prepare_probe`
+scatters them to Fock order.  :func:`run_circuit` takes a state from its
+caller, whose symmetry it does not know, and applies the gates one by
+one; on |alpha, alpha> it agrees with the half-size route to rounding.
 """
 
 from __future__ import annotations
@@ -150,19 +151,6 @@ def _run_representatives(layers, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _kerr_preparation(n_mean: float, cutoff: int):
-    """``run(layers)``: Kerr ansatz layers ``(j, k)`` on |alpha, alpha>, on its
-    exchange representatives.
-
-    The input is gathered onto its representatives once, here, so a search
-    pays for it once; ``run`` returns the probe's representatives
-    ``(c, c//2 + 1)`` (:func:`_run_representatives`).
-    """
-    x0 = np.take(coherent_input_state("kerr", n_mean, cutoff).amplitudes,
-                 _exchange_sectors(cutoff)[3])
-    return lambda layers: _run_representatives(layers, x0)
-
-
 def run_circuit(params: AnsatzParams, state: CompositeState) -> CompositeState:
     """Apply the gates of :func:`build_circuit` to a state (zero-parameter
     gates are skipped)."""
@@ -171,19 +159,35 @@ def run_circuit(params: AnsatzParams, state: CompositeState) -> CompositeState:
     return state
 
 
+def _preparation(kind: str, n_mean: float, cutoff: int):
+    """``run(layers)``: a preparation circuit of ``kind`` on the standard
+    coherent input, in the form :func:`~modefisher.metrology.qfi_fidelity` scores.
+
+    A JC circuit gives the probe, by :func:`run_circuit`.  A Kerr circuit
+    gives the probe's exchange representatives ``(c, c//2 + 1)``
+    (:func:`_run_representatives`); its input is gathered onto them once,
+    here, so a search pays for that once.
+    """
+    psi0 = coherent_input_state(kind, n_mean, cutoff)
+    if kind == "jc":
+        return lambda layers: run_circuit(AnsatzParams(kind, tuple(layers)), psi0)
+    x0 = np.take(psi0.amplitudes, _exchange_sectors(cutoff)[3])
+    return lambda layers: _run_representatives(layers, x0)
+
+
 def prepare_probe(params: AnsatzParams, n_mean: float,
                   cutoff: int | None = None) -> CompositeState:
     """Run the preparation ansatz on the standard coherent input.
 
     ``cutoff=None`` uses :func:`~modefisher.hilbert.default_cutoff`, the
-    rule the optimizer and the CLI use.  A Kerr ansatz runs on the input's
-    exchange representatives (:func:`_kerr_preparation`), the route of the
-    search, and is scattered to Fock order once.
+    rule the optimizer and the CLI use.  The circuit runs on the route of
+    the search (:func:`_preparation`); a Kerr result is scattered from its
+    exchange representatives to Fock order once.
     """
     if cutoff is None:
         cutoff = default_cutoff(n_mean)
+    probe = _preparation(params.kind, n_mean, cutoff)(params.layers)
     if params.kind == "jc":
-        return run_circuit(params, coherent_input_state("jc", n_mean, cutoff))
-    x = _kerr_preparation(n_mean, cutoff)(params.layers)
-    return CompositeState(kerr_layout(cutoff), np.take(x, _exchange_sectors(cutoff)[4]),
+        return probe
+    return CompositeState(kerr_layout(cutoff), np.take(probe, _exchange_sectors(cutoff)[4]),
                           check_norm=False)

@@ -15,6 +15,7 @@ read relative to the config file's directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -311,36 +312,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prep_worker(payload: dict) -> list:
-    config = payload["config"]
-    return optimize_preparation(
-        payload["kind"], payload["n_mean"], payload["schedule"], payload["opt_config"],
-        cutoff=int(config["cutoff"]),
-    )
-
-
-def _measure_worker(payload: dict) -> list:
-    config = payload["config"]
-    params = AnsatzParams.from_vector(payload["kind"], np.asarray(payload["prep_vector"]))
-    return optimize_measurement(
-        payload["kind"], params, _measurement_model(config),
-        payload["n_mean"], payload["schedule"], payload["opt_config"],
-        phi=float(config["phi"]), cutoff=int(config["cutoff"]),
-    )
-
-
-def _seed_records(worker, payload: dict) -> list:
+def _seed_records(search, opt_config: OptimizerConfig) -> list:
     """Records of a one-seed search; none when the seed aborts (the search logs why)."""
     try:
-        return worker(payload)
+        return search(opt_config)
     except OptimizationError:
         return []
 
 
-def _farm_seeds(worker, payload: dict, opt_config: OptimizerConfig, workers: int) -> list:
-    """One search per seed, optionally in a process pool; fails only if every seed aborts."""
-    jobs = [(worker, dict(payload, opt_config=replace(opt_config, seed_indices=(seed,))))
-            for seed in opt_config.seed_pool]
+def _farm_seeds(search, opt_config: OptimizerConfig, workers: int) -> list:
+    """``search(config)`` once per seed, optionally in a process pool; fails only
+    if every seed aborts."""
+    jobs = [(search, replace(opt_config, seed_indices=(seed,))) for seed in opt_config.seed_pool]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             batches = pool.starmap(_seed_records, jobs)
@@ -355,15 +338,18 @@ def _farm_seeds(worker, payload: dict, opt_config: OptimizerConfig, workers: int
     return records
 
 
-def _best_prep_vector(prep_csv: Path) -> np.ndarray:
-    """Best preparation record's parameter vector via its sidecar file."""
+def _best_prep_params(prep_csv: Path, config: dict) -> AnsatzParams:
+    """Best preparation record's circuit, read from its sidecar file; it must
+    be a circuit of the configured kind and N."""
     _, rows = read_csv_rows(prep_csv)
     if not rows:
         raise ValueError(f"{prep_csv} holds no records")
     best = min(rows, key=lambda r: float(r["objective"]))
-    sidecar = prep_csv.parent / "params" / sidecar_name(
-        best["kind"], best["N"], best["d"], best["seed"])
-    return load_params(sidecar).to_vector()
+    if best["kind"] != config["kind"] or float(best["N"]) != float(config["n_mean"]):
+        raise ValueError(f"{prep_csv} holds a {best['kind']} circuit at N={float(best['N']):g}, "
+                         f"not {config['kind']} at N={float(config['n_mean']):g}")
+    return load_params(prep_csv.parent / "params" / sidecar_name(
+        best["kind"], best["N"], best["d"], best["seed"]))
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -379,25 +365,27 @@ def cmd_optimize(args: argparse.Namespace) -> int:
               "prepare run", file=sys.stderr)
         return 1
     # the coherent input must fit the cutoff (CutoffError otherwise)
-    coherent_input_state(config["kind"], float(config["n_mean"]), int(config["cutoff"]))
+    kind, n_mean, cutoff = config["kind"], float(config["n_mean"]), int(config["cutoff"])
+    coherent_input_state(kind, n_mean, cutoff)
+    prep_params = None
+    if stage == "measure":  # read and checked before anything is written
+        prep_params = _best_prep_params(Path(config["prep_csv"]), config)
     outdir = Path(config["outdir"])
     digest = _write_manifest("optimize", config)
-    payload = {"kind": config["kind"], "n_mean": float(config["n_mean"]),
-               "schedule": schedule, "config": config}
 
-    prep_vector = None
     if stage in ("prepare", "both"):
-        records = _farm_seeds(_prep_worker, payload, opt_config, workers)
+        records = _farm_seeds(
+            functools.partial(optimize_preparation, kind, n_mean, schedule, cutoff=cutoff),
+            opt_config, workers)
         write_records(records, outdir / "prepare.csv", digest, params_dir=outdir / "params")
         best = best_record(records)
-        prep_vector = best.best_params
+        prep_params = AnsatzParams.from_vector(kind, best.best_params)
         print(f"prepare: best 1/F_Q = {best.inv_fisher:.6g} "
               f"(seed {best.seed}, d {best.d}) -> {outdir}")
     if stage in ("measure", "both"):
-        if prep_vector is None:
-            prep_vector = _best_prep_vector(Path(config["prep_csv"]))
         records = _farm_seeds(
-            _measure_worker, dict(payload, prep_vector=[float(v) for v in prep_vector]),
+            functools.partial(optimize_measurement, kind, prep_params, _measurement_model(config),
+                              n_mean, schedule, phi=float(config["phi"]), cutoff=cutoff),
             opt_config, workers)
         write_records(records, outdir / "measure.csv", digest,
                       params_dir=outdir / "params_measure")

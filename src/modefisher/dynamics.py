@@ -34,12 +34,12 @@ input stays symmetric, so it needs one amplitude per orbit of the
 exchange: c(c+1)/2 of the c² (820 of 1,600 at c = 40).  The tunnel
 spectrum of a sector has no repeated eigenvalue, so every eigenvector is
 even or odd under the reversal, and the even ones rotate that half
-(:func:`_exchange_sectors`, :func:`_exchange_tunnel`).  Only the callers
-that build the symmetric input |alpha, alpha> themselves take this half:
-the Kerr preparation search, :func:`~modefisher.circuits.prepare_probe`
-and :func:`~modefisher.optimize.best_by_qfi`.  A :class:`CompositeState`
-handed in by any other caller takes the gates of this module, whatever
-its symmetry, so no route is chosen by inspecting a state.
+(:func:`_exchange_sectors`, :func:`_exchange_tunnel`).  Only a Kerr
+circuit on the symmetric input |alpha, alpha> takes this half, by the
+choice of :func:`~modefisher.circuits._preparation`, the one place that
+picks a preparation route.  A :class:`CompositeState` handed in by any
+other caller takes the gates of this module, whatever its symmetry, so
+no route is chosen by inspecting a state.
 """
 
 from __future__ import annotations

@@ -24,14 +24,13 @@ keeps the default simplex: a wide one only moves the Kerr strengths to
 their aliases pi - k, which have the same QFI and a larger interaction
 budget.
 
-Kerr preparation scores each evaluation on the exchange representatives
-from input to QFI (:mod:`modefisher.circuits`): |alpha, alpha> is
-exchange-symmetric by construction, its representatives are taken once
-per search, the layers run on them, and ``qfi_fidelity`` reads the
-result as it is.  :func:`~modefisher.circuits.prepare_probe` and
-``best_by_qfi`` run the same kernel on the same input, so a stored
+Every preparation search scores a circuit on the route that
+:func:`~modefisher.circuits._preparation` chooses for its kind, the one
+place that choice is made: a Kerr circuit runs on the exchange
+representatives of |alpha, alpha> from input to QFI, a JC circuit
+applies its gates.  :func:`~modefisher.circuits.prepare_probe` and
+``best_by_qfi`` run the same route on the same input, so a stored
 optimum's probe and its best-by-QFI score are the search's, bit for bit.
-JC preparation runs ``run_circuit`` on the input state.
 
 A seed whose objective turns non-finite is logged and dropped; when no
 seed finishes, the search raises ``OptimizationError``.
@@ -53,9 +52,9 @@ import numpy as np
 
 from .analysis import default_cutoff, find_minima, sweep_continuous
 from .artifacts import load_params
-from .circuits import (LAYER_WIDTH, AnsatzParams, _kerr_preparation, build_circuit,
-                       interaction_budget, prepare_probe, run_circuit)
-from .dynamics import apply, coherent_input_state
+from .circuits import (LAYER_WIDTH, AnsatzParams, _preparation, build_circuit,
+                       interaction_budget, prepare_probe)
+from .dynamics import apply
 from .encoding import DEFAULT_PHI, PhaseFamily, encoded_family
 from .hilbert import LayoutError
 from .metrology import MeasurementModel, cfi, inverse_fisher, qfi_fidelity
@@ -324,24 +323,14 @@ def optimize_preparation(kind: str, n_mean: float, d_schedule, config: Optimizer
     default simplex (see the module docstring).
     """
     cut = cutoff if cutoff is not None else default_cutoff(n_mean)
-    if kind != "jc":
-        run = _kerr_preparation(n_mean, cut)
-
-        def kerr_objective(x: np.ndarray) -> float:
-            return -qfi_fidelity(run(x.reshape(-1, LAYER_WIDTH[kind]).tolist())).value
-
-        return _search(kind, n_mean, lambda _d: kerr_objective, d_schedule, config,
-                       open_wide=False)
-
-    psi0 = coherent_input_state(kind, n_mean, cut)
+    run, width = _preparation(kind, n_mean, cut), LAYER_WIDTH[kind]
 
     def objective(x: np.ndarray) -> float:
-        probe = run_circuit(AnsatzParams.from_vector(kind, x), psi0)
-        return -qfi_fidelity(probe).value
+        return -qfi_fidelity(run(x.reshape(-1, width).tolist())).value
 
-    first_layer = (0.0, 0.0, jc_first_dip(float(n_mean), cut))
+    first_layer = (0.0, 0.0, jc_first_dip(float(n_mean), cut)) if kind == "jc" else None
     return _search(kind, n_mean, lambda _d: objective, d_schedule, config,
-                   first_layer=first_layer)
+                   first_layer=first_layer, open_wide=kind == "jc")
 
 
 def _measured_family(params: AnsatzParams, family: PhaseFamily) -> PhaseFamily:
@@ -411,8 +400,7 @@ def best_record(records: list[OptRecord], d: int | None = None) -> OptRecord:
 def best_by_qfi(paths, n_mean: float, cutoff: int) -> AnsatzParams:
     """Stored circuit whose probe has the largest QFI (the first on ties).
 
-    Kerr probes are scored as the search scores them, on the exchange
-    representatives of |alpha, alpha> (:mod:`modefisher.circuits`).
+    Each probe is scored as the search scores it (:func:`~modefisher.circuits._preparation`).
     """
     candidates = [load_params(path) for path in paths]
     if not candidates:
@@ -420,8 +408,5 @@ def best_by_qfi(paths, n_mean: float, cutoff: int) -> AnsatzParams:
     kinds = {params.kind for params in candidates}
     if len(kinds) > 1:
         raise LayoutError(f"stored parameters mix {sorted(kinds)} circuits")
-    if kinds == {"kerr"}:
-        run = _kerr_preparation(n_mean, cutoff)
-        return max(candidates, key=lambda params: qfi_fidelity(run(params.layers)).value)
-    return max(candidates,
-               key=lambda params: qfi_fidelity(prepare_probe(params, n_mean, cutoff)).value)
+    run = _preparation(kinds.pop(), n_mean, cutoff)
+    return max(candidates, key=lambda params: qfi_fidelity(run(params.layers)).value)

@@ -28,8 +28,8 @@ from modefisher.analysis import (
     sweep_theta,
     time_to_tfs,
 )
+from modefisher.artifacts import read_csv_rows, sidecar_name
 from modefisher.circuits import AnsatzParams, prepare_probe, run_circuit
-from modefisher.cli import read_csv_rows
 from modefisher.dynamics import coherent_input_state, evolve_continuous
 from modefisher.encoding import PhaseFamily, encoded_family
 from modefisher.hilbert import CompositeState, kerr_layout
@@ -107,8 +107,7 @@ def _load_rows(run_dir, csv_name="prepare.csv", params_sub="params"):
     _, raw = read_csv_rows(csv_path)
     rows = []
     for r in raw:
-        sidecar = (csv_path.parent / params_sub /
-                   f"{r['kind']}_N{float(r['N']):g}_d{r['d']}_seed{r['seed']}.json")
+        sidecar = csv_path.parent / params_sub / sidecar_name(r["kind"], r["N"], r["d"], r["seed"])
         vec = np.asarray(json.loads(sidecar.read_text())["params"], dtype=float)
         rows.append(Row(int(r["seed"]), int(r["d"]), float(r["objective"]),
                         float(r["budget"]), vec))
@@ -483,7 +482,7 @@ def test_homodyne_identity_floor_scan(report, bench_mode):
     prep_dir = RUNS / "prep_kerr_n20" / "params"
     families = {}
     for d, stored in plain.items():
-        best = best_by_qfi(sorted(prep_dir.glob(f"kerr_N20_d{d}_seed*.json")), 20.0, 40)
+        best = best_by_qfi(sorted(prep_dir.glob(sidecar_name("kerr", 20, d, "*"))), 20.0, 40)
         families[d] = encoded_family(prepare_probe(best, 20.0, 40))
         fresh = 1.0 / cfi(families[d], model).value
         assert abs(fresh - stored) <= REEVAL_RTOL * abs(stored), _stale(

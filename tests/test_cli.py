@@ -254,6 +254,25 @@ def test_optimize_then_measure_round_trip(tmp_path):
     assert manifest["config"]["prep_csv"] == "../prep/prepare.csv"  # the probe, seen from the run
 
 
+@pytest.mark.parametrize("prep_kind, measure_flags, what", [
+    ("jc", ["--kind", "kerr", "--n", "2"], "jc circuit"),     # 6 JC values read as 3 Kerr layers
+    ("kerr", ["--kind", "kerr", "--n", "3"], "at N=2"),
+])
+def test_measure_stage_rejects_a_probe_of_another_kind_or_n(tmp_path, capsys, prep_kind,
+                                                            measure_flags, what):
+    prep_dir = tmp_path / "prep"
+    assert main(["optimize", "--kind", prep_kind, "--n", "2", "--dmax", "2", "--seeds", "1",
+                 "--max-iters", "20", "--stage", "prepare", "--outdir", str(prep_dir)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "meas"
+    assert main(["optimize", *measure_flags, "--dmax", "1", "--seeds", "1", "--max-iters", "5",
+                 "--stage", "measure", "--prep-csv", str(prep_dir / "prepare.csv"),
+                 "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and what in err
+    assert not out.exists()  # no manifest, no CSV
+
+
 @pytest.mark.parametrize("flags, config", [
     (["--seeds", "0"], None), (["--dmax", "0"], None),
     ([], {"seeds": 0}), ([], {"d_max": 0}),

@@ -286,25 +286,30 @@ def _search_objective(monkeypatch, kind, n_mean, cutoff):
     return seen[0]
 
 
-def test_kerr_search_objective_is_the_public_route_bit_for_bit(monkeypatch):
-    # the search runs on the exchange representatives from input to QFI, and
-    # prepare_probe scatters the same representatives to Fock order, so one
-    # take gathers them back with the same bits
+@pytest.mark.parametrize("kind", ["kerr", "jc"])
+def test_search_objective_is_the_public_route_bit_for_bit(monkeypatch, kind):
+    # the search and prepare_probe run the route circuits._preparation picks:
+    # a Kerr search stays on the exchange representatives from input to QFI,
+    # and prepare_probe scatters the same representatives to Fock order, so
+    # one take gathers them back with the same bits; a JC search scores the
+    # probe prepare_probe returns
+    width = LAYER_WIDTH[kind]
     rng = np.random.default_rng(122)
     for n_mean, cutoff in ((8.0, 18), (20.0, 40), (20.0, 41)):
-        objective = _search_objective(monkeypatch, "kerr", n_mean, cutoff)
+        objective = _search_objective(monkeypatch, kind, n_mean, cutoff)
         gather = _exchange_sectors(cutoff)[3]
         for case in range(36):
-            x = rng.uniform(-2, 2, size=2 * (1 + case % 6))
+            x = rng.uniform(-2, 2, size=width * (1 + case % 6))
             x[rng.uniform(size=x.size) < 0.2] = 0.0   # skipped gates
             if case % 3 == 0:
                 x[0] = 1.0e6                            # where stored searches drifted
             if case % 9 == 1:
-                x[0] = 0.0                              # the input meets a Kerr layer first
+                x[0] = 0.0                              # the input meets a later gate first
             if case % 9 == 4:
-                x[:2] = 0.0                             # a zero layer before the first tunnel
-            probe = prepare_probe(AnsatzParams.from_vector("kerr", x), n_mean, cutoff)
-            assert objective(x) == -qfi_fidelity(np.take(probe.amplitudes, gather)).value
+                x[:width] = 0.0                         # a zero layer before the first tunnel
+            probe = prepare_probe(AnsatzParams.from_vector(kind, x), n_mean, cutoff)
+            scored = probe if kind == "jc" else np.take(probe.amplitudes, gather)
+            assert objective(x) == -qfi_fidelity(scored).value
 
 
 def test_kerr_search_evaluations_stay_on_the_representatives(monkeypatch):

@@ -12,8 +12,8 @@ import pytest
 
 import modefisher.circuits
 import modefisher.metrology
-from modefisher.circuits import (AnsatzParams, _kerr_preparation, build_circuit,
-                                 prepare_probe, run_circuit)
+from modefisher.circuits import (AnsatzParams, _preparation, build_circuit, prepare_probe,
+                                 run_circuit)
 from modefisher.dynamics import (
     _sector_index,
     apply,
@@ -412,7 +412,7 @@ def test_symmetric_kerr_route_matches_the_gate_route(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(modefisher.circuits, "apply", no_gates)
             got = prepare_probe(params, n_mean, cutoff)
-            representatives = _kerr_preparation(n_mean, cutoff)(params.layers)
+            representatives = _preparation("kerr", n_mean, cutoff)(params.layers)
         np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-13)
         # the two routes round differently, which can move F by a few
         # overlap steps; 1e-12 of F = 20 is only about two of them
@@ -460,14 +460,31 @@ def _full_route_qfi(probe):
     return max(8.0 * deficit / _FIDELITY_DELTA**2, 0.0)
 
 
+# bound on the overlap's imaginary part, sum |chi|^2 sin(delta (n2 - n1)/2),
+# for a probe with <J_y> = 0: each mirrored pair of |chi|^2 cancels up to a few
+# ulps of itself, and symmetric Kerr and JC probes at cutoffs 18 to 41 read at
+# most 0.5 eps; the QFI term it would feed, Im^2 / (Re + |overlap|),
+# is below 1.3e-29, far under an overlap step; random probes read 3e-5 or more
+_TILT_ATOL = 16 * np.finfo(float).eps
+
+
 def _exactly_summed_qfi(probe):
     """8 ((1 - |psi|^2) + sum |chi|^2 (1 - cos(delta (n2 - n1)/2))) / delta^2,
-    with chi from the beam-splitter gate and both sums rounded once."""
+    with chi from the beam-splitter gate and both sums rounded once.
+
+    Exact only for a probe with <J_y> = 0, such as every circuit on the
+    symmetric input: there the overlap's imaginary part,
+    sum |chi|^2 sin(delta (n2 - n1)/2), is 0, and asserted to be within
+    ``_TILT_ATOL``.  On any other probe the formula reads <D^2> where the
+    QFI is Var(D).
+    """
     n = np.arange(probe.layout.cutoff)
-    drop = 2.0 * np.sin(0.25 * _FIDELITY_DELTA * (n[None, :] - n[:, None])) ** 2
-    chi = beam_split(probe).tensor()
+    half_angle = 0.5 * _FIDELITY_DELTA * (n[None, :] - n[:, None])
+    weights = np.abs(beam_split(probe).tensor()) ** 2
+    tilt = math.fsum((weights * np.sin(half_angle)).ravel())
+    assert abs(tilt) <= _TILT_ATOL, f"<J_y> != 0: the overlap's imaginary part is {tilt!r}"
     deficit = ((1.0 - math.fsum(np.abs(probe.amplitudes) ** 2))
-               + math.fsum((np.abs(chi) ** 2 * drop).ravel()))
+               + math.fsum((weights * (2.0 * np.sin(0.5 * half_angle) ** 2)).ravel()))
     return 8.0 * deficit / _FIDELITY_DELTA**2
 
 
@@ -477,7 +494,7 @@ def test_symmetric_kerr_probes_take_the_half_size_qfi_route():
     # reads the norm from the probe and the drop without cancellation.
     rng = np.random.default_rng(120)
     for cutoff, n_mean in ((18, 8.0), (40, 20.0), (41, 20.0)):
-        run = _kerr_preparation(n_mean, cutoff)
+        run = _preparation("kerr", n_mean, cutoff)
         for case in range(30):
             x = rng.uniform(-2, 2, size=2 * int(rng.integers(1, 7)))
             x[rng.uniform(size=x.size) < 0.2] = 0.0   # skipped gates
@@ -506,6 +523,10 @@ def test_full_qfi_route_reads_the_norm_from_the_probe():
                 probe = run_circuit(AnsatzParams.from_vector(kind, x), psi0)
                 fq, want = qfi_fidelity(probe).value, _exactly_summed_qfi(probe)
                 assert abs(fq - want) <= 4 * _OVERLAP_STEP, (kind, cutoff, case, fq - want)
+    # the reference holds only where <J_y> = 0, and says so on any other probe
+    for layout in (kerr_layout(8), jc_layout(8)):
+        with pytest.raises(AssertionError, match="J_y"):
+            _exactly_summed_qfi(_random_state(layout, rng))
 
 
 def test_asymmetric_and_jc_probes_keep_the_full_qfi_route(monkeypatch):
